@@ -16,7 +16,16 @@ import sys
 from itertools import product as iproduct
 
 from . import monomials, projection, trees
-from .products import PRODUCTS, apply_product, bilinear_extend
+from .products import (
+    PLANAR,
+    PRODUCTS,
+    TreeSum,
+    apply_product,
+    bilinear_extend,
+    butcher,
+    graft,
+    rotation,
+)
 from .psi import (
     coeff_c_bijections,
     coeff_c_recursive,
@@ -86,12 +95,7 @@ def _emit(text: str):
 
 
 def _emit_matrix(m, fmt: str):
-    if fmt == "json":
-        _emit(m.to_json_str())
-    elif fmt == "csv":
-        _emit(m.to_csv())
-    else:
-        _emit(m.to_csv())
+    _emit(m.to_json_str() if fmt == "json" else m.to_csv())
 
 
 def _emit_sum(s, fmt: str):
@@ -123,8 +127,6 @@ def cmd_enumerate(args) -> int:
     else:
         for t in items:
             if kind == "binary":
-                from .products import rotation
-
                 _emit(f"{t.serialize()}  ->  {rotation(t).serialize()}")
             else:
                 _emit(f"{t.serialize()}  energy={trees.potential_energy(t)}")
@@ -262,21 +264,18 @@ def verify_identities(max_degree: int, seed: int, limit: int = 4000) -> list[dic
     if len(triples) > limit:
         rng = random.Random(seed)
         triples = rng.sample(triples, limit)
-    from .products import graft
-
     bad_prelie = 0
     bad_nap = 0
+    one = TreeSum.single
     for s, t, u in triples:
-        left = bilinear_extend("graft", graft(s, t), _one(u)) - bilinear_extend(
-            "graft", _one(s), graft(t, u)
+        left = bilinear_extend("graft", graft(s, t), one(u)) - bilinear_extend(
+            "graft", one(s), graft(t, u)
         )
-        right = bilinear_extend("graft", graft(t, s), _one(u)) - bilinear_extend(
-            "graft", _one(t), graft(s, u)
+        right = bilinear_extend("graft", graft(t, s), one(u)) - bilinear_extend(
+            "graft", one(t), graft(s, u)
         )
         if left != right:
             bad_prelie += 1
-        from .products import butcher
-
         if butcher(s, butcher(t, u)) != butcher(t, butcher(s, u)):
             bad_nap += 1
     checks = [
@@ -284,12 +283,6 @@ def verify_identities(max_degree: int, seed: int, limit: int = 4000) -> list[dic
         _check("nap-identity", bad_nap == 0, f"{len(triples)} triples, {bad_nap} failures"),
     ]
     return checks
-
-
-def _one(t):
-    from .products import TreeSum
-
-    return TreeSum.single(t)
 
 
 def verify_matrices(max_degree: int, seed: int) -> list[dict]:
@@ -318,21 +311,22 @@ def verify_matrices(max_degree: int, seed: int) -> list[dict]:
             _check(f"beta-default-unipotent-n{n}", bm.is_unipotent_upper_triangular())
         )
         identity = all(
-            psi_inverse(sigma) is not None
-            and _compose_is_identity(sigma)
-            for sigma in trees.enumerate_planar(n)
+            _compose_is_identity(sigma) for sigma in trees.enumerate_planar(n)
         )
         checks.append(_check(f"psi-inverse-n{n}", identity))
     return checks
 
 
 def _compose_is_identity(sigma) -> bool:
-    from .products import NONPLANAR, PLANAR, TreeSum
-
-    total = TreeSum.zero(PLANAR)
-    for tau, c in psi_inverse(sigma).terms:
-        total = total + psi_map(tau).scale(c)
-    return total == TreeSum.single(sigma)
+    composed = TreeSum.make(
+        PLANAR,
+        (
+            (rho, c * d)
+            for tau, c in psi_inverse(sigma).terms
+            for rho, d in psi_map(tau).terms
+        ),
+    )
+    return composed == TreeSum.single(sigma)
 
 
 def verify_oracle(max_degree: int, seed: int) -> list[dict]:

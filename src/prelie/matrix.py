@@ -98,3 +98,16 @@ class CoeffMatrix:
 
     def to_json_str(self) -> str:
         return json.dumps(self.to_json())
+
+
+def _from_images(degree: int, rows, cols, images) -> CoeffMatrix:
+    """Matrix with one column per element of ``cols``: the coefficients of
+    the matching sum in ``images`` over the trees ``rows``.  Rows and
+    columns are named by their serializations."""
+    columns = [dict(image.terms) for image in images]
+    return CoeffMatrix(
+        degree=degree,
+        row_basis=tuple(r.serialize() for r in rows),
+        col_basis=tuple(c.serialize() for c in cols),
+        entries=tuple(tuple(col.get(r, 0) for col in columns) for r in rows),
+    )

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .matrix import CoeffMatrix
+from .matrix import CoeffMatrix, _from_images
 from .products import TreeSum, bilinear_extend, product_flavor
 from .projection import Section
 from .trees import (
@@ -218,17 +218,11 @@ def expand_basis(basis: MonomialBasis, max_degree: int = ENUMERATION_CAP) -> Coe
     """Tree expansions of a one-generator basis: one column per monomial,
     rows over the canonical non-planar basis."""
     rows = enumerate_nonplanar(basis.degree, max_degree)
-    images = [evaluate(m, "graft") for m in basis.monomials]
     for m in basis.monomials:
         if len(m.generator_names()) != 1:
             raise DomainError("expansion matrices are single-generator only")
-    entries = tuple(tuple(img.coefficient(s) for img in images) for s in rows)
-    return CoeffMatrix(
-        degree=basis.degree,
-        row_basis=tuple(t.serialize() for t in rows),
-        col_basis=basis.serialized(),
-        entries=entries,
-    )
+    images = [evaluate(m, "graft") for m in basis.monomials]
+    return _from_images(basis.degree, rows, basis.monomials, images)
 
 
 def is_tree_grounded(

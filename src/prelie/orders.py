@@ -6,6 +6,8 @@ Three relations on the vertex set of a tree, each refining the previous:
            through v.  Partial; the root is the unique minimum.
 * ``<<``   planar refinement: transitive closure of ``<`` together with
            "right sibling before left sibling".  Planar trees only.
+           Locally, v << w when w is a strict descendant of v or lies in
+           the subtree of a strict left sibling of v.
 * ``<<<``  total order: recursively, with t = branch o-> trunk, every
            trunk vertex comes before every branch vertex.
 
@@ -28,42 +30,24 @@ def tree_less(v: VertexId, w: VertexId) -> bool:
     return len(v) < len(w) and w[: len(v)] == v
 
 
-def _closure(n_index: dict[VertexId, int], edges: set[tuple[int, int]]) -> list[list[bool]]:
-    n = len(n_index)
-    reach = [[False] * n for _ in range(n)]
-    for a, b in edges:
-        reach[a][b] = True
-    for k in range(n):
-        rk = reach[k]
-        for i in range(n):
-            if reach[i][k]:
-                ri = reach[i]
-                for j in range(n):
-                    if rk[j]:
-                        ri[j] = True
-    return reach
-
-
 def left_refined_pairs(t: PlanarTree) -> set[tuple[VertexId, VertexId]]:
-    """All pairs (v, w) with v << w, as the transitive closure of the
-    parent->child and right-sibling->left-sibling relations."""
+    """All pairs (v, w) with v << w: w is a strict descendant of v, or lies
+    in the subtree of a strict left sibling of v.
+
+    This is the transitive closure of the parent->child and
+    right-sibling->left-sibling relations: both only move down or left, so
+    from v they reach exactly the strict descendants of v and the subtrees
+    of its left siblings.
+    """
     verts = t.vertices()
-    index = {v: i for i, v in enumerate(verts)}
-    edges = set()
+    pairs = set()
     for v in verts:
-        node = t.subtree(v)
-        k = len(node.children)
-        for i in range(k):
-            edges.add((index[v], index[v + (i,)]))
-        for i in range(k - 1):
-            edges.add((index[v + (i + 1,)], index[v + (i,)]))
-    reach = _closure(index, edges)
-    return {
-        (verts[i], verts[j])
-        for i in range(len(verts))
-        for j in range(len(verts))
-        if reach[i][j]
-    }
+        k = len(v) - 1  # v is child v[k] of the vertex v[:k]
+        for w in verts:
+            left_of_v = k >= 0 and len(w) > k and w[:k] == v[:k] and w[k] < v[k]
+            if left_of_v or tree_less(v, w):
+                pairs.add((v, w))
+    return pairs
 
 
 def total_order_list(t: PlanarTree) -> list[VertexId]:

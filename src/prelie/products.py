@@ -126,33 +126,28 @@ def butcher(s: Tree, t: Tree) -> Tree:
 # grafting products (sums over vertices)
 
 
-def _graft_planar_at(sigma: PlanarTree, tau: PlanarTree, path) -> PlanarTree:
+def _graft_at(sigma, tau, path):
+    """sigma grafted leftmost at the vertex ``path`` of tau, as a tree of
+    tau's class (planar or non-planar)."""
     if not path:
-        return PlanarTree((sigma,) + tau.children, tau.label)
+        return type(tau)((sigma,) + tau.children, tau.label)
     i = path[0]
-    new_child = _graft_planar_at(sigma, tau.children[i], path[1:])
-    return PlanarTree(tau.children[:i] + (new_child,) + tau.children[i + 1 :], tau.label)
+    new_child = _graft_at(sigma, tau.children[i], path[1:])
+    children = tau.children[:i] + (new_child,) + tau.children[i + 1 :]
+    return type(tau)(children, tau.label)
 
 
 def left_graft(sigma: PlanarTree, tau: PlanarTree) -> TreeSum:
     """Sum over the vertices v of tau of grafting sigma leftmost at v."""
     return TreeSum.make(
-        PLANAR, [(_graft_planar_at(sigma, tau, v), 1) for v in tau.vertices()]
+        PLANAR, [(_graft_at(sigma, tau, v), 1) for v in tau.vertices()]
     )
-
-
-def _graft_nonplanar_at(s: Tree, t: Tree, path) -> Tree:
-    if not path:
-        return Tree((s,) + t.children, t.label)
-    i = path[0]
-    new_child = _graft_nonplanar_at(s, t.children[i], path[1:])
-    return Tree(t.children[:i] + (new_child,) + t.children[i + 1 :], t.label)
 
 
 def graft(s: Tree, t: Tree) -> TreeSum:
     """Pre-Lie grafting: sum over all vertices of t, like terms collected."""
     return TreeSum.make(
-        NONPLANAR, [(_graft_nonplanar_at(s, t, v), 1) for v in t.vertices()]
+        NONPLANAR, [(_graft_at(s, t, v), 1) for v in t.vertices()]
     )
 
 
@@ -190,8 +185,12 @@ def bilinear_extend(name: str, a: TreeSum, b: TreeSum) -> TreeSum:
     flavor = product_flavor(name)
     if a.flavor != flavor or b.flavor != flavor:
         raise DomainError(f"product {name!r} needs two {flavor} sums")
-    total = TreeSum.zero(flavor)
-    for ta, ca in a.terms:
-        for tb, cb in b.terms:
-            total = total + apply_product(name, ta, tb).scale(ca * cb)
-    return total
+    return TreeSum.make(
+        flavor,
+        (
+            (t, ca * cb * c)
+            for ta, ca in a.terms
+            for tb, cb in b.terms
+            for t, c in apply_product(name, ta, tb).terms
+        ),
+    )

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations, product
 
-from .matrix import CoeffMatrix
+from .matrix import CoeffMatrix, _from_images
 from .orders import tree_less
 from .psi import _count_bijections, coeff_c_recursive, psi
 from .products import NONPLANAR, TreeSum
@@ -25,8 +25,8 @@ from .trees import (
     PlanarTree,
     Tree,
     enumerate_nonplanar,
+    enumerate_planar,
     serial_key,
-    symmetry_factor,
 )
 
 
@@ -74,18 +74,9 @@ def count_tilde_b(s: Tree, tau: PlanarTree, cap: int = BRUTE_FORCE_CAP) -> int:
 def alpha_matrix(n: int, max_degree: int = ENUMERATION_CAP) -> CoeffMatrix:
     """Rectangular matrix of the projected base change: non-planar rows,
     planar columns, both in canonical order."""
-    from .trees import enumerate_planar
-
     rows = enumerate_nonplanar(n, max_degree)
     cols = enumerate_planar(n, max_degree)
-    images = [psi_bar(tau) for tau in cols]
-    entries = tuple(tuple(img.coefficient(s) for img in images) for s in rows)
-    return CoeffMatrix(
-        degree=n,
-        row_basis=tuple(t.serialize() for t in rows),
-        col_basis=tuple(t.serialize() for t in cols),
-        entries=entries,
-    )
+    return _from_images(n, rows, cols, [psi_bar(tau) for tau in cols])
 
 
 # ---------------------------------------------------------------------------
@@ -146,13 +137,9 @@ class Section:
 
 def default_embedding(t: Tree) -> PlanarTree:
     """Canonical planar representative: embedded children in descending
-    serialization order."""
-    embedded = sorted(
-        (default_embedding(c) for c in t.children),
-        key=lambda p: serial_key(p.serialize()),
-        reverse=True,
-    )
-    return PlanarTree(tuple(embedded), t.label)
+    serialization order.  The children of ``t`` are already in that order
+    and embedding keeps each serialization, so no sort is needed."""
+    return PlanarTree(tuple(map(default_embedding, t.children)), t.label)
 
 
 def default_section(n: int, max_degree: int = ENUMERATION_CAP) -> Section:
@@ -178,7 +165,4 @@ def beta_matrix(section: Section, n: int, max_degree: int = ENUMERATION_CAP) -> 
     for t in basis:
         if not section.covers(t):
             raise DomainError(f"section does not cover degree {n}")
-    images = [psi_tilde(section, t) for t in basis]
-    entries = tuple(tuple(img.coefficient(s) for img in images) for s in basis)
-    names = tuple(t.serialize() for t in basis)
-    return CoeffMatrix(degree=n, row_basis=names, col_basis=names, entries=entries)
+    return _from_images(n, basis, basis, [psi_tilde(section, t) for t in basis])

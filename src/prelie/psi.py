@@ -6,16 +6,17 @@ fixing the single vertex and intertwining the two products is unipotent
 upper triangular per degree in the canonical basis order.  Its
 coefficients c(sigma, tau) are computed two independent ways: by the
 decomposition recursion, and by brute-force counting of order-compatible
-vertex bijections.
+vertex bijections.  Unipotence alone gives the inverse: each preimage is
+the tree minus the preimages of the higher-energy terms of its image.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .matrix import CoeffMatrix
+from .matrix import CoeffMatrix, _from_images
 from .orders import left_refined_pairs, total_order_list, tree_less
-from .products import PLANAR, TreeSum, bilinear_extend, left_butcher
+from .products import PLANAR, TreeSum, bilinear_extend
 from .trees import (
     BRUTE_FORCE_CAP,
     ENUMERATION_CAP,
@@ -140,45 +141,28 @@ def coeff_c_bijections(
 def psi_matrix(n: int, max_degree: int = ENUMERATION_CAP) -> CoeffMatrix:
     """Per-degree matrix of the isomorphism over the canonical planar basis."""
     basis = enumerate_planar(n, max_degree)
-    images = [psi(tau) for tau in basis]
-    entries = tuple(
-        tuple(img.coefficient(sigma) for img in images) for sigma in basis
-    )
-    return CoeffMatrix(
-        degree=n,
-        row_basis=tuple(t.serialize() for t in basis),
-        col_basis=tuple(t.serialize() for t in basis),
-        entries=entries,
-    )
+    return _from_images(n, basis, basis, [psi(tau) for tau in basis])
 
 
 @lru_cache(maxsize=None)
-def _inverse_columns(n: int) -> dict[PlanarTree, tuple[tuple[PlanarTree, int], ...]]:
-    basis = enumerate_planar(n)
-    m = psi_matrix(n)
-    size = len(basis)
-    columns = {}
-    for j in range(size):
-        x = [0] * size
-        x[j] = 1
-        for i in range(j, -1, -1):
-            acc = (1 if i == j else 0) - sum(
-                m.entries[i][k] * x[k] for k in range(i + 1, size)
-            )
-            x[i] = acc
-        columns[basis[j]] = tuple(
-            (basis[i], x[i]) for i in range(size) if x[i] != 0
-        )
-    return columns
-
-
 def psi_inverse(sigma: PlanarTree) -> TreeSum:
-    """Preimage of a planar tree, by back-substitution on the unipotent
-    per-degree matrix."""
-    if not sigma.children:
-        return TreeSum.single(sigma)
-    columns = _inverse_columns(sigma.degree)
-    return TreeSum.make(PLANAR, columns[sigma])
+    """Preimage of a planar tree, by the unipotent recursion
+
+        psi^-1(sigma) = sigma - sum over tau != sigma of c(tau, sigma) psi^-1(tau).
+
+    Every tau in the image of sigma other than sigma itself has strictly
+    higher potential energy, so the recursion ends.
+    """
+    return TreeSum.make(
+        PLANAR,
+        [(sigma, 1)]
+        + [
+            (rho, -c * d)
+            for tau, c in psi(sigma).terms
+            if tau != sigma
+            for rho, d in psi_inverse(tau).terms
+        ],
+    )
 
 
 @lru_cache(maxsize=None)

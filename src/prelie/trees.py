@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 ENUMERATION_CAP = 12  # Catalan(11) = 58786 planar trees at degree 12
@@ -48,10 +48,11 @@ _TOKEN_RE = re.compile(r"[a-z0-9_]+|[()]")
 
 
 @dataclass(frozen=True)
-class PlanarTree:
-    """Ordered rooted tree; the free-magma element on one or more generators."""
+class _RootedTree:
+    """Body shared by planar and non-planar trees.  The two stay distinct
+    classes: trees of different classes never compare equal."""
 
-    children: tuple["PlanarTree", ...] = ()
+    children: tuple[_RootedTree, ...] = ()
     label: str | None = None
 
     def __post_init__(self):
@@ -76,7 +77,7 @@ class PlanarTree:
             out.extend(c.vertices(prefix + (i,)))
         return out
 
-    def subtree(self, path: tuple[int, ...]) -> "PlanarTree":
+    def subtree(self, path: tuple[int, ...]):
         node = self
         for i in path:
             node = node.children[i]
@@ -86,54 +87,23 @@ class PlanarTree:
         return {"label": self.label, "children": [c.to_json() for c in self.children]}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "PlanarTree":
+    def from_json(cls, obj: dict):
         return cls(tuple(cls.from_json(c) for c in obj["children"]), obj.get("label"))
 
 
-@dataclass(frozen=True)
-class Tree:
+class PlanarTree(_RootedTree):
+    """Ordered rooted tree; the free-magma element on one or more generators."""
+
+
+class Tree(_RootedTree):
     """Non-planar rooted tree; children are a multiset stored in canonical order."""
 
-    children: tuple["Tree", ...] = ()
-    label: str | None = None
-
     def __post_init__(self):
-        if self.label is not None and not re.fullmatch(r"[a-z0-9_]+", self.label):
-            raise DomainError(f"bad label {self.label!r}")
+        super().__post_init__()
         ordered = tuple(
             sorted(self.children, key=lambda c: serial_key(c.serialize()), reverse=True)
         )
         object.__setattr__(self, "children", ordered)
-
-    @property
-    def degree(self) -> int:
-        return 1 + sum(c.degree for c in self.children)
-
-    def serialize(self) -> str:
-        head = self.label or ""
-        return head + "(" + "".join(c.serialize() for c in self.children) + ")"
-
-    def __str__(self):
-        return self.serialize()
-
-    def vertices(self, prefix: tuple[int, ...] = ()) -> list[tuple[int, ...]]:
-        out = [prefix]
-        for i, c in enumerate(self.children):
-            out.extend(c.vertices(prefix + (i,)))
-        return out
-
-    def subtree(self, path: tuple[int, ...]) -> "Tree":
-        node = self
-        for i in path:
-            node = node.children[i]
-        return node
-
-    def to_json(self) -> dict:
-        return {"label": self.label, "children": [c.to_json() for c in self.children]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Tree":
-        return cls(tuple(cls.from_json(c) for c in obj["children"]), obj.get("label"))
 
 
 @dataclass(frozen=True)

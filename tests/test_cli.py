@@ -82,6 +82,12 @@ def test_compute_psi_inverse(capsys):
     assert out.strip() == "-1 ((())) + 1 (()())"
 
 
+def test_compute_psi_inverse_labeled(capsys):
+    code, out = run(capsys, "compute", "psi-inverse", "--tree", "a(b())")
+    assert code == 0
+    assert out == "1 a(b())\n"
+
+
 def test_compute_coeff_both(capsys):
     code, out = run(
         capsys,

@@ -114,6 +114,12 @@ def test_default_section_examples():
     assert sec(parse_tree("(()()())")).serialize() == "(()()())"
 
 
+def test_default_embedding_keeps_serialization():
+    for n in range(1, 9):
+        for t in enumerate_nonplanar(n):
+            assert default_embedding(t).serialize() == t.serialize()
+
+
 def test_section_round_trip_text():
     sec = default_section(3)
     text = sec.to_text()

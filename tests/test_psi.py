@@ -111,6 +111,24 @@ def test_psi_inverse_composes_to_identity():
             assert total == TreeSum.single(sigma)
 
 
+def test_psi_inverse_labeled_trees():
+    assert psi_inverse(parse_planar("a(b())")) == planar_sum(("a(b())", 1))
+    assert psi_inverse(parse_planar("a(b()c())")) == planar_sum(
+        ("a(b()c())", 1), ("a(c(b()))", -1)
+    )
+    for text in ("a(b())", "a(b()c())", "r(x(y())z())", "a(b(c())d(e()))"):
+        sigma = parse_planar(text)
+        composed = TreeSum.make(
+            PLANAR,
+            [
+                (rho, c * d)
+                for tau, c in psi_inverse(sigma).terms
+                for rho, d in psi(tau).terms
+            ],
+        )
+        assert composed == TreeSum.single(sigma)
+
+
 # ---------------------------------------------------------------------------
 # coefficients, two ways
 

@@ -18,6 +18,7 @@ from prelie import (
     symmetry_factor,
     vertex_order,
 )
+from prelie.orders import left_refined_pairs
 from prelie.trees import canonical_key, serial_key
 
 
@@ -152,6 +153,15 @@ def test_canonicalization_idempotent():
     assert a.serialize() == "((())())"
 
 
+def test_planar_and_nonplanar_trees_stay_distinct():
+    pairs = [(PlanarTree(()), Tree(())), (PlanarTree((), "a"), Tree((), "a"))]
+    pairs += [(parse_planar(x), parse_tree(x)) for x in ("(()())", "a(c(())b())")]
+    for p, t in pairs:
+        assert p != t and t != p
+        assert len({p, t}) == 2
+        assert p.serialize() == t.serialize()
+
+
 # ---------------------------------------------------------------------------
 # statistics
 
@@ -223,6 +233,33 @@ def test_left_refined_example():
     assert not order.holds(v_left_leaf, v_right)
     assert order.holds((), v_right)
     assert order.holds(v_right, (1, 0))
+
+
+def closure_pairs(t):
+    """Reference for <<: the transitive closure of the parent->child and
+    right-sibling->left-sibling edges, iterated to a fixed point."""
+    verts = t.vertices()
+    reach = {v: set() for v in verts}
+    for v in verts:
+        k = len(t.subtree(v).children)
+        reach[v].update(v + (i,) for i in range(k))
+        for i in range(k - 1):
+            reach[v + (i + 1,)].add(v + (i,))
+    changed = True
+    while changed:
+        changed = False
+        for v in verts:
+            beyond = set().union(*(reach[u] for u in reach[v])) - reach[v]
+            if beyond:
+                reach[v] |= beyond
+                changed = True
+    return {(v, w) for v in verts for w in reach[v]}
+
+
+def test_left_refined_pairs_match_closure():
+    for n in range(1, 8):
+        for t in enumerate_planar(n):
+            assert left_refined_pairs(t) == closure_pairs(t)
 
 
 def test_order_refinement_chain():
