@@ -13,6 +13,7 @@ import json
 import os
 import random
 import sys
+from functools import lru_cache
 from itertools import product as iproduct
 
 from . import monomials, projection, trees
@@ -86,7 +87,10 @@ OP_REGISTRY = {
 def _max_degree(args) -> int:
     env = os.environ.get("PRELIE_MAX_DEGREE")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise DomainError(f"PRELIE_MAX_DEGREE must be an integer, got {env!r}") from None
     return getattr(args, "cap", None) or trees.ENUMERATION_CAP
 
 
@@ -330,6 +334,10 @@ def _compose_is_identity(sigma) -> bool:
 
 
 def verify_oracle(max_degree: int, seed: int) -> list[dict]:
+    if max_degree > trees.BRUTE_FORCE_CAP:
+        raise DegreeCapError(
+            f"max degree {max_degree} exceeds brute-force cap {trees.BRUTE_FORCE_CAP}"
+        )
     checks = []
     for n in range(1, max_degree + 1):
         planar = trees.enumerate_planar(n)
@@ -338,7 +346,7 @@ def verify_oracle(max_degree: int, seed: int) -> list[dict]:
             for sigma in planar
             for tau in planar
             if coeff_c_recursive(sigma, tau)
-            != coeff_c_bijections(sigma, tau, cap=max(n, trees.BRUTE_FORCE_CAP))
+            != coeff_c_bijections(sigma, tau)
         )
         checks.append(
             _check(f"c-dual-method-n{n}", mismatches == 0, f"{len(planar)**2} pairs")
@@ -348,7 +356,7 @@ def verify_oracle(max_degree: int, seed: int) -> list[dict]:
         for s in nonplanar:
             sym = trees.symmetry_factor(s)
             for tau in planar:
-                tilde = projection.count_tilde_b(s, tau, cap=max(n, trees.BRUTE_FORCE_CAP))
+                tilde = projection.count_tilde_b(s, tau)
                 if tilde % sym != 0 or projection.alpha(s, tau) != tilde // sym:
                     bad += 1
         checks.append(
@@ -535,9 +543,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: built on its first call, not at import."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except DegreeCapError as exc:

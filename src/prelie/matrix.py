@@ -103,11 +103,13 @@ class CoeffMatrix:
 def _from_images(degree: int, rows, cols, images) -> CoeffMatrix:
     """Matrix with one column per element of ``cols``: the coefficients of
     the matching sum in ``images`` over the trees ``rows``.  Rows and
-    columns are named by their serializations."""
-    columns = [dict(image.terms) for image in images]
+    columns are named by their serializations, and cells are looked up by
+    the rows' stored text."""
+    columns = [{t.serialize(): c for t, c in image.terms} for image in images]
+    row_basis = tuple(r.serialize() for r in rows)
     return CoeffMatrix(
         degree=degree,
-        row_basis=tuple(r.serialize() for r in rows),
+        row_basis=row_basis,
         col_basis=tuple(c.serialize() for c in cols),
-        entries=tuple(tuple(col.get(r, 0) for col in columns) for r in rows),
+        entries=tuple(tuple(col.get(r, 0) for col in columns) for r in row_basis),
     )

@@ -14,8 +14,7 @@ from functools import lru_cache
 from itertools import permutations, product
 
 from .matrix import CoeffMatrix, _from_images
-from .orders import tree_less
-from .psi import _count_bijections, coeff_c_recursive, psi
+from .psi import _count_bijections, _tree_order_masks, coeff_c_recursive, psi
 from .products import NONPLANAR, TreeSum
 from .trees import (
     BRUTE_FORCE_CAP,
@@ -66,9 +65,14 @@ def count_tilde_b(s: Tree, tau: PlanarTree, cap: int = BRUTE_FORCE_CAP) -> int:
         raise DomainError("bijection count needs equal degrees")
     if s.degree > cap:
         raise DegreeCapError(f"degree {s.degree} exceeds brute-force cap {cap}")
-    verts = s.vertices()
-    ancestors = {v: {u for u in verts if tree_less(u, v)} for v in verts}
-    return _count_bijections(verts, ancestors, tau)
+    return _count_bijections(*_ancestor_table(s), tau)
+
+
+@lru_cache(maxsize=None)
+def _ancestor_table(s: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per vertex of s in preorder, as bitmasks: its strict ancestors and
+    its strict descendants."""
+    return _tree_order_masks(s.vertices())
 
 
 def alpha_matrix(n: int, max_degree: int = ENUMERATION_CAP) -> CoeffMatrix:
@@ -124,6 +128,7 @@ class Section:
         from .trees import parse_planar, parse_tree
 
         mapping = {}
+        first_line = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -131,7 +136,14 @@ class Section:
             if "=>" not in line:
                 raise DomainError(f"line {lineno}: expected '<tree> => <planar>'")
             left, right = (part.strip() for part in line.split("=>", 1))
-            mapping[parse_tree(left)] = parse_planar(right)
+            t = parse_tree(left)
+            if t in first_line:
+                raise DomainError(
+                    f"line {lineno}: {t.serialize()} already has an entry on "
+                    f"line {first_line[t]}"
+                )
+            first_line[t] = lineno
+            mapping[t] = parse_planar(right)
         return cls(mapping)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .matrix import CoeffMatrix, _from_images
-from .orders import left_refined_pairs, total_order_list, tree_less
+from .orders import left_refined_pairs, total_order_list
 from .products import PLANAR, TreeSum, bilinear_extend
 from .trees import (
     BRUTE_FORCE_CAP,
@@ -83,42 +83,72 @@ def coeff_c_recursive(sigma: PlanarTree, tau: PlanarTree) -> int:
     return total
 
 
-def _count_bijections(dom_verts, pred, tau: PlanarTree) -> int:
+def _tree_order_masks(verts) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per vertex of ``verts`` (a preorder listing), as int bitmasks over
+    the preorder indices: its strict ancestors and its strict descendants."""
+    index = {v: i for i, v in enumerate(verts)}
+    ancestors = [0] * len(verts)
+    descendants = [0] * len(verts)
+    for v, i in index.items():
+        for k in range(len(v)):
+            j = index[v[:k]]
+            ancestors[i] |= 1 << j
+            descendants[j] |= 1 << i
+    return tuple(ancestors), tuple(descendants)
+
+
+@lru_cache(maxsize=None)
+def _refined_table(sigma: PlanarTree) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per vertex of sigma in preorder, as bitmasks: its ``<<``-predecessors
+    and its strict descendants."""
+    verts = sigma.vertices()
+    index = {v: i for i, v in enumerate(verts)}
+    pred = [0] * len(verts)
+    for u, v in left_refined_pairs(sigma):
+        pred[index[v]] |= 1 << index[u]
+    return tuple(pred), _tree_order_masks(verts)[1]
+
+
+@lru_cache(maxsize=None)
+def _total_order_parents(tau: PlanarTree) -> tuple[int, ...]:
+    """For each vertex in the total-order listing of tau, the position of
+    its parent in that listing; -1 for the root, which comes first."""
+    listing = total_order_list(tau)
+    rank = {w: k for k, w in enumerate(listing)}
+    return tuple(rank[w[:-1]] if w else -1 for w in listing)
+
+
+def _count_bijections(pred, descendants, tau: PlanarTree) -> int:
     """Backtracking count of bijections onto V(tau), processed in the
     total-order listing of tau.
 
-    ``pred[v]`` is the set of domain vertices that must already be assigned
-    before v may be used; the inverse must carry the tree order of tau to
-    the tree order of the domain (checked on parent covers, root forced to
-    root).
+    Domain vertices are preorder indices, the root being 0.  ``pred[i]`` is
+    the bitmask of domain vertices that must already be assigned before i
+    may be used; the inverse must carry the tree order of tau to the tree
+    order of the domain (checked on parent covers through
+    ``descendants``).  The root of tau comes first in its listing and is
+    forced onto the domain root, which no vertex has to precede.
     """
-    targets = total_order_list(tau)
-    assigned: dict = {}  # tau vertex -> domain vertex
-    used: set = set()
+    parents = _total_order_parents(tau)
+    n = len(parents)
+    image = [0] * n  # position in tau's listing -> domain vertex
 
-    def place(k: int) -> int:
-        if k == len(targets):
+    def place(k: int, used: int) -> int:
+        if k == n:
             return 1
-        w = targets[k]
-        parent_image = assigned[w[:-1]] if w else None
         count = 0
-        for v in dom_verts:
-            if v in used:
+        free = descendants[image[parents[k]]] & ~used
+        while free:
+            bit = free & -free
+            free ^= bit
+            i = bit.bit_length() - 1
+            if pred[i] & ~used:
                 continue
-            if not pred[v] <= used:
-                continue
-            if w and not tree_less(parent_image, v):
-                continue
-            if not w and v != ():
-                continue  # tau root must map back to the domain root
-            assigned[w] = v
-            used.add(v)
-            count += place(k + 1)
-            used.discard(v)
-            del assigned[w]
+            image[k] = i
+            count += place(k + 1, used | bit)
         return count
 
-    return place(0)
+    return place(1, 1)
 
 
 def coeff_c_bijections(
@@ -131,11 +161,7 @@ def coeff_c_bijections(
         raise DomainError("bijection count needs equal degrees")
     if sigma.degree > cap:
         raise DegreeCapError(f"degree {sigma.degree} exceeds brute-force cap {cap}")
-    verts = sigma.vertices()
-    below = {v: set() for v in verts}
-    for u, v in left_refined_pairs(sigma):
-        below[v].add(u)
-    return _count_bijections(verts, below, tau)
+    return _count_bijections(*_refined_table(sigma), tau)
 
 
 def psi_matrix(n: int, max_degree: int = ENUMERATION_CAP) -> CoeffMatrix:

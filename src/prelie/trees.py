@@ -1,6 +1,9 @@
 """Rooted trees: planar, non-planar (canonical) and planar binary.
 
-All tree values are immutable and hashable.  The text grammar is
+All tree values are immutable and hashable.  A rooted tree's
+serialization and degree are computed once, at construction, from its
+children's stored values; equality and hashing read the stored text.  The
+text grammar is
 
     tree  := label? "(" tree* ")"
     label := [a-z0-9_]+
@@ -19,7 +22,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+import sys
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 
 ENUMERATION_CAP = 12  # Catalan(11) = 58786 planar trees at degree 12
@@ -47,28 +51,63 @@ def serial_key(serialization: str) -> str:
 _TOKEN_RE = re.compile(r"[a-z0-9_]+|[()]")
 
 
-@dataclass(frozen=True)
+_LABEL_RE = re.compile(r"[a-z0-9_]+")
+
+
 class _RootedTree:
     """Body shared by planar and non-planar trees.  The two stay distinct
-    classes: trees of different classes never compare equal."""
+    classes: trees of different classes never compare equal.
 
-    children: tuple[_RootedTree, ...] = ()
-    label: str | None = None
+    A tree computes its serialization (interned) and its degree once, at
+    construction, from its children's stored values.  Equality is "same
+    class, same text" and the hash is the hash of the text.
+    """
 
-    def __post_init__(self):
-        if self.label is not None and not re.fullmatch(r"[a-z0-9_]+", self.label):
-            raise DomainError(f"bad label {self.label!r}")
+    __slots__ = ("children", "label", "degree", "_text")
 
-    @property
-    def degree(self) -> int:
-        return 1 + sum(c.degree for c in self.children)
+    def __init__(self, children: tuple[_RootedTree, ...] = (), label: str | None = None):
+        if label is not None and not _LABEL_RE.fullmatch(label):
+            raise DomainError(f"bad label {label!r}")
+        children = self._arrange(tuple(children))
+        degree = 1
+        texts = []
+        for c in children:
+            degree += c.degree
+            texts.append(c._text)
+        _set_children(self, children)
+        _set_label(self, label)
+        _set_degree(self, degree)
+        _set_text(self, sys.intern(f"{label or ''}({''.join(texts)})"))
+
+    @staticmethod
+    def _arrange(children: tuple) -> tuple:
+        return children
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._text == other._text
+
+    def __hash__(self):
+        return hash(self._text)
+
+    def __reduce__(self):
+        return type(self), (self.children, self.label)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(children={self.children!r}, label={self.label!r})"
 
     def serialize(self) -> str:
-        head = self.label or ""
-        return head + "(" + "".join(c.serialize() for c in self.children) + ")"
+        return self._text
 
     def __str__(self):
-        return self.serialize()
+        return self._text
 
     def vertices(self, prefix: tuple[int, ...] = ()) -> list[tuple[int, ...]]:
         """All vertex ids (root paths) in preorder."""
@@ -91,19 +130,34 @@ class _RootedTree:
         return cls(tuple(cls.from_json(c) for c in obj["children"]), obj.get("label"))
 
 
+# The frozen class refuses attribute assignment, so construction writes the
+# slots through their descriptors.
+_set_children = _RootedTree.children.__set__
+_set_label = _RootedTree.label.__set__
+_set_degree = _RootedTree.degree.__set__
+_set_text = _RootedTree._text.__set__
+
+
 class PlanarTree(_RootedTree):
     """Ordered rooted tree; the free-magma element on one or more generators."""
+
+    __slots__ = ()
+
+
+def _descending_key(child: _RootedTree) -> str:
+    return serial_key(child._text)
 
 
 class Tree(_RootedTree):
     """Non-planar rooted tree; children are a multiset stored in canonical order."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        ordered = tuple(
-            sorted(self.children, key=lambda c: serial_key(c.serialize()), reverse=True)
-        )
-        object.__setattr__(self, "children", ordered)
+    __slots__ = ()
+
+    @staticmethod
+    def _arrange(children: tuple) -> tuple:
+        if len(children) < 2:
+            return children
+        return tuple(sorted(children, key=_descending_key, reverse=True))
 
 
 @dataclass(frozen=True)

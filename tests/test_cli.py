@@ -49,6 +49,15 @@ def test_enumerate_env_cap(capsys, monkeypatch):
     assert code == 0
 
 
+def test_enumerate_env_cap_not_integer(capsys, monkeypatch):
+    monkeypatch.setenv("PRELIE_MAX_DEGREE", "abc")
+    code = main(["enumerate", "planar", "--degree", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: PRELIE_MAX_DEGREE")
+
+
 # ---------------------------------------------------------------------------
 # compute
 
@@ -110,6 +119,18 @@ def test_compute_coeff_mismatch_exit(capsys, monkeypatch):
     )
     assert code == 4
     assert "MISMATCH" in out
+
+
+def test_main_reuses_parser_without_leaking_options(capsys):
+    both = ("compute", "coeff", "--sigma", "(()())", "--tau", "(()())")
+    code, out = run(capsys, *both, "--method", "both")
+    assert code == 0
+    assert out.splitlines() == ["recursive: 1", "bijections: 1", "match"]
+    code, out = run(capsys, *both)
+    assert code == 0
+    assert out.splitlines() == ["recursive: 1"]
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_compute_alpha_both(capsys):
@@ -191,6 +212,18 @@ def test_verify_oracle_small(capsys):
     assert json.loads(out)["status"] == "pass"
 
 
+def test_verify_oracle_rejects_degree_above_brute_force_cap(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("verify oracle started work above the cap")
+
+    monkeypatch.setattr(cli, "coeff_c_recursive", no_work)
+    monkeypatch.setattr(cli, "coeff_c_bijections", no_work)
+    code = main(["verify", "oracle", "--max-degree", "9"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "brute-force cap 8" in captured.err
+
+
 def test_verify_matrices(capsys):
     code, out = run(capsys, "verify", "matrices", "--max-degree", "4")
     assert code == 0
@@ -234,6 +267,15 @@ def test_section_validate_rejects_bad_file(capsys, tmp_path):
     assert code == 2
     code, _ = run(capsys, "section", "validate", str(tmp_path / "missing.txt"))
     assert code == 2
+
+
+def test_section_validate_rejects_duplicate_lines(capsys, tmp_path):
+    path = tmp_path / "dup.txt"
+    path.write_text("(()) => (())\n(()(())) => (()(()))\n(()(())) => ((())())\n")
+    code = main(["section", "validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "line 3" in captured.err and "line 2" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,12 @@ def test_section_validation_errors():
         default_section(3)(parse_tree("(()()())"))
 
 
+def test_section_rejects_duplicate_lines():
+    text = "(()(())) => (()(()))\n\n(()(())) => ((())())\n"
+    with pytest.raises(DomainError, match=r"line 3.*line 1"):
+        Section.from_text(text)
+
+
 def test_all_sections_degree4():
     secs = list(all_sections(4))
     assert len(secs) == 2

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -160,6 +161,62 @@ def test_planar_and_nonplanar_trees_stay_distinct():
         assert p != t and t != p
         assert len({p, t}) == 2
         assert p.serialize() == t.serialize()
+
+
+def reference_serialize(t) -> str:
+    """Serialization recomputed from the children on every call."""
+    return (t.label or "") + "(" + "".join(reference_serialize(c) for c in t.children) + ")"
+
+
+def reference_degree(t) -> int:
+    return 1 + sum(reference_degree(c) for c in t.children)
+
+
+def kernel_sample():
+    out = []
+    for n in range(1, 8):
+        out += enumerate_planar(n) + enumerate_nonplanar(n)
+    for text in ("a()", "a(b()c(b()))", "x(()y(z()))", "1(_()2(()))"):
+        out += [parse_planar(text), parse_tree(text)]
+    return out
+
+
+def test_stored_serialization_and_degree_match_reference():
+    for t in kernel_sample():
+        assert t.serialize() == str(t) == reference_serialize(t)
+        assert t.degree == reference_degree(t)
+
+
+def test_equality_is_class_and_text():
+    sample = kernel_sample()
+    for t in sample:
+        rebuilt = type(t)(t.children, t.label)
+        assert rebuilt == t and hash(rebuilt) == hash(t)
+        assert pickle.loads(pickle.dumps(t)) == t
+    texts = {id(t): reference_serialize(t) for t in sample}
+    for a in sample[::7]:
+        for b in sample:
+            same = type(a) is type(b) and texts[id(a)] == texts[id(b)]
+            assert (a == b) == same
+            if same:
+                assert hash(a) == hash(b)
+
+
+def test_nonplanar_children_keep_canonical_order():
+    for t in kernel_sample():
+        if isinstance(t, Tree):
+            keys = [serial_key(c.serialize()) for c in t.children]
+            assert keys == sorted(keys, reverse=True)
+            assert Tree(t.children[::-1], t.label) == t
+
+
+def test_same_text_different_class_unequal():
+    same_text = 0
+    for t in kernel_sample():
+        other = (Tree if isinstance(t, PlanarTree) else PlanarTree).from_json(t.to_json())
+        assert other != t and t != other
+        same_text += other.serialize() == t.serialize()
+    assert same_text > 100
 
 
 # ---------------------------------------------------------------------------
