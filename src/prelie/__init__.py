@@ -49,7 +49,6 @@ from .psi import (
     psi,
     psi_inverse,
     psi_matrix,
-    verify_a088716,
 )
 from .trees import (
     BinaryTree,
@@ -65,5 +64,6 @@ from .trees import (
     potential_energy,
     symmetry_factor,
 )
+from .verify import verify_a088716
 
 __all__ = [name for name in dir() if not name.startswith("_")]

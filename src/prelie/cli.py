@@ -1,9 +1,11 @@
 """Batch command line over the library.
 
-Subcommands: enumerate, compute, verify, section.  Output formats are
-text (default), json and csv where a matrix is involved.  Exit codes:
-0 success, 1 verification failure, 2 bad arguments, 3 degree cap
-exceeded, 4 dual-method disagreement.
+Subcommands: enumerate, compute, verify, section.  This module only parses
+arguments, calls the library and prints; the verification suites live in
+:mod:`prelie.verify`.  Output formats are text (default), json and csv
+where a matrix is involved.  Exit codes: 0 success, 1 verification
+failure, 2 bad arguments, 3 degree cap exceeded or a tree nested too
+deeply to process, 4 dual-method disagreement.
 """
 
 from __future__ import annotations
@@ -11,29 +13,22 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from functools import lru_cache
-from itertools import product as iproduct
 
-from . import monomials, projection, trees
+from . import monomials, projection, trees, verify
 from .products import (
     PLANAR,
     PRODUCTS,
-    TreeSum,
     apply_product,
-    bilinear_extend,
-    butcher,
-    graft,
+    product_flavor,
     rotation,
 )
 from .psi import (
     coeff_c_bijections,
     coeff_c_recursive,
-    n_statistic_total,
     psi_inverse,
     psi_matrix,
-    verify_a088716,
 )
 from .psi import psi as psi_map
 from .trees import DegreeCapError, DomainError
@@ -44,43 +39,42 @@ EXIT_BAD_ARGS = 2
 EXIT_CAP = 3
 EXIT_MISMATCH = 4
 
-# Every public library operation with one CLI path that reaches it.
+# Each public library operation the CLI reaches, with one complete command
+# line that reaches it.  Operations no command reaches are not listed.
 OP_REGISTRY = {
-    "enumerate_planar": "enumerate planar",
-    "enumerate_nonplanar": "enumerate nonplanar",
-    "enumerate_binary": "enumerate binary",
-    "potential_energy": "enumerate planar (text format)",
-    "symmetry_factor": "verify oracle",
-    "vertex_order": "verify oracle (bijection counting)",
-    "binary_join": "enumerate binary",
-    "rotation": "enumerate binary (text format)",
-    "left_butcher": "compute product --product left-butcher",
-    "butcher": "compute product --product butcher",
-    "left_graft": "compute product --product left-graft",
-    "graft": "compute product --product graft",
-    "bilinear_extend": "compute product",
-    "decompose": "compute psi",
-    "psi": "compute psi",
-    "psi_inverse": "compute psi-inverse",
-    "coeff_c_recursive": "compute coeff --method recursive",
-    "coeff_c_bijections": "compute coeff --method bijections",
-    "psi_matrix": "compute matrix",
-    "n_statistic": "verify sequences",
-    "verify_a088716": "verify sequences",
-    "forget_planarity": "compute alpha",
-    "psi_bar": "compute alpha",
-    "count_tilde_b": "compute alpha --method bijections",
-    "alpha": "compute alpha",
-    "default_section": "section show",
-    "psi_tilde": "compute beta",
-    "beta_matrix": "compute beta",
-    "evaluate": "compute expand",
-    "ag_basis": "compute expand --ag",
-    "expand_basis": "compute expand --ag",
-    "lower_energy_term": "verify tree-grounded",
-    "is_tree_grounded": "verify tree-grounded",
-    "section_of_basis": "verify tree-grounded",
-    "ag_basis_multigen": "compute ag-multigen",
+    "enumerate_planar": "enumerate planar --degree 3",
+    "enumerate_nonplanar": "enumerate nonplanar --degree 3",
+    "enumerate_binary": "enumerate binary --degree 3",
+    "potential_energy": "enumerate planar --degree 3",
+    "symmetry_factor": "compute alpha --s (()()) --tau (()()) --method bijections",
+    "rotation": "enumerate binary --degree 3",
+    "left_butcher": "compute product --product left-butcher --left () --right (())",
+    "butcher": "compute product --product butcher --left () --right (())",
+    "left_graft": "compute product --product left-graft --left () --right (())",
+    "graft": "compute product --product graft --left () --right (())",
+    "bilinear_extend": "compute psi --tree (()())",
+    "decompose": "compute psi --tree (()())",
+    "psi": "compute psi --tree (()())",
+    "psi_inverse": "compute psi-inverse --tree (()())",
+    "coeff_c_recursive": "compute coeff --sigma (()(())) --tau (()()()) --method recursive",
+    "coeff_c_bijections": "compute coeff --sigma (()(())) --tau (()()()) --method bijections",
+    "psi_matrix": "compute matrix --degree 3",
+    "n_statistic": "verify sequences --max-degree 3",
+    "verify_a088716": "verify sequences --max-degree 3",
+    "forget_planarity": "compute beta --degree 3",
+    "psi_bar": "compute beta --degree 3",
+    "count_tilde_b": "compute alpha --s (()()) --tau (()()) --method bijections",
+    "alpha": "compute alpha --s (()()) --tau (()())",
+    "default_section": "section show --degree 3",
+    "psi_tilde": "compute beta --degree 3",
+    "beta_matrix": "compute beta --degree 3",
+    "evaluate": "compute expand --ag --degree 3",
+    "ag_basis": "compute expand --ag --degree 3",
+    "expand_basis": "compute expand --ag --degree 3",
+    "lower_energy_term": "verify tree-grounded --max-degree 4",
+    "is_tree_grounded": "verify tree-grounded --max-degree 3",
+    "section_of_basis": "verify tree-grounded --max-degree 4",
+    "ag_basis_multigen": "compute ag-multigen --degree 3",
 }
 
 
@@ -144,10 +138,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_compute_product(args) -> int:
     name = args.product
-    if name not in PRODUCTS:
-        raise DomainError(f"unknown product {name!r}")
-    planar = name in ("left-butcher", "left-graft")
-    parse = trees.parse_planar if planar else trees.parse_tree
+    parse = trees.parse_planar if product_flavor(name) == PLANAR else trees.parse_tree
     left, right = parse(args.left), parse(args.right)
     result = apply_product(name, left, right)
     _emit_sum(result, args.format)
@@ -164,15 +155,8 @@ def cmd_compute_psi_inverse(args) -> int:
     return EXIT_OK
 
 
-def cmd_compute_coeff(args) -> int:
-    sigma = trees.parse_planar(args.sigma)
-    tau = trees.parse_planar(args.tau)
-    values = {}
-    if args.method in ("recursive", "both"):
-        values["recursive"] = coeff_c_recursive(sigma, tau)
-    if args.method in ("bijections", "both"):
-        values["bijections"] = coeff_c_bijections(sigma, tau, cap=args.brute_cap)
-    match = len(set(values.values())) == 1
+def _emit_methods(args, values: dict, match: bool) -> int:
+    """Print the values one or both methods gave, and whether they agree."""
     if args.format == "json":
         _emit(json.dumps({**values, "match": match}))
     else:
@@ -181,6 +165,17 @@ def cmd_compute_coeff(args) -> int:
         if args.method == "both":
             _emit("match" if match else "MISMATCH")
     return EXIT_OK if match else EXIT_MISMATCH
+
+
+def cmd_compute_coeff(args) -> int:
+    sigma = trees.parse_planar(args.sigma)
+    tau = trees.parse_planar(args.tau)
+    values = {}
+    if args.method in ("recursive", "both"):
+        values["recursive"] = coeff_c_recursive(sigma, tau)
+    if args.method in ("bijections", "both"):
+        values["bijections"] = coeff_c_bijections(sigma, tau, cap=args.brute_cap)
+    return _emit_methods(args, values, len(set(values.values())) == 1)
 
 
 def cmd_compute_alpha(args) -> int:
@@ -194,14 +189,7 @@ def cmd_compute_alpha(args) -> int:
         match = tilde % sym == 0 and values["tilde_b_over_sym"] == values["alpha"]
     else:
         match = True
-    if args.format == "json":
-        _emit(json.dumps({**values, "match": match}))
-    else:
-        for k, v in values.items():
-            _emit(f"{k}: {v}")
-        if args.method == "both":
-            _emit("match" if match else "MISMATCH")
-    return EXIT_OK if match else EXIT_MISMATCH
+    return _emit_methods(args, values, match)
 
 
 def cmd_compute_matrix(args) -> int:
@@ -243,189 +231,16 @@ def cmd_compute_ag_multigen(args) -> int:
 # verify
 
 
-def _check(name: str, ok: bool, detail: str = "") -> dict:
-    return {"name": name, "status": "pass" if ok else "fail", "detail": detail}
-
-
-def verify_sequences(max_degree: int, seed: int) -> list[dict]:
-    report = verify_a088716(max_degree)
-    checks = list(report["checks"])
-    totals = [n_statistic_total(n) for n in range(1, min(max_degree, 5) + 1)]
-    expected = [1, 1, 3, 14, 85][: len(totals)]
-    checks.append(_check("per-degree-totals-prefix", totals == expected, f"{totals}"))
-    return checks
-
-
-def verify_identities(max_degree: int, seed: int, limit: int = 4000) -> list[dict]:
-    pool = []
-    for n in range(1, max_degree - 1):
-        pool.extend(trees.enumerate_nonplanar(n))
-    triples = [
-        (s, t, u)
-        for s, t, u in iproduct(pool, pool, pool)
-        if s.degree + t.degree + u.degree <= max_degree
-    ]
-    if len(triples) > limit:
-        rng = random.Random(seed)
-        triples = rng.sample(triples, limit)
-    bad_prelie = 0
-    bad_nap = 0
-    one = TreeSum.single
-    for s, t, u in triples:
-        left = bilinear_extend("graft", graft(s, t), one(u)) - bilinear_extend(
-            "graft", one(s), graft(t, u)
-        )
-        right = bilinear_extend("graft", graft(t, s), one(u)) - bilinear_extend(
-            "graft", one(t), graft(s, u)
-        )
-        if left != right:
-            bad_prelie += 1
-        if butcher(s, butcher(t, u)) != butcher(t, butcher(s, u)):
-            bad_nap += 1
-    checks = [
-        _check("pre-lie-identity", bad_prelie == 0, f"{len(triples)} triples, {bad_prelie} failures"),
-        _check("nap-identity", bad_nap == 0, f"{len(triples)} triples, {bad_nap} failures"),
-    ]
-    return checks
-
-
-def verify_matrices(max_degree: int, seed: int) -> list[dict]:
-    checks = []
-    for n in range(1, max_degree + 1):
-        m = psi_matrix(n)
-        checks.append(
-            _check(f"psi-matrix-unipotent-n{n}", m.is_unipotent_upper_triangular())
-        )
-        checks.append(
-            _check(
-                f"psi-matrix-entry-sum-n{n}",
-                m.entry_sum() == n_statistic_total(n),
-                f"sum={m.entry_sum()}",
-            )
-        )
-        am = projection.alpha_matrix(n)
-        checks.append(
-            _check(
-                f"alpha-column-sums-n{n}",
-                am.column_sums() == m.column_sums(),
-            )
-        )
-        bm = projection.beta_matrix(projection.default_section(n), n)
-        checks.append(
-            _check(f"beta-default-unipotent-n{n}", bm.is_unipotent_upper_triangular())
-        )
-        identity = all(
-            _compose_is_identity(sigma) for sigma in trees.enumerate_planar(n)
-        )
-        checks.append(_check(f"psi-inverse-n{n}", identity))
-    return checks
-
-
-def _compose_is_identity(sigma) -> bool:
-    composed = TreeSum.make(
-        PLANAR,
-        (
-            (rho, c * d)
-            for tau, c in psi_inverse(sigma).terms
-            for rho, d in psi_map(tau).terms
-        ),
-    )
-    return composed == TreeSum.single(sigma)
-
-
-def verify_oracle(max_degree: int, seed: int) -> list[dict]:
-    if max_degree > trees.BRUTE_FORCE_CAP:
-        raise DegreeCapError(
-            f"max degree {max_degree} exceeds brute-force cap {trees.BRUTE_FORCE_CAP}"
-        )
-    checks = []
-    for n in range(1, max_degree + 1):
-        planar = trees.enumerate_planar(n)
-        mismatches = sum(
-            1
-            for sigma in planar
-            for tau in planar
-            if coeff_c_recursive(sigma, tau)
-            != coeff_c_bijections(sigma, tau)
-        )
-        checks.append(
-            _check(f"c-dual-method-n{n}", mismatches == 0, f"{len(planar)**2} pairs")
-        )
-        nonplanar = trees.enumerate_nonplanar(n)
-        bad = 0
-        for s in nonplanar:
-            sym = trees.symmetry_factor(s)
-            for tau in planar:
-                tilde = projection.count_tilde_b(s, tau)
-                if tilde % sym != 0 or projection.alpha(s, tau) != tilde // sym:
-                    bad += 1
-        checks.append(
-            _check(
-                f"alpha-sym-normalization-n{n}",
-                bad == 0,
-                f"{len(nonplanar) * len(planar)} pairs",
-            )
-        )
-    return checks
-
-
-def verify_tree_grounded(max_degree: int, seed: int) -> list[dict]:
-    checks = []
-    for n in range(1, max_degree + 1):
-        basis = monomials.ag_basis(n)
-        ok, witness = monomials.is_tree_grounded(basis.monomials, n)
-        checks.append(_check(f"ag-basis-tree-grounded-n{n}", ok, json.dumps(witness)))
-    if max_degree >= 4:
-        basis = monomials.ag_basis(4)
-        section = monomials.section_of_basis(basis.monomials, 4)
-        bm = projection.beta_matrix(section, 4)
-        em = monomials.expand_basis(basis)
-        same = _same_columns(bm, em, basis)
-        checks.append(_check("section-round-trip-n4", same))
-    return checks
-
-
-def _same_columns(beta_m, expand_m, basis) -> bool:
-    """Beta columns (indexed by trees) must equal expansion columns
-    (indexed by monomials) under the lower-energy-term correspondence."""
-    for m in basis.monomials:
-        t = monomials.lower_energy_term(m)
-        if beta_m.column(t.serialize()) != expand_m.column(m.serialize()):
-            return False
-    return True
-
-
-VERIFY_SUITES = {
-    "sequences": verify_sequences,
-    "identities": verify_identities,
-    "matrices": verify_matrices,
-    "oracle": verify_oracle,
-    "tree-grounded": verify_tree_grounded,
-}
-
-VERIFY_DEFAULT_DEGREE = {
-    "sequences": 5,
-    "identities": 7,
-    "matrices": 5,
-    "oracle": 5,
-    "tree-grounded": 5,
-}
-
-
 def cmd_verify(args) -> int:
-    suite = args.suite
-    max_degree = args.max_degree or VERIFY_DEFAULT_DEGREE[suite]
-    checks = VERIFY_SUITES[suite](max_degree, args.seed)
-    ok = all(c["status"] == "pass" for c in checks)
-    report = {"suite": suite, "status": "pass" if ok else "fail", "checks": checks}
+    report = verify.run(args.suite, args.max_degree, args.seed)
     if args.format == "json":
         _emit(json.dumps(report))
     else:
-        for c in checks:
+        for c in report["checks"]:
             detail = f"  ({c['detail']})" if c["detail"] else ""
             _emit(f"[{c['status'].upper():4}] {c['name']}{detail}")
-        _emit(f"suite {suite}: {report['status']}")
-    return EXIT_OK if ok else EXIT_VERIFY_FAIL
+        _emit(f"suite {args.suite}: {report['status']}")
+    return EXIT_OK if report["status"] == "pass" else EXIT_VERIFY_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compute_ag_multigen)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=sorted(VERIFY_SUITES))
+    p.add_argument("suite", choices=sorted(verify.SUITES))
     p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     add_format(p)
@@ -555,6 +370,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except DegreeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except RecursionError:
+        print("error: tree nested too deeply to process", file=sys.stderr)
         return EXIT_CAP
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .trees import DomainError, PlanarTree, Tree, serial_key
+from .trees import DomainError, PlanarTree, Tree, _path_copy, serial_key
 
 PLANAR = "planar"
 NONPLANAR = "nonplanar"
@@ -129,12 +129,7 @@ def butcher(s: Tree, t: Tree) -> Tree:
 def _graft_at(sigma, tau, path):
     """sigma grafted leftmost at the vertex ``path`` of tau, as a tree of
     tau's class (planar or non-planar)."""
-    if not path:
-        return type(tau)((sigma,) + tau.children, tau.label)
-    i = path[0]
-    new_child = _graft_at(sigma, tau.children[i], path[1:])
-    children = tau.children[:i] + (new_child,) + tau.children[i + 1 :]
-    return type(tau)(children, tau.label)
+    return _path_copy(tau, path, 0, (sigma,))
 
 
 def left_graft(sigma: PlanarTree, tau: PlanarTree) -> TreeSum:

@@ -111,9 +111,6 @@ class Section:
     def items(self):
         return self._map.items()
 
-    def covered_degrees(self) -> set[int]:
-        return {t.degree for t in self._map}
-
     def to_text(self) -> str:
         lines = [
             f"{t.serialize()} => {sigma.serialize()}"

@@ -23,6 +23,7 @@ from .trees import (
     DegreeCapError,
     DomainError,
     PlanarTree,
+    _path_copy,
     enumerate_planar,
 )
 
@@ -33,24 +34,6 @@ def decompose(sigma: PlanarTree) -> tuple[PlanarTree, PlanarTree]:
         raise DomainError("cannot decompose a single vertex")
     branch = sigma.children[0]
     trunk = PlanarTree(sigma.children[1:], sigma.label)
-    return branch, trunk
-
-
-def _detach_leftmost(sigma: PlanarTree, path) -> tuple[PlanarTree, PlanarTree] | None:
-    """Leftmost branch at the vertex ``path`` and the remaining trunk, or
-    None when that vertex has no children."""
-    if not path:
-        if not sigma.children:
-            return None
-        return sigma.children[0], PlanarTree(sigma.children[1:], sigma.label)
-    i = path[0]
-    inner = _detach_leftmost(sigma.children[i], path[1:])
-    if inner is None:
-        return None
-    branch, new_child = inner
-    trunk = PlanarTree(
-        sigma.children[:i] + (new_child,) + sigma.children[i + 1 :], sigma.label
-    )
     return branch, trunk
 
 
@@ -67,19 +50,16 @@ def psi(tau: PlanarTree) -> TreeSum:
 def coeff_c_recursive(sigma: PlanarTree, tau: PlanarTree) -> int:
     """Coefficient of sigma in the image of tau, by the branch/trunk recursion."""
     if sigma.degree != tau.degree:
-        return 0
+        raise DomainError("coefficient needs equal degrees")
     if not tau.children:
-        return 1 if not sigma.children else 0
+        return 1
     tau1, tau2 = decompose(tau)
     total = 0
     for v in sigma.vertices():
-        detached = _detach_leftmost(sigma, v)
-        if detached is None:
-            continue
-        branch, trunk = detached
-        if branch.degree != tau1.degree:
-            continue
-        total += coeff_c_recursive(branch, tau1) * coeff_c_recursive(trunk, tau2)
+        children = sigma.subtree(v).children
+        if children and children[0].degree == tau1.degree:
+            trunk = _path_copy(sigma, v, 1, ())
+            total += coeff_c_recursive(children[0], tau1) * coeff_c_recursive(trunk, tau2)
     return total
 
 
@@ -202,64 +182,3 @@ def n_statistic(sigma: PlanarTree) -> int:
 
 def n_statistic_total(n: int) -> int:
     return sum(n_statistic(sigma) for sigma in enumerate_planar(n))
-
-
-def _poly_mul(a: list[int], b: list[int], order: int) -> list[int]:
-    out = [0] * (order + 1)
-    for i, ai in enumerate(a[: order + 1]):
-        if ai:
-            for j, bj in enumerate(b[: order + 1 - i]):
-                out[i + j] += ai * bj
-    return out
-
-
-def verify_a088716(max_n: int, max_degree: int = ENUMERATION_CAP) -> dict:
-    """Check the per-degree totals against their convolution recursion and
-    the generating-series differential equation A = 1 + x A^2 + x^2 A A'.
-
-    Returns a machine-readable report; every check carries its own status.
-    """
-    if max_n > max_degree:
-        raise DegreeCapError(f"max_n {max_n} exceeds cap {max_degree}")
-    checks = []
-    totals = [n_statistic_total(n) for n in range(1, max_n + 1)]
-
-    recursed = [1]
-    for n in range(2, max_n + 1):
-        recursed.append(
-            sum(recursed[p - 1] * recursed[n - p - 1] * (n - p) for p in range(1, n))
-        )
-    ok = totals == recursed
-    checks.append(
-        {
-            "name": "totals-match-recursion",
-            "status": "pass" if ok else "fail",
-            "detail": f"direct={totals} recursion={recursed}",
-        }
-    )
-
-    # a_k is the total at degree k+1; residual of the ODE must vanish.
-    order = max_n - 2
-    if order >= 0:
-        a = totals  # a[k] = total for degree k+1
-        da = [(k + 1) * a[k + 1] for k in range(len(a) - 1)]
-        rhs = [0] * (order + 1)
-        rhs[0] = 1
-        xa2 = _poly_mul(a, a, order)
-        for k in range(order):
-            rhs[k + 1] += xa2[k]
-        x2ada = _poly_mul(a, da, order)
-        for k in range(order - 1):
-            rhs[k + 2] += x2ada[k]
-        residual = [a[k] - rhs[k] for k in range(order + 1)]
-        ok = all(r == 0 for r in residual)
-        checks.append(
-            {
-                "name": f"ode-residual-through-order-{order}",
-                "status": "pass" if ok else "fail",
-                "detail": f"residual={residual}",
-            }
-        )
-
-    status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
-    return {"suite": "a088716", "status": status, "checks": checks}

@@ -19,7 +19,6 @@ branch is ``((())())``.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import sys
@@ -160,6 +159,18 @@ class Tree(_RootedTree):
         return tuple(sorted(children, key=_descending_key, reverse=True))
 
 
+def _path_copy(tree, path: tuple[int, ...], drop: int, head: tuple):
+    """``tree`` with the children of the vertex ``path`` spliced: the first
+    ``drop`` removed and ``head`` put in front.  Only the vertices along the
+    path are rebuilt, each as a tree of its own class."""
+    children = tree.children
+    if not path:
+        return type(tree)(head + children[drop:], tree.label)
+    i = path[0]
+    child = _path_copy(children[i], path[1:], drop, head)
+    return type(tree)(children[:i] + (child,) + children[i + 1 :], tree.label)
+
+
 @dataclass(frozen=True)
 class BinaryTree:
     """Planar binary tree: a leaf, or a node with exactly two subtrees."""
@@ -228,14 +239,6 @@ def parse_planar(text: str) -> PlanarTree:
 def parse_tree(text: str) -> Tree:
     """Parse and canonicalize a non-planar tree."""
     return _parse(text, Tree)
-
-
-def planar_from_json_str(text: str) -> PlanarTree:
-    return PlanarTree.from_json(json.loads(text))
-
-
-def tree_from_json_str(text: str) -> Tree:
-    return Tree.from_json(json.loads(text))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,262 @@
+"""Verification suites: the paper's claims checked by independent means.
+
+Each suite takes a maximum degree and a seed and returns a list of checks;
+``run`` wraps them into a report.  Both shapes are built here and nowhere
+else:
+
+    check  = {"name": str, "status": "pass" | "fail", "detail": str}
+    report = {"suite": str, "status": "pass" | "fail", "checks": [check, ...]}
+
+A report passes when every one of its checks passes.  The suites are
+``sequences`` (A088716 totals and their differential equation),
+``identities`` (pre-Lie and NAP identities on random triples),
+``matrices`` (unipotence, entry sums, column sums, psi o psi^-1 = id),
+``oracle`` (recursion against bijection counts, brute force) and
+``tree-grounded`` (AG bases and the section they induce).
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from itertools import product as iproduct
+
+from . import monomials, projection, trees
+from .products import PLANAR, TreeSum, bilinear_extend, butcher, graft
+from .psi import (
+    coeff_c_bijections,
+    coeff_c_recursive,
+    n_statistic_total,
+    psi,
+    psi_inverse,
+    psi_matrix,
+)
+from .trees import ENUMERATION_CAP, DegreeCapError
+
+
+def check(name: str, ok: bool, detail: str = "") -> dict:
+    return {"name": name, "status": "pass" if ok else "fail", "detail": detail}
+
+
+def report(suite: str, checks: list[dict]) -> dict:
+    ok = all(c["status"] == "pass" for c in checks)
+    return {"suite": suite, "status": "pass" if ok else "fail", "checks": checks}
+
+
+def _poly_mul(a: list[int], b: list[int], order: int) -> list[int]:
+    out = [0] * (order + 1)
+    for i, ai in enumerate(a[: order + 1]):
+        if ai:
+            for j, bj in enumerate(b[: order + 1 - i]):
+                out[i + j] += ai * bj
+    return out
+
+
+def verify_a088716(max_n: int, max_degree: int = ENUMERATION_CAP) -> dict:
+    """Check the per-degree totals against their convolution recursion and
+    the generating-series differential equation A = 1 + x A^2 + x^2 A A'.
+
+    Returns a machine-readable report; every check carries its own status.
+    """
+    if max_n > max_degree:
+        raise DegreeCapError(f"max_n {max_n} exceeds cap {max_degree}")
+    totals = [n_statistic_total(n) for n in range(1, max_n + 1)]
+
+    recursed = [1]
+    for n in range(2, max_n + 1):
+        recursed.append(
+            sum(recursed[p - 1] * recursed[n - p - 1] * (n - p) for p in range(1, n))
+        )
+    checks = [
+        check(
+            "totals-match-recursion",
+            totals == recursed,
+            f"direct={totals} recursion={recursed}",
+        )
+    ]
+
+    # a_k is the total at degree k+1; residual of the ODE must vanish.
+    order = max_n - 2
+    if order >= 0:
+        a = totals  # a[k] = total for degree k+1
+        da = [(k + 1) * a[k + 1] for k in range(len(a) - 1)]
+        rhs = [0] * (order + 1)
+        rhs[0] = 1
+        xa2 = _poly_mul(a, a, order)
+        for k in range(order):
+            rhs[k + 1] += xa2[k]
+        x2ada = _poly_mul(a, da, order)
+        for k in range(order - 1):
+            rhs[k + 2] += x2ada[k]
+        residual = [a[k] - rhs[k] for k in range(order + 1)]
+        checks.append(
+            check(
+                f"ode-residual-through-order-{order}",
+                all(r == 0 for r in residual),
+                f"residual={residual}",
+            )
+        )
+    return report("a088716", checks)
+
+
+def verify_sequences(max_degree: int, seed: int) -> list[dict]:
+    checks = verify_a088716(max_degree)["checks"]
+    totals = [n_statistic_total(n) for n in range(1, min(max_degree, 5) + 1)]
+    expected = [1, 1, 3, 14, 85][: len(totals)]
+    checks.append(check("per-degree-totals-prefix", totals == expected, f"{totals}"))
+    return checks
+
+
+def verify_identities(max_degree: int, seed: int, limit: int = 4000) -> list[dict]:
+    pool = []
+    for n in range(1, max_degree - 1):
+        pool.extend(trees.enumerate_nonplanar(n))
+    triples = [
+        (s, t, u)
+        for s, t, u in iproduct(pool, pool, pool)
+        if s.degree + t.degree + u.degree <= max_degree
+    ]
+    if len(triples) > limit:
+        rng = random.Random(seed)
+        triples = rng.sample(triples, limit)
+    bad_prelie = 0
+    bad_nap = 0
+    one = TreeSum.single
+    for s, t, u in triples:
+        left = bilinear_extend("graft", graft(s, t), one(u)) - bilinear_extend(
+            "graft", one(s), graft(t, u)
+        )
+        right = bilinear_extend("graft", graft(t, s), one(u)) - bilinear_extend(
+            "graft", one(t), graft(s, u)
+        )
+        if left != right:
+            bad_prelie += 1
+        if butcher(s, butcher(t, u)) != butcher(t, butcher(s, u)):
+            bad_nap += 1
+    checks = [
+        check("pre-lie-identity", bad_prelie == 0, f"{len(triples)} triples, {bad_prelie} failures"),
+        check("nap-identity", bad_nap == 0, f"{len(triples)} triples, {bad_nap} failures"),
+    ]
+    return checks
+
+
+def verify_matrices(max_degree: int, seed: int) -> list[dict]:
+    checks = []
+    for n in range(1, max_degree + 1):
+        m = psi_matrix(n)
+        checks.append(
+            check(f"psi-matrix-unipotent-n{n}", m.is_unipotent_upper_triangular())
+        )
+        checks.append(
+            check(
+                f"psi-matrix-entry-sum-n{n}",
+                m.entry_sum() == n_statistic_total(n),
+                f"sum={m.entry_sum()}",
+            )
+        )
+        am = projection.alpha_matrix(n)
+        checks.append(
+            check(
+                f"alpha-column-sums-n{n}",
+                am.column_sums() == m.column_sums(),
+            )
+        )
+        bm = projection.beta_matrix(projection.default_section(n), n)
+        checks.append(
+            check(f"beta-default-unipotent-n{n}", bm.is_unipotent_upper_triangular())
+        )
+        identity = all(
+            _compose_is_identity(sigma) for sigma in trees.enumerate_planar(n)
+        )
+        checks.append(check(f"psi-inverse-n{n}", identity))
+    return checks
+
+
+def _compose_is_identity(sigma) -> bool:
+    composed = TreeSum.make(
+        PLANAR,
+        (
+            (rho, c * d)
+            for tau, c in psi_inverse(sigma).terms
+            for rho, d in psi(tau).terms
+        ),
+    )
+    return composed == TreeSum.single(sigma)
+
+
+def verify_oracle(max_degree: int, seed: int) -> list[dict]:
+    if max_degree > trees.BRUTE_FORCE_CAP:
+        raise DegreeCapError(
+            f"max degree {max_degree} exceeds brute-force cap {trees.BRUTE_FORCE_CAP}"
+        )
+    checks = []
+    for n in range(1, max_degree + 1):
+        planar = trees.enumerate_planar(n)
+        mismatches = sum(
+            1
+            for sigma in planar
+            for tau in planar
+            if coeff_c_recursive(sigma, tau)
+            != coeff_c_bijections(sigma, tau)
+        )
+        checks.append(
+            check(f"c-dual-method-n{n}", mismatches == 0, f"{len(planar)**2} pairs")
+        )
+        nonplanar = trees.enumerate_nonplanar(n)
+        bad = 0
+        for s in nonplanar:
+            sym = trees.symmetry_factor(s)
+            for tau in planar:
+                tilde = projection.count_tilde_b(s, tau)
+                if tilde % sym != 0 or projection.alpha(s, tau) != tilde // sym:
+                    bad += 1
+        checks.append(
+            check(
+                f"alpha-sym-normalization-n{n}",
+                bad == 0,
+                f"{len(nonplanar) * len(planar)} pairs",
+            )
+        )
+    return checks
+
+
+def verify_tree_grounded(max_degree: int, seed: int) -> list[dict]:
+    checks = []
+    for n in range(1, max_degree + 1):
+        basis = monomials.ag_basis(n)
+        ok, witness = monomials.is_tree_grounded(basis.monomials, n)
+        checks.append(check(f"ag-basis-tree-grounded-n{n}", ok, json.dumps(witness)))
+    if max_degree >= 4:
+        basis = monomials.ag_basis(4)
+        section = monomials.section_of_basis(basis.monomials, 4)
+        bm = projection.beta_matrix(section, 4)
+        em = monomials.expand_basis(basis)
+        same = _same_columns(bm, em, basis)
+        checks.append(check("section-round-trip-n4", same))
+    return checks
+
+
+def _same_columns(beta_m, expand_m, basis) -> bool:
+    """Beta columns (indexed by trees) must equal expansion columns
+    (indexed by monomials) under the lower-energy-term correspondence."""
+    for m in basis.monomials:
+        t = monomials.lower_energy_term(m)
+        if beta_m.column(t.serialize()) != expand_m.column(m.serialize()):
+            return False
+    return True
+
+
+# suite name -> (suite function, maximum degree when none is given)
+SUITES = {
+    "sequences": (verify_sequences, 5),
+    "identities": (verify_identities, 7),
+    "matrices": (verify_matrices, 5),
+    "oracle": (verify_oracle, 5),
+    "tree-grounded": (verify_tree_grounded, 5),
+}
+
+
+def run(suite: str, max_degree: int | None = None, seed: int = 0) -> dict:
+    """Report of one suite, at its default maximum degree unless one is given."""
+    fn, default_degree = SUITES[suite]
+    return report(suite, fn(max_degree or default_degree, seed))

@@ -1,7 +1,12 @@
+import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import prelie
-from prelie import cli
+from prelie import cli, verify
 from prelie.cli import OP_REGISTRY, main
 
 
@@ -121,6 +126,40 @@ def test_compute_coeff_mismatch_exit(capsys, monkeypatch):
     assert "MISMATCH" in out
 
 
+def test_compute_coeff_unequal_degrees_exit_2(capsys):
+    for method in ("recursive", "bijections", "both"):
+        code = main(["compute", "coeff", "--sigma", "(())", "--tau", "()", "--method", method])
+        captured = capsys.readouterr()
+        assert code == 2, method
+        assert captured.out == "" and captured.err.startswith("error: "), method
+
+
+DEEP_TREE = "(" * 3000 + ")" * 3000
+
+
+def test_deep_tree_exits_3(capsys):
+    for argv in (
+        ["compute", "psi", "--tree", DEEP_TREE],
+        ["compute", "product", "--product", "graft", "--left", "()", "--right", DEEP_TREE],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3, argv[1]
+        assert captured.err.startswith("error: "), argv[1]
+
+
+def test_deep_tree_exits_3_without_traceback_in_subprocess():
+    src = str(Path(prelie.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "prelie.cli", "compute", "psi", "--tree", DEEP_TREE],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
 def test_main_reuses_parser_without_leaking_options(capsys):
     both = ("compute", "coeff", "--sigma", "(()())", "--tau", "(()())")
     code, out = run(capsys, *both, "--method", "both")
@@ -216,8 +255,8 @@ def test_verify_oracle_rejects_degree_above_brute_force_cap(capsys, monkeypatch)
     def no_work(*args, **kwargs):
         raise AssertionError("verify oracle started work above the cap")
 
-    monkeypatch.setattr(cli, "coeff_c_recursive", no_work)
-    monkeypatch.setattr(cli, "coeff_c_bijections", no_work)
+    monkeypatch.setattr(verify, "coeff_c_recursive", no_work)
+    monkeypatch.setattr(verify, "coeff_c_bijections", no_work)
     code = main(["verify", "oracle", "--max-degree", "9"])
     captured = capsys.readouterr()
     assert code == 3
@@ -238,7 +277,7 @@ def test_verify_tree_grounded(capsys):
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setitem(
-        cli.VERIFY_SUITES, "sequences", lambda max_degree, seed: [cli._check("forced", False)]
+        verify.SUITES, "sequences", (lambda max_degree, seed: [verify.check("forced", False)], 5)
     )
     code, out = run(capsys, "verify", "sequences")
     assert code == 1
@@ -302,3 +341,31 @@ def test_registry_paths_name_real_subcommands():
     for path in OP_REGISTRY.values():
         assert path.split()[0] in top, path
     assert parser.prog == "prelie"
+
+
+def _clear_package_caches():
+    for name, module in list(sys.modules.items()):
+        if name == "prelie" or name.startswith("prelie."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+
+
+def test_registry_paths_reach_their_operation(capsys):
+    for name, path in OP_REGISTRY.items():
+        code_object = inspect.unwrap(getattr(prelie, name)).__code__
+        entered = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                entered.add(frame.f_code)
+
+        _clear_package_caches()
+        sys.setprofile(profile)
+        try:
+            exit_code = main(path.split())
+        finally:
+            sys.setprofile(None)
+        capsys.readouterr()
+        assert exit_code == 0, path
+        assert code_object in entered, f"{path} does not reach {name}"
