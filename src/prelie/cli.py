@@ -197,10 +197,18 @@ def cmd_compute_matrix(args) -> int:
     return EXIT_OK
 
 
+def _read_section(path: str) -> projection.Section:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return projection.Section.from_text(text)
+
+
 def cmd_compute_beta(args) -> int:
     if args.section:
-        with open(args.section) as fh:
-            section = projection.Section.from_text(fh.read())
+        section = _read_section(args.section)
     else:
         section = projection.default_section(args.degree, _max_degree(args))
     _emit_matrix(projection.beta_matrix(section, args.degree, _max_degree(args)), args.format)
@@ -249,8 +257,9 @@ def cmd_verify(args) -> int:
 
 def cmd_section(args) -> int:
     if args.action == "validate":
-        with open(args.file) as fh:
-            section = projection.Section.from_text(fh.read())
+        if args.file is None:
+            raise DomainError("section validate needs a file")
+        section = _read_section(args.file)
         _emit(f"valid section with {len(list(section.items()))} entries")
         return EXIT_OK
     # show

@@ -100,17 +100,22 @@ def evaluate(m: MonomialExpr, product: str, labeled: bool | None = None) -> Tree
     give genuine sums.  With ``labeled=None`` vertices stay unlabeled when
     the expression uses a single generator symbol.
     """
-    flavor = product_flavor(product)
     if labeled is None:
         labeled = len(m.generator_names()) > 1
-    leaf_cls = PlanarTree if flavor == "planar" else Tree
+    return _fold(m, product, bool(labeled))
 
-    def run(expr: MonomialExpr) -> TreeSum:
-        if isinstance(expr, Generator):
-            return TreeSum.single(leaf_cls((), expr.name if labeled else None))
-        return bilinear_extend(product, run(expr.left), run(expr.right))
 
-    return run(m)
+@lru_cache(maxsize=None)
+def _fold(expr: MonomialExpr, product: str, labeled: bool) -> TreeSum:
+    """The image of ``expr`` under ``product``.  Memoized: the basis
+    monomials of a degree share their sub-monomials, and the same monomial
+    is folded again for sorting, grounding and sections."""
+    if isinstance(expr, Generator):
+        leaf_cls = PlanarTree if product_flavor(product) == "planar" else Tree
+        return TreeSum.single(leaf_cls((), expr.name if labeled else None))
+    return bilinear_extend(
+        product, _fold(expr.left, product, labeled), _fold(expr.right, product, labeled)
+    )
 
 
 def lower_energy_term(m: MonomialExpr) -> Tree:

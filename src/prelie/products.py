@@ -4,6 +4,11 @@
 all non-planar.  Like terms are collected eagerly, so equality of sums is
 plain equality of term maps.  Coefficients are Python ints (arbitrary
 precision, so "overflow" cannot occur silently).
+
+A product of two sums is built in one pass: every term of every pair of
+operand terms goes into one accumulation dict, which is sorted once.  The
+two grafting products share one generator that grafts at each vertex in
+turn, rebuilding only the path from the root to that vertex.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .trees import DomainError, PlanarTree, Tree, _path_copy, serial_key
+from .trees import DomainError, PlanarTree, Tree, serial_key
 
 PLANAR = "planar"
 NONPLANAR = "nonplanar"
@@ -33,14 +38,7 @@ class TreeSum:
             if not isinstance(tree, want):
                 raise DomainError(f"{flavor} sum cannot hold {type(tree).__name__}")
             acc[tree] = acc.get(tree, 0) + coeff
-        cleaned = tuple(
-            sorted(
-                ((t, c) for t, c in acc.items() if c != 0),
-                key=lambda tc: serial_key(tc[0].serialize()),
-                reverse=True,
-            )
-        )
-        return cls(flavor, cleaned)
+        return cls(flavor, _collected(acc))
 
     @classmethod
     def single(cls, tree: PlanarTree | Tree, coeff: int = 1) -> "TreeSum":
@@ -94,6 +92,16 @@ class TreeSum:
         return json.dumps(self.to_json())
 
 
+def _term_key(term) -> str:
+    return serial_key(term[0].serialize())
+
+
+def _collected(acc: dict) -> tuple:
+    """The terms of an accumulation dict without the zero coefficients, in
+    descending serialization order: the ``terms`` of a ``TreeSum``."""
+    return tuple(sorted([tc for tc in acc.items() if tc[1]], key=_term_key, reverse=True))
+
+
 # ---------------------------------------------------------------------------
 # magmatic products (single-tree results)
 
@@ -126,24 +134,26 @@ def butcher(s: Tree, t: Tree) -> Tree:
 # grafting products (sums over vertices)
 
 
-def _graft_at(sigma, tau, path):
-    """sigma grafted leftmost at the vertex ``path`` of tau, as a tree of
-    tau's class (planar or non-planar)."""
-    return _path_copy(tau, path, 0, (sigma,))
+def _grafts(sigma, tau):
+    """sigma grafted leftmost at each vertex of tau in preorder, each as a
+    tree of tau's class (planar or non-planar).  Only the vertices on the
+    path from the root to the grafting vertex are rebuilt."""
+    cls, children, label = type(tau), tau.children, tau.label
+    yield cls((sigma,) + children, label)
+    for i, child in enumerate(children):
+        before, after = children[:i], children[i + 1 :]
+        for grafted in _grafts(sigma, child):
+            yield cls(before + (grafted,) + after, label)
 
 
 def left_graft(sigma: PlanarTree, tau: PlanarTree) -> TreeSum:
     """Sum over the vertices v of tau of grafting sigma leftmost at v."""
-    return TreeSum.make(
-        PLANAR, [(_graft_at(sigma, tau, v), 1) for v in tau.vertices()]
-    )
+    return TreeSum.make(PLANAR, ((t, 1) for t in _grafts(sigma, tau)))
 
 
 def graft(s: Tree, t: Tree) -> TreeSum:
     """Pre-Lie grafting: sum over all vertices of t, like terms collected."""
-    return TreeSum.make(
-        NONPLANAR, [(_graft_at(s, t, v), 1) for v in t.vertices()]
-    )
+    return TreeSum.make(NONPLANAR, ((u, 1) for u in _grafts(s, t)))
 
 
 PRODUCTS: dict[str, Callable] = {
@@ -152,6 +162,8 @@ PRODUCTS: dict[str, Callable] = {
     "left-graft": left_graft,
     "graft": graft,
 }
+
+_GRAFTING = ("left-graft", "graft")
 
 _PRODUCT_FLAVOR = {
     "left-butcher": PLANAR,
@@ -176,16 +188,24 @@ def apply_product(name: str, a, b) -> TreeSum:
 
 
 def bilinear_extend(name: str, a: TreeSum, b: TreeSum) -> TreeSum:
-    """Distribute a named product over two sums with coefficient products."""
+    """Distribute a named product over two sums with coefficient products.
+
+    Every product term of every pair goes into one dict, sorted once."""
     flavor = product_flavor(name)
     if a.flavor != flavor or b.flavor != flavor:
         raise DomainError(f"product {name!r} needs two {flavor} sums")
-    return TreeSum.make(
-        flavor,
-        (
-            (t, ca * cb * c)
-            for ta, ca in a.terms
-            for tb, cb in b.terms
-            for t, c in apply_product(name, ta, tb).terms
-        ),
-    )
+    acc: dict = {}
+    get = acc.get
+    if name in _GRAFTING:
+        for ta, ca in a.terms:
+            for tb, cb in b.terms:
+                c = ca * cb
+                for t in _grafts(ta, tb):
+                    acc[t] = get(t, 0) + c
+    else:
+        product = PRODUCTS[name]
+        for ta, ca in a.terms:
+            for tb, cb in b.terms:
+                t = product(ta, tb)
+                acc[t] = get(t, 0) + ca * cb
+    return TreeSum(flavor, _collected(acc))

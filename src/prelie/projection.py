@@ -29,8 +29,11 @@ from .trees import (
 )
 
 
+@lru_cache(maxsize=None)
 def forget_planarity(sigma: PlanarTree) -> Tree:
-    """Project a planar tree onto its canonical non-planar form."""
+    """Project a planar tree onto its canonical non-planar form.  Memoized:
+    the terms of the planar images share their subtrees, so each planar
+    tree is projected once."""
     return Tree(tuple(forget_planarity(c) for c in sigma.children), sigma.label)
 
 

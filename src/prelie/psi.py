@@ -23,7 +23,7 @@ from .trees import (
     DegreeCapError,
     DomainError,
     PlanarTree,
-    _path_copy,
+    _drop_first_child,
     enumerate_planar,
 )
 
@@ -58,7 +58,7 @@ def coeff_c_recursive(sigma: PlanarTree, tau: PlanarTree) -> int:
     for v in sigma.vertices():
         children = sigma.subtree(v).children
         if children and children[0].degree == tau1.degree:
-            trunk = _path_copy(sigma, v, 1, ())
+            trunk = _drop_first_child(sigma, v)
             total += coeff_c_recursive(children[0], tau1) * coeff_c_recursive(trunk, tau2)
     return total
 

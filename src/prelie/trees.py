@@ -159,15 +159,15 @@ class Tree(_RootedTree):
         return tuple(sorted(children, key=_descending_key, reverse=True))
 
 
-def _path_copy(tree, path: tuple[int, ...], drop: int, head: tuple):
-    """``tree`` with the children of the vertex ``path`` spliced: the first
-    ``drop`` removed and ``head`` put in front.  Only the vertices along the
-    path are rebuilt, each as a tree of its own class."""
+def _drop_first_child(tree, path: tuple[int, ...]):
+    """``tree`` with the first child of the vertex ``path`` removed.  Only
+    the vertices along the path are rebuilt, each as a tree of its own
+    class."""
     children = tree.children
     if not path:
-        return type(tree)(head + children[drop:], tree.label)
+        return type(tree)(children[1:], tree.label)
     i = path[0]
-    child = _path_copy(children[i], path[1:], drop, head)
+    child = _drop_first_child(children[i], path[1:])
     return type(tree)(children[:i] + (child,) + children[i + 1 :], tree.label)
 
 

@@ -31,7 +31,7 @@ from .psi import (
     psi_inverse,
     psi_matrix,
 )
-from .trees import ENUMERATION_CAP, DegreeCapError
+from .trees import ENUMERATION_CAP, DegreeCapError, DomainError
 
 
 def check(name: str, ok: bool, detail: str = "") -> dict:
@@ -259,4 +259,8 @@ SUITES = {
 def run(suite: str, max_degree: int | None = None, seed: int = 0) -> dict:
     """Report of one suite, at its default maximum degree unless one is given."""
     fn, default_degree = SUITES[suite]
-    return report(suite, fn(max_degree or default_degree, seed))
+    if max_degree is None:
+        max_degree = default_degree
+    elif max_degree < 1:
+        raise DomainError(f"max degree must be positive, got {max_degree}")
+    return report(suite, fn(max_degree, seed))

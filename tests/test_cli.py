@@ -269,6 +269,15 @@ def test_verify_matrices(capsys):
     assert "[PASS]" in out
 
 
+def test_verify_rejects_max_degree_below_one(capsys):
+    for degree in ("0", "-1"):
+        code = main(["verify", "matrices", "--max-degree", degree])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
 def test_verify_tree_grounded(capsys):
     code, out = run(capsys, "verify", "tree-grounded", "--max-degree", "5")
     assert code == 0
@@ -306,6 +315,28 @@ def test_section_validate_rejects_bad_file(capsys, tmp_path):
     assert code == 2
     code, _ = run(capsys, "section", "validate", str(tmp_path / "missing.txt"))
     assert code == 2
+
+
+def test_section_file_not_utf8_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfe(()) => (())\n")
+    for argv in (
+        ["section", "validate", str(path)],
+        ["compute", "beta", "--degree", "2", "--section", str(path)],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "UTF-8" in captured.err
+
+
+def test_section_validate_without_file_exits_2(capsys):
+    code = main(["section", "validate"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_section_validate_rejects_duplicate_lines(capsys, tmp_path):

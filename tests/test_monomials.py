@@ -24,8 +24,10 @@ from prelie import (
     parse_tree,
     section_of_basis,
 )
+from prelie import monomials
 from prelie.monomials import planar_lower_term
-from prelie.products import NONPLANAR
+from prelie.products import NONPLANAR, PLANAR, PRODUCTS, bilinear_extend, product_flavor
+from prelie.trees import PlanarTree, Tree
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -83,6 +85,44 @@ def test_evaluate_labeled():
     assert out.terms[0][0].serialize() == "b(a())"
     forced = evaluate(parse_monomial("[g,g]"), "butcher", labeled=True)
     assert forced.terms[0][0].serialize() == "g(g())"
+
+
+def reference_evaluate(m, product, labeled):
+    """The fold with no memo: every sub-monomial expanded where it occurs."""
+    leaf_cls = PlanarTree if product_flavor(product) == PLANAR else Tree
+    if isinstance(m, Generator):
+        return TreeSum.single(leaf_cls((), m.name if labeled else None))
+    return bilinear_extend(
+        product,
+        reference_evaluate(m.left, product, labeled),
+        reference_evaluate(m.right, product, labeled),
+    )
+
+
+@pytest.mark.parametrize("product", sorted(PRODUCTS))
+def test_evaluate_matches_unmemoized_fold(product):
+    monomials._fold.cache_clear()
+    for n in range(1, 8):
+        for m in ag_basis(n).monomials:
+            assert evaluate(m, product) == reference_evaluate(m, product, False)
+    order = GeneratorOrder(("a", "b"))
+    for n in range(1, 5):
+        for m in ag_basis_multigen(n, order):
+            labeled = len(m.generator_names()) > 1
+            assert evaluate(m, product) == reference_evaluate(m, product, labeled)
+            assert evaluate(m, product, True) == reference_evaluate(m, product, True)
+
+
+def test_evaluate_labeled_and_unlabeled_in_either_order():
+    m = parse_monomial("[g,[g,g]]")
+    plain = tree_sum(("(()())", 1), ("((()))", 1))
+    named = TreeSum.make(
+        NONPLANAR, [(parse_tree("g(g()g())"), 1), (parse_tree("g(g(g()))"), 1)]
+    )
+    for first, second in ((False, True), (True, False)):
+        monomials._fold.cache_clear()
+        results = {labeled: evaluate(m, "graft", labeled) for labeled in (first, second)}
+        assert results == {False: plain, True: named}
 
 
 def test_lower_term_is_butcher_fold():

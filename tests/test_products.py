@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from prelie import (
@@ -18,8 +20,8 @@ from prelie import (
     potential_energy,
     rotation,
 )
-from prelie.products import NONPLANAR, PLANAR
-from prelie.trees import LEAF, BinaryTree, enumerate_binary
+from prelie.products import NONPLANAR, PLANAR, product_flavor
+from prelie.trees import LEAF, BinaryTree, PlanarTree, enumerate_binary
 
 
 def tree_sum(*pairs):
@@ -236,3 +238,77 @@ def test_sum_text_and_json():
 def test_apply_product_wraps_single_trees():
     out = apply_product("butcher", parse_tree("()"), parse_tree("()"))
     assert out == tree_sum(("(())", 1))
+
+
+# ---------------------------------------------------------------------------
+# the one-pass kernel against the definitions it replaces
+
+
+def reference_bilinear_extend(name, a, b):
+    """One sum per pair of terms, all collected by ``TreeSum.make``."""
+    return TreeSum.make(
+        a.flavor,
+        (
+            (t, ca * cb * c)
+            for ta, ca in a.terms
+            for tb, cb in b.terms
+            for t, c in apply_product(name, ta, tb).terms
+        ),
+    )
+
+
+def reference_graft_at(sigma, tau, path):
+    """sigma grafted leftmost at the vertex ``path`` of tau, copying the path."""
+    if not path:
+        return type(tau)((sigma,) + tau.children, tau.label)
+    i = path[0]
+    child = reference_graft_at(sigma, tau.children[i], path[1:])
+    return type(tau)(tau.children[:i] + (child,) + tau.children[i + 1 :], tau.label)
+
+
+def reference_graft(sigma, tau):
+    flavor = PLANAR if isinstance(tau, PlanarTree) else NONPLANAR
+    return TreeSum.make(
+        flavor, [(reference_graft_at(sigma, tau, v), 1) for v in tau.vertices()]
+    )
+
+
+def random_sum(rng, flavor, max_degree=5, size=4):
+    enum = enumerate_planar if flavor == PLANAR else enumerate_nonplanar
+    terms = []
+    for _ in range(rng.randint(0, size)):
+        tree = rng.choice(enum(rng.randint(1, max_degree)))
+        coeff = rng.choice([-3, -2, -1, 1, 2, 3])
+        terms.append((tree, coeff))
+        if rng.random() < 0.25:
+            terms.append((tree, -coeff))  # a term that cancels
+    return TreeSum.make(flavor, terms)
+
+
+@pytest.mark.parametrize("name", ["left-butcher", "butcher", "left-graft", "graft"])
+def test_bilinear_extend_matches_pairwise_definition(name):
+    flavor = product_flavor(name)
+    rng = random.Random(f"bilinear:{name}")
+    for _ in range(60):
+        a, b = random_sum(rng, flavor), random_sum(rng, flavor)
+        got = bilinear_extend(name, a, b)
+        assert got.terms == reference_bilinear_extend(name, a, b).terms
+        # the reference shares the zero-dropping step with the kernel
+        assert all(c != 0 for _, c in got.terms)
+
+
+def test_grafts_match_per_vertex_path_copy():
+    for enum, product in ((enumerate_planar, left_graft), (enumerate_nonplanar, graft)):
+        for n1 in range(1, 7):
+            for n2 in range(1, 8 - n1):
+                for sigma in enum(n1):
+                    for tau in enum(n2):
+                        assert product(sigma, tau).terms == reference_graft(sigma, tau).terms
+
+
+def test_grafts_keep_labels():
+    sigma, tau = parse_planar("a()"), parse_planar("b(c()d())")
+    assert left_graft(sigma, tau) == reference_graft(sigma, tau)
+    s, t = parse_tree("a()"), parse_tree("b(c()c())")
+    assert graft(s, t) == reference_graft(s, t)
+    assert graft(s, t).coefficient(parse_tree("b(c(a())c())")) == 2

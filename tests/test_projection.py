@@ -22,6 +22,7 @@ from prelie import (
 )
 from prelie.products import NONPLANAR
 from prelie.projection import default_embedding, planar_embeddings
+from prelie.trees import Tree
 
 
 def tree_sum(*pairs):
@@ -35,6 +36,21 @@ def tree_sum(*pairs):
 def test_forget_planarity_examples():
     assert forget_planarity(parse_planar("((())())")) == parse_tree("(()(()))")
     assert forget_planarity(parse_planar("(()(()))")) == parse_tree("(()(()))")
+
+
+def reference_forget_planarity(sigma):
+    return Tree(tuple(map(reference_forget_planarity, sigma.children)), sigma.label)
+
+
+def test_forget_planarity_matches_recursive_definition():
+    forget_planarity.cache_clear()
+    for n in range(1, 9):
+        for sigma in enumerate_planar(n):
+            want = reference_forget_planarity(sigma)
+            assert forget_planarity(sigma) == want
+            assert forget_planarity(sigma) == want  # read back from the cache
+    labeled = parse_planar("a(b()c(d()))")
+    assert forget_planarity(labeled) == reference_forget_planarity(labeled)
 
 
 def test_fiber_sizes_degree4():
