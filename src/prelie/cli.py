@@ -52,8 +52,8 @@ OP_REGISTRY = {
     "butcher": "compute product --product butcher --left () --right (())",
     "left_graft": "compute product --product left-graft --left () --right (())",
     "graft": "compute product --product graft --left () --right (())",
-    "bilinear_extend": "compute psi --tree (()())",
-    "decompose": "compute psi --tree (()())",
+    "bilinear_extend": "compute expand --ag --degree 3",
+    "decompose": "verify sequences --max-degree 3",
     "psi": "compute psi --tree (()())",
     "psi_inverse": "compute psi-inverse --tree (()())",
     "coeff_c_recursive": "compute coeff --sigma (()(())) --tau (()()()) --method recursive",

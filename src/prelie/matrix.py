@@ -103,13 +103,19 @@ class CoeffMatrix:
 def _from_images(degree: int, rows, cols, images) -> CoeffMatrix:
     """Matrix with one column per element of ``cols``: the coefficients of
     the matching sum in ``images`` over the trees ``rows``.  Rows and
-    columns are named by their serializations, and cells are looked up by
-    the rows' stored text."""
-    columns = [{t.serialize(): c for t, c in image.terms} for image in images]
+    columns are named by their serializations.  Each row text is indexed
+    once and only the nonzero cells are written."""
     row_basis = tuple(r.serialize() for r in rows)
+    index = {r: i for i, r in enumerate(row_basis)}
+    cells = [[0] * len(images) for _ in row_basis]
+    for j, image in enumerate(images):
+        for t, c in image.terms:
+            i = index.get(t.serialize())
+            if i is not None:
+                cells[i][j] = c
     return CoeffMatrix(
         degree=degree,
         row_basis=row_basis,
         col_basis=tuple(c.serialize() for c in cols),
-        entries=tuple(tuple(col.get(r, 0) for col in columns) for r in row_basis),
+        entries=tuple(map(tuple, cells)),
     )

@@ -25,6 +25,7 @@ from .trees import (
     DomainError,
     PlanarTree,
     Tree,
+    _LABEL_RE,
     canonical_key,
     enumerate_nonplanar,
 )
@@ -141,6 +142,9 @@ class GeneratorOrder:
     def __post_init__(self):
         if len(set(self.alphabet)) != len(self.alphabet) or not self.alphabet:
             raise DomainError("alphabet must be non-empty without repeats")
+        for name in self.alphabet:
+            if not _LABEL_RE.fullmatch(name):
+                raise DomainError(f"generator name {name!r} is not a label [a-z0-9_]+")
 
 
 @lru_cache(maxsize=None)

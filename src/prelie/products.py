@@ -6,18 +6,33 @@ plain equality of term maps.  Coefficients are Python ints (arbitrary
 precision, so "overflow" cannot occur silently).
 
 A product of two sums is built in one pass: every term of every pair of
-operand terms goes into one accumulation dict, which is sorted once.  The
-two grafting products share one generator that grafts at each vertex in
-turn, rebuilding only the path from the root to that vertex.
+operand terms goes into one accumulation dict, which is sorted once.
+
+Left grafting works on serializations.  In the grammar
+``label? "(" tree* ")"`` grafting sigma leftmost at a vertex of tau means
+inserting sigma's text right after that vertex's ``(``, so a planar
+grafting sum is a dict from texts to coefficients, and a tree is built
+only once per distinct text of the final sum.  Pre-Lie grafting, whose
+results need the canonical child order, grafts at each vertex in turn,
+rebuilding only the path from the root to that vertex.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable
 
-from .trees import DomainError, PlanarTree, Tree, serial_key
+from .trees import (
+    _KEY_TABLE,
+    DomainError,
+    PlanarTree,
+    Tree,
+    _planar_of_text,
+    _tree_of_text,
+    serial_key,
+)
 
 PLANAR = "planar"
 NONPLANAR = "nonplanar"
@@ -102,6 +117,16 @@ def _collected(acc: dict) -> tuple:
     return tuple(sorted([tc for tc in acc.items() if tc[1]], key=_term_key, reverse=True))
 
 
+def _sum_of_texts(flavor: str, acc: dict) -> TreeSum:
+    """The sum of a dict from serializations to coefficients: zeros
+    dropped, sorted once by text (each text is translated to its
+    ``serial_key`` once), each tree built once through the memoized
+    text-to-tree map of its class."""
+    of_text = _planar_of_text if flavor == PLANAR else _tree_of_text
+    ranked = sorted([(t.translate(_KEY_TABLE), t, c) for t, c in acc.items() if c], reverse=True)
+    return TreeSum(flavor, tuple([(of_text(t), c) for _, t, c in ranked]))
+
+
 # ---------------------------------------------------------------------------
 # magmatic products (single-tree results)
 
@@ -134,10 +159,32 @@ def butcher(s: Tree, t: Tree) -> Tree:
 # grafting products (sums over vertices)
 
 
+@lru_cache(maxsize=None)
+def _opens(text: str) -> tuple[int, ...]:
+    """The insertion point of each vertex of a tree text, in preorder: the
+    index just after its ``(``."""
+    return tuple(i + 1 for i, ch in enumerate(text) if ch == "(")
+
+
+def _left_graft_texts(acc: dict, a, b) -> dict:
+    """Add to ``acc`` every left graft of a term of ``a`` onto a term of
+    ``b``, both iterables of (text, coefficient) pairs: the text of the
+    ``a`` term inserted after each ``(`` of the ``b`` term, weighted by the
+    product of the coefficients."""
+    get = acc.get
+    for sa, ca in a:
+        for sb, cb in b:
+            c = ca * cb
+            for q in _opens(sb):
+                t = sb[:q] + sa + sb[q:]
+                acc[t] = get(t, 0) + c
+    return acc
+
+
 def _grafts(sigma, tau):
     """sigma grafted leftmost at each vertex of tau in preorder, each as a
-    tree of tau's class (planar or non-planar).  Only the vertices on the
-    path from the root to the grafting vertex are rebuilt."""
+    non-planar tree.  Only the vertices on the path from the root to the
+    grafting vertex are rebuilt."""
     cls, children, label = type(tau), tau.children, tau.label
     yield cls((sigma,) + children, label)
     for i, child in enumerate(children):
@@ -148,7 +195,10 @@ def _grafts(sigma, tau):
 
 def left_graft(sigma: PlanarTree, tau: PlanarTree) -> TreeSum:
     """Sum over the vertices v of tau of grafting sigma leftmost at v."""
-    return TreeSum.make(PLANAR, ((t, 1) for t in _grafts(sigma, tau)))
+    if not isinstance(sigma, PlanarTree) or not isinstance(tau, PlanarTree):
+        raise DomainError("left grafting needs two planar trees")
+    acc = _left_graft_texts({}, ((sigma.serialize(), 1),), ((tau.serialize(), 1),))
+    return _sum_of_texts(PLANAR, acc)
 
 
 def graft(s: Tree, t: Tree) -> TreeSum:
@@ -162,8 +212,6 @@ PRODUCTS: dict[str, Callable] = {
     "left-graft": left_graft,
     "graft": graft,
 }
-
-_GRAFTING = ("left-graft", "graft")
 
 _PRODUCT_FLAVOR = {
     "left-butcher": PLANAR,
@@ -194,9 +242,16 @@ def bilinear_extend(name: str, a: TreeSum, b: TreeSum) -> TreeSum:
     flavor = product_flavor(name)
     if a.flavor != flavor or b.flavor != flavor:
         raise DomainError(f"product {name!r} needs two {flavor} sums")
+    if name == "left-graft":
+        acc = _left_graft_texts(
+            {},
+            [(t.serialize(), c) for t, c in a.terms],
+            [(t.serialize(), c) for t, c in b.terms],
+        )
+        return _sum_of_texts(PLANAR, acc)
     acc: dict = {}
     get = acc.get
-    if name in _GRAFTING:
+    if name == "graft":
         for ta, ca in a.terms:
             for tb, cb in b.terms:
                 c = ca * cb

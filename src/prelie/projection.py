@@ -14,8 +14,8 @@ from functools import lru_cache
 from itertools import permutations, product
 
 from .matrix import CoeffMatrix, _from_images
-from .psi import _count_bijections, _tree_order_masks, coeff_c_recursive, psi
-from .products import NONPLANAR, TreeSum
+from .psi import _count_bijections, _psi, _tree_order_masks, coeff_c_recursive
+from .products import NONPLANAR, TreeSum, _sum_of_texts
 from .trees import (
     BRUTE_FORCE_CAP,
     ENUMERATION_CAP,
@@ -23,6 +23,7 @@ from .trees import (
     DomainError,
     PlanarTree,
     Tree,
+    _child_texts,
     enumerate_nonplanar,
     enumerate_planar,
     serial_key,
@@ -48,9 +49,23 @@ def planar_embeddings(s: Tree) -> tuple[PlanarTree, ...]:
     return tuple(sorted(out, key=lambda t: serial_key(t.serialize()), reverse=True))
 
 
+@lru_cache(maxsize=None)
+def _canonical(text: str) -> str:
+    """The canonical non-planar text of a planar tree text: children
+    canonicalized, then in descending serialization order."""
+    kids = sorted(map(_canonical, _child_texts(text)), key=serial_key, reverse=True)
+    return f"{text[: text.index('(')]}({''.join(kids)})"
+
+
 def psi_bar(tau: PlanarTree) -> TreeSum:
-    """Planar base change followed by termwise projection."""
-    return psi(tau).map_trees(forget_planarity, NONPLANAR)
+    """Planar base change followed by termwise projection: the terms of the
+    planar image summed under the memoized text canonicalization."""
+    acc: dict[str, int] = {}
+    get = acc.get
+    for t, c in _psi(tau.serialize()).items():
+        s = _canonical(t)
+        acc[s] = get(s, 0) + c
+    return _sum_of_texts(NONPLANAR, acc)
 
 
 def alpha(s: Tree, tau: PlanarTree) -> int:

@@ -8,15 +8,22 @@ coefficients c(sigma, tau) are computed two independent ways: by the
 decomposition recursion, and by brute-force counting of order-compatible
 vertex bijections.  Unipotence alone gives the inverse: each preimage is
 the tree minus the preimages of the higher-energy terms of its image.
+
+The isomorphism is computed on serializations: psi(b o-> t) is the left
+graft of psi(b) onto psi(t), and a left graft inserts one text right
+after a ``(`` of another (see :mod:`prelie.products`).  Images are
+memoized per text as read-only maps from texts to coefficients; trees are
+built only for the public sums, once per distinct text.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 
 from .matrix import CoeffMatrix, _from_images
 from .orders import left_refined_pairs, total_order_list
-from .products import PLANAR, TreeSum, bilinear_extend
+from .products import PLANAR, TreeSum, _left_graft_texts, _sum_of_texts
 from .trees import (
     BRUTE_FORCE_CAP,
     ENUMERATION_CAP,
@@ -24,6 +31,8 @@ from .trees import (
     DomainError,
     PlanarTree,
     _drop_first_child,
+    _planar_of_text,
+    _subtree_end,
     enumerate_planar,
 )
 
@@ -37,13 +46,31 @@ def decompose(sigma: PlanarTree) -> tuple[PlanarTree, PlanarTree]:
     return branch, trunk
 
 
+def _split(text: str) -> tuple[str, str] | None:
+    """The branch (the root's leftmost child) and the trunk (the rest) of a
+    tree text; None for a single vertex."""
+    p = text.index("(")
+    if text[p + 1] == ")":
+        return None
+    end = _subtree_end(text, p + 1)
+    return text[p + 1 : end], text[: p + 1] + text[end:]
+
+
+@lru_cache(maxsize=None)
+def _psi(text: str) -> MappingProxyType:
+    """The image of a tree text, as a read-only map from texts to
+    coefficients (every caller shares the memoized map)."""
+    parts = _split(text)
+    if parts is None:
+        return MappingProxyType({text: 1})
+    branch, trunk = parts
+    return MappingProxyType(_left_graft_texts({}, _psi(branch).items(), _psi(trunk).items()))
+
+
 @lru_cache(maxsize=None)
 def psi(tau: PlanarTree) -> TreeSum:
     """Image of a planar tree under the magmatic isomorphism."""
-    if not tau.children:
-        return TreeSum.single(tau)
-    branch, trunk = decompose(tau)
-    return bilinear_extend("left-graft", psi(branch), psi(trunk))
+    return _sum_of_texts(PLANAR, _psi(tau.serialize()))
 
 
 @lru_cache(maxsize=None)
@@ -157,18 +184,18 @@ def psi_inverse(sigma: PlanarTree) -> TreeSum:
         psi^-1(sigma) = sigma - sum over tau != sigma of c(tau, sigma) psi^-1(tau).
 
     Every tau in the image of sigma other than sigma itself has strictly
-    higher potential energy, so the recursion ends.
+    higher potential energy, so the recursion ends.  The image is read from
+    the text kernel; the recursion goes through this memoized function.
     """
-    return TreeSum.make(
-        PLANAR,
-        [(sigma, 1)]
-        + [
-            (rho, -c * d)
-            for tau, c in psi(sigma).terms
-            if tau != sigma
-            for rho, d in psi_inverse(tau).terms
-        ],
-    )
+    text = sigma.serialize()
+    acc = {text: 1}
+    get = acc.get
+    for tau, c in _psi(text).items():
+        if tau != text:
+            for rho, d in psi_inverse(_planar_of_text(tau)).terms:
+                r = rho.serialize()
+                acc[r] = get(r, 0) - c * d
+    return _sum_of_texts(PLANAR, acc)
 
 
 @lru_cache(maxsize=None)

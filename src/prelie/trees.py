@@ -159,6 +159,49 @@ class Tree(_RootedTree):
         return tuple(sorted(children, key=_descending_key, reverse=True))
 
 
+def _subtree_end(text: str, start: int) -> int:
+    """Index just past the subtree whose text begins at ``start``."""
+    depth = 0
+    for i in range(text.index("(", start), len(text)):
+        ch = text[i]
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth == 0:
+                return i + 1
+    raise DomainError(f"unbalanced parentheses in {text!r}")
+
+
+def _child_texts(text: str) -> list[str]:
+    """The texts of the root's children, left to right."""
+    out = []
+    i = text.index("(") + 1
+    while text[i] != ")":
+        j = _subtree_end(text, i)
+        out.append(text[i:j])
+        i = j
+    return out
+
+
+def _text_builder(cls):
+    """A memoized map from serializations to trees of class ``cls``.  Each
+    distinct text is built once and shares its subtrees with every other
+    tree the map builds.  A text must be a serialization of its class
+    (canonical, for ``Tree``)."""
+
+    @lru_cache(maxsize=None)
+    def of_text(text: str):
+        label = text[: text.index("(")] or None
+        return cls(tuple(map(of_text, _child_texts(text))), label)
+
+    return of_text
+
+
+_planar_of_text = _text_builder(PlanarTree)
+_tree_of_text = _text_builder(Tree)
+
+
 def _drop_first_child(tree, path: tuple[int, ...]):
     """``tree`` with the first child of the vertex ``path`` removed.  Only
     the vertices along the path are rebuilt, each as a tree of its own

@@ -225,6 +225,21 @@ def test_compute_ag_multigen(capsys):
     assert json.loads(out)["count"] == 14
 
 
+def test_compute_ag_multigen_rejects_names_that_are_not_labels(capsys):
+    for alphabet in ("A", "a b,c", "a,", "a,(b)"):
+        code = main(["compute", "ag-multigen", "--degree", "3", "--alphabet", alphabet])
+        captured = capsys.readouterr()
+        assert code == 2, alphabet
+        assert captured.out == ""
+        assert "is not a label" in captured.err
+    code, out = run(capsys, "compute", "ag-multigen", "--degree", "2", "--alphabet", "x_1,y2")
+    assert code == 0
+    *monomials, count = out.splitlines()
+    assert count == "count 4"
+    for m in monomials:
+        assert prelie.parse_monomial(m).serialize() == m
+
+
 # ---------------------------------------------------------------------------
 # verify
 
