@@ -1,4 +1,4 @@
-"""Per-layer wall time and peak memory of prelie at degrees 9 and 10.
+"""Per-layer wall time and peak memory of prelie at degrees 7 to 10.
 
     python3 bench/layers.py [--parent REF] [--workdir DIR] [--out BENCH.json]
 
@@ -15,8 +15,10 @@ the commits.  Without ``--out`` the file is ``BENCH.json`` at the root.
 A layer's output is checked after it is timed: the entry sum of every psi
 and alpha matrix, and the coefficient total of psi over a whole degree,
 equal the A088716 term; the inverse composes back to the identity on a
-seeded sample; beta is unipotent.  A failed check fails the run and the
-script exits 1.  Only the standard library is used.
+seeded sample; beta is unipotent.  The two coefficient oracles agree on
+every degree-7 pair, with column sums N(tau); on seeded degree-10 pairs
+they agree with the coefficient in psi(tau).  A failed check fails the
+run and the script exits 1.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -112,6 +114,75 @@ def _beta_default(n: int):
     return (lambda P: None), work, check
 
 
+def _oracle_all(n: int):
+    """Both coefficient methods on every degree-n pair: (sigma, tau) planar
+    for the recursion and the bijection count, (s, tau) for alpha and the
+    normalized count."""
+
+    def setup(P):
+        return P.enumerate_planar(n), P.enumerate_nonplanar(n)
+
+    def work(P, bases):
+        planar, nonplanar = bases
+        c = {(sigma, tau): (P.coeff_c_recursive(sigma, tau), P.coeff_c_bijections(sigma, tau))
+             for sigma in planar for tau in planar}
+        a = {(s, tau): (P.alpha(s, tau), P.count_tilde_b(s, tau))
+             for s in nonplanar for tau in planar}
+        return c, a
+
+    def check(P, out):
+        c, a = out
+        for (sigma, tau), (rec, bij) in c.items():
+            if rec != bij:
+                return False, f"c({sigma}, {tau}): recursion {rec}, bijections {bij}"
+        for (s, tau), (alpha, tilde) in a.items():
+            if alpha * P.symmetry_factor(s) != tilde:
+                return False, f"alpha({s}, {tau}) = {alpha}, tilde_b = {tilde}"
+        for name, pairs in (("c", c), ("alpha", a)):
+            sums: dict = {}
+            for (_, tau), (value, _) in pairs.items():
+                sums[tau] = sums.get(tau, 0) + value
+            for tau, total in sums.items():
+                if total != P.n_statistic(tau):
+                    return False, f"sum of {name}(., {tau}) = {total}, N = {P.n_statistic(tau)}"
+            if sum(sums.values()) != a088716(n):
+                return False, f"{name} entry sum {sum(sums.values())}, A088716({n}) = {a088716(n)}"
+        return True, (f"{len(c)} + {len(a)} pairs agree; column sums are N(tau), "
+                      f"A088716({n}) in all")
+
+    return setup, work, check
+
+
+def _oracle_sample(n: int, pairs: int):
+    """Both coefficient methods, cold, on seeded degree-n pairs above the
+    brute-force cap; half of the sigmas lie in the support of psi(tau)."""
+
+    def setup(P):
+        rng = random.Random(n)
+        basis = P.enumerate_planar(n)
+        sample = []
+        for k in range(pairs):
+            tau = rng.choice(basis)
+            image = P.psi(tau)
+            sigma = rng.choice(image.terms)[0] if k % 2 else rng.choice(basis)
+            sample.append((sigma, tau, image.coefficient(sigma)))
+        return sample
+
+    def work(P, sample):
+        return [(sigma, tau, want, P.coeff_c_recursive(sigma, tau),
+                 P.coeff_c_bijections(sigma, tau, cap=n))
+                for sigma, tau, want in sample]
+
+    def check(P, out):
+        for sigma, tau, want, rec, bij in out:
+            if not rec == bij == want:
+                return False, f"c({sigma}, {tau}): recursion {rec}, bijections {bij}, psi {want}"
+        nonzero = sum(1 for *_, rec, _ in out if rec)
+        return True, f"{len(out)} pairs ({nonzero} nonzero) agree with psi"
+
+    return setup, work, check
+
+
 LAYERS = {
     "psi_all_9": _psi_layer(9),
     "psi_all_10": _psi_layer(10),
@@ -119,6 +190,8 @@ LAYERS = {
     "alpha_matrix_9_after_psi_matrix": _alpha_after_psi(9),
     "psi_inverse_all_9": _psi_inverse(9),
     "beta_matrix_default_section_9": _beta_default(9),
+    "oracle_all_7": _oracle_all(7),
+    "oracle_sample_10": _oracle_sample(10, 1000),
 }
 
 

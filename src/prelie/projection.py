@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import permutations, product
 
 from .matrix import CoeffMatrix, _from_images
-from .psi import _count_bijections, _psi, _tree_order_masks, coeff_c_recursive
+from .psi import _count_bijections, _domain_table, _psi, coeff_c_recursive
 from .products import NONPLANAR, TreeSum, _sum_of_texts
 from .trees import (
     BRUTE_FORCE_CAP,
@@ -77,20 +77,20 @@ def alpha(s: Tree, tau: PlanarTree) -> int:
 
 
 def count_tilde_b(s: Tree, tau: PlanarTree, cap: int = BRUTE_FORCE_CAP) -> int:
-    """Bijections from V(s) to V(tau) increasing from the tree order into
-    the total order, with tree-order increasing inverse."""
+    """Label-preserving bijections from V(s) to V(tau) increasing from the
+    tree order into the total order, with tree-order increasing inverse."""
     if s.degree != tau.degree:
         raise DomainError("bijection count needs equal degrees")
     if s.degree > cap:
         raise DegreeCapError(f"degree {s.degree} exceeds brute-force cap {cap}")
-    return _count_bijections(*_ancestor_table(s), tau)
+    return _count_bijections(_ancestor_table(s), tau)
 
 
 @lru_cache(maxsize=None)
-def _ancestor_table(s: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per vertex of s in preorder, as bitmasks: its strict ancestors and
-    its strict descendants."""
-    return _tree_order_masks(s.vertices())
+def _ancestor_table(s: Tree) -> tuple:
+    """The domain table of s (see :func:`prelie.psi._domain_table`), its
+    ``pred`` the strict ancestors."""
+    return _domain_table(s, False)
 
 
 def alpha_matrix(n: int, max_degree: int = ENUMERATION_CAP) -> CoeffMatrix:

@@ -202,18 +202,6 @@ _planar_of_text = _text_builder(PlanarTree)
 _tree_of_text = _text_builder(Tree)
 
 
-def _drop_first_child(tree, path: tuple[int, ...]):
-    """``tree`` with the first child of the vertex ``path`` removed.  Only
-    the vertices along the path are rebuilt, each as a tree of its own
-    class."""
-    children = tree.children
-    if not path:
-        return type(tree)(children[1:], tree.label)
-    i = path[0]
-    child = _drop_first_child(children[i], path[1:])
-    return type(tree)(children[:i] + (child,) + children[i + 1 :], tree.label)
-
-
 @dataclass(frozen=True)
 class BinaryTree:
     """Planar binary tree: a leaf, or a node with exactly two subtrees."""

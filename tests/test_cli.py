@@ -116,6 +116,27 @@ def test_compute_coeff_both(capsys):
     assert "match" in out
 
 
+def test_compute_coeff_labeled_zero(capsys):
+    # psi(a(c()b())) = a(c()b()) + a(b(c())) and psi(()) fixes the unlabeled
+    # root, so neither sigma occurs: both methods must honour labels.
+    for sigma, tau in (("a(b()c())", "a(c()b())"), ("a(())", "(())")):
+        code, out = run(
+            capsys, "compute", "coeff", "--sigma", sigma, "--tau", tau, "--method", "both"
+        )
+        assert code == 0
+        assert out.splitlines() == ["recursive: 0", "bijections: 0", "match"], (sigma, tau)
+
+
+def test_compute_alpha_labeled_zero(capsys):
+    code, out = run(
+        capsys, "compute", "alpha", "--s", "(())", "--tau", "a(())", "--method", "both"
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "alpha: 0", "tilde_b: 0", "sym: 1", "tilde_b_over_sym: 0", "match",
+    ]
+
+
 def test_compute_coeff_mismatch_exit(capsys, monkeypatch):
     monkeypatch.setattr(cli, "coeff_c_bijections", lambda *a, **kw: -1)
     code, out = run(

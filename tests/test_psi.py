@@ -1,23 +1,37 @@
+import random
+from itertools import product
+
 import pytest
 
 from prelie import (
     DegreeCapError,
     DomainError,
+    PlanarTree,
     TreeSum,
+    alpha,
     coeff_c_bijections,
     coeff_c_recursive,
+    count_tilde_b,
     decompose,
+    enumerate_nonplanar,
     enumerate_planar,
+    forget_planarity,
     n_statistic,
     n_statistic_total,
     parse_planar,
+    parse_tree,
     potential_energy,
     psi,
+    psi_bar,
     psi_inverse,
     psi_matrix,
+    symmetry_factor,
     verify_a088716,
 )
+from prelie.orders import left_refined_pairs, total_order_list, tree_less
 from prelie.products import PLANAR
+from prelie.projection import _ancestor_table
+from prelie.psi import _refined_table, _total_order_table
 
 
 def planar_sum(*pairs):
@@ -165,11 +179,97 @@ def test_bijection_count_errors():
 
 
 def test_dual_method_agreement():
-    for n in range(1, 6):
+    for n in range(1, 8):
         basis = enumerate_planar(n)
         for sigma in basis:
             for tau in basis:
                 assert coeff_c_recursive(sigma, tau) == coeff_c_bijections(sigma, tau)
+        for s in enumerate_nonplanar(n):
+            sym = symmetry_factor(s)
+            for tau in basis:
+                assert alpha(s, tau) * sym == count_tilde_b(s, tau), (s, tau)
+
+
+def _masks(verts, related):
+    """Per vertex v of ``verts``, the bitmask of the w with related(v, w)."""
+    return tuple(
+        sum(1 << i for i, w in enumerate(verts) if related(v, w)) for v in verts
+    )
+
+
+def test_bijection_tables_match_the_vertex_orders():
+    # The count's per-tree masks, built in one walk, against the pair
+    # relations of prelie.orders.
+    for n in range(1, 8):
+        for t in enumerate_planar(n):
+            verts = t.vertices()
+            refined = left_refined_pairs(t)
+            pred = _masks(verts, lambda v, u: (u, v) in refined)
+            descendants = _masks(verts, tree_less)
+            assert _refined_table(t)[:2] == (pred, descendants)
+            listing = total_order_list(t)
+            rank = {w: k for k, w in enumerate(listing)}
+            parents = tuple(rank[w[:-1]] if w else -1 for w in listing)
+            keys = tuple((None, t.subtree(w).degree - 1) for w in listing)
+            assert _total_order_table(t) == (parents, keys)
+        for s in enumerate_nonplanar(n):
+            verts = s.vertices()
+            ancestors = _masks(verts, lambda v, u: tree_less(u, v))
+            assert _ancestor_table(s)[:2] == (ancestors, _masks(verts, tree_less))
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_dual_methods_agree_with_psi_above_the_cap(n):
+    # Seeded pairs above the brute-force cap: half of the sigmas are drawn
+    # from the support of psi(tau), so that nonzero entries are checked too.
+    rng = random.Random(n)
+    basis = enumerate_planar(n)
+    for k in range(40):
+        tau = rng.choice(basis)
+        image = psi(tau)
+        sigma = rng.choice(image.terms)[0] if k % 2 else rng.choice(basis)
+        want = image.coefficient(sigma)
+        assert coeff_c_recursive(sigma, tau) == want, (sigma, tau)
+        assert coeff_c_bijections(sigma, tau, cap=10) == want, (sigma, tau)
+
+
+def test_labeled_coefficients_vanish():
+    # psi(a(c()b())) = a(c()b()) + a(b(c())): the sigma below has the labels
+    # of the first term in the order of neither.
+    sigma, tau = parse_planar("a(b()c())"), parse_planar("a(c()b())")
+    assert psi(tau).coefficient(sigma) == 0
+    assert coeff_c_recursive(sigma, tau) == coeff_c_bijections(sigma, tau) == 0
+    sigma, tau = parse_planar("a(())"), parse_planar("(())")
+    assert coeff_c_recursive(sigma, tau) == coeff_c_bijections(sigma, tau) == 0
+    s, tau = parse_tree("(())"), parse_planar("a(())")
+    assert alpha(s, tau) == count_tilde_b(s, tau) == 0
+
+
+def _labelings(tree, alphabet):
+    """Every way to put a label of ``alphabet`` on each vertex of ``tree``."""
+    for label in alphabet:
+        for kids in product(*(_labelings(c, alphabet) for c in tree.children)):
+            yield PlanarTree(kids, label)
+
+
+def test_labeled_dual_method_agreement():
+    # Over the alphabet {a, b}: both methods agree with the labeled psi on
+    # every planar pair, and alpha with the projected image and the
+    # normalized bijection count on every (non-planar, planar) pair.
+    for n in range(1, 5):
+        planar = [t for u in enumerate_planar(n) for t in _labelings(u, "ab")]
+        nonplanar = sorted({forget_planarity(t) for t in planar}, key=str)
+        for tau in planar:
+            image = psi(tau)
+            for sigma in planar:
+                want = image.coefficient(sigma)
+                assert coeff_c_recursive(sigma, tau) == want, (sigma, tau)
+                assert coeff_c_bijections(sigma, tau) == want, (sigma, tau)
+            projected = psi_bar(tau)
+            for s in nonplanar:
+                want = projected.coefficient(s)
+                assert alpha(s, tau) == want, (s, tau)
+                assert count_tilde_b(s, tau) == want * symmetry_factor(s), (s, tau)
 
 
 # ---------------------------------------------------------------------------
