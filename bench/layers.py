@@ -17,8 +17,12 @@ and alpha matrix, and the coefficient total of psi over a whole degree,
 equal the A088716 term; the inverse composes back to the identity on a
 seeded sample; beta is unipotent.  The two coefficient oracles agree on
 every degree-7 pair, with column sums N(tau); on seeded degree-10 pairs
-they agree with the coefficient in psi(tau).  A failed check fails the
-run and the script exits 1.  Only the standard library is used.
+they agree with the coefficient in psi(tau).  The degree-10 AG expansion
+is 719 x 719 and each column sums to S(m), where S(g) = 1 and
+S([x,y]) = S(x) S(y) deg(y).  The pre-Lie and NAP identities hold on all
+1353 triples of total degree 10, and each graft(s, t) has coefficient sum
+|t|.  A failed check fails the run and the script exits 1.  Only the
+standard library is used.
 """
 
 from __future__ import annotations
@@ -183,6 +187,82 @@ def _oracle_sample(n: int, pairs: int):
     return setup, work, check
 
 
+def _monomial_size(text: str) -> tuple[int, int]:
+    """(degree, S) of a serialized monomial, where S(g) = 1 and
+    S([x,y]) = S(x) S(y) deg(y): grafting x onto y has deg(y) terms, so S
+    is the coefficient sum of the monomial's grafting expansion."""
+
+    def parse(i: int) -> tuple[int, int, int]:
+        if text[i] != "[":
+            j = i
+            while text[j] not in ",]":
+                j += 1
+            return 1, 1, j
+        dx, sx, i = parse(i + 1)  # text[i] == ","
+        dy, sy, i = parse(i + 1)  # text[i] == "]"
+        return dx + dy, sx * sy * dy, i + 1
+
+    degree, size, end = parse(0)
+    if end != len(text):
+        raise ValueError(f"trailing text in monomial {text!r}")
+    return degree, size
+
+
+def _ag_expand(n: int, rows: int):
+    """The grafting expansion of the degree-n AG basis, basis included."""
+
+    def work(P, _):
+        return P.expand_basis(P.ag_basis(n))
+
+    def check(P, m):
+        if len(m.row_basis) != rows or len(m.col_basis) != rows:
+            return False, f"shape {m.shape}, want {rows} x {rows}"
+        for name, total in zip(m.col_basis, m.column_sums()):
+            if _monomial_size(name) != (n, total):
+                return False, f"column {name}: sum {total}, (degree, S) {_monomial_size(name)}"
+        return True, f"{rows} x {rows}; every column sum is S(m)"
+
+    return (lambda P: None), work, check
+
+
+def _graft_identities(n: int, triples: int):
+    """The pre-Lie and NAP identities on every triple of non-planar trees
+    with total degree n."""
+
+    def setup(P):
+        pool = [t for m in range(1, n - 1) for t in P.enumerate_nonplanar(m)]
+        return [(s, t, u) for s in pool for t in pool for u in pool
+                if s.degree + t.degree + u.degree == n]
+
+    def work(P, sample):
+        one = P.TreeSum.single
+        out = []
+        for s, t, u in sample:
+            st = P.graft(s, t)
+            left = P.bilinear_extend("graft", st, one(u)) - P.bilinear_extend(
+                "graft", one(s), P.graft(t, u))
+            right = P.bilinear_extend("graft", P.graft(t, s), one(u)) - P.bilinear_extend(
+                "graft", one(t), P.graft(s, u))
+            out.append((str(t), st.terms, left.to_text(), right.to_text(),
+                        str(P.butcher(s, P.butcher(t, u))), str(P.butcher(t, P.butcher(s, u)))))
+        return out
+
+    def check(P, out):
+        if len(out) != triples:
+            return False, f"{len(out)} triples, want {triples}"
+        for t, st, left, right, nap_left, nap_right in out:
+            size = sum(c for _, c in st)
+            if size != t.count("("):
+                return False, f"graft onto {t} has coefficient sum {size}"
+            if left != right:
+                return False, f"pre-Lie identity fails: {left} != {right}"
+            if nap_left != nap_right:
+                return False, f"NAP identity fails: {nap_left} != {nap_right}"
+        return True, f"{triples} triples; both identities hold, graft sums are |t|"
+
+    return setup, work, check
+
+
 LAYERS = {
     "psi_all_9": _psi_layer(9),
     "psi_all_10": _psi_layer(10),
@@ -192,6 +272,8 @@ LAYERS = {
     "beta_matrix_default_section_9": _beta_default(9),
     "oracle_all_7": _oracle_all(7),
     "oracle_sample_10": _oracle_sample(10, 1000),
+    "ag_expand_10": _ag_expand(10, 719),
+    "graft_identities_10": _graft_identities(10, 1353),
 }
 
 

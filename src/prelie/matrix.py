@@ -85,7 +85,7 @@ class CoeffMatrix:
         buf = io.StringIO()
         buf.write("," + ",".join(self.col_basis) + "\n")
         for name, row in zip(self.row_basis, self.entries):
-            buf.write(name + "," + ",".join(str(e) for e in row) + "\n")
+            buf.write(name + "," + ",".join([str(e) for e in row]) + "\n")
         return buf.getvalue()
 
     def to_json(self) -> dict:

@@ -101,16 +101,18 @@ def evaluate(m: MonomialExpr, product: str, labeled: bool | None = None) -> Tree
     give genuine sums.  With ``labeled=None`` vertices stay unlabeled when
     the expression uses a single generator symbol.
     """
-    if labeled is None:
-        labeled = len(m.generator_names()) > 1
-    return _fold(m, product, bool(labeled))
+    return _fold(m, product, None if labeled is None else bool(labeled))
 
 
 @lru_cache(maxsize=None)
-def _fold(expr: MonomialExpr, product: str, labeled: bool) -> TreeSum:
-    """The image of ``expr`` under ``product``.  Memoized: the basis
-    monomials of a degree share their sub-monomials, and the same monomial
-    is folded again for sorting, grounding and sections."""
+def _fold(expr: MonomialExpr, product: str, labeled: bool | None) -> TreeSum:
+    """The image of ``expr`` under ``product``; ``labeled=None`` labels the
+    vertices when ``expr`` uses more than one generator symbol.  Memoized,
+    that decision included: the basis monomials of a degree share their
+    sub-monomials, and the same monomial is folded again for sorting,
+    grounding and sections."""
+    if labeled is None:
+        return _fold(expr, product, len(expr.generator_names()) > 1)
     if isinstance(expr, Generator):
         leaf_cls = PlanarTree if product_flavor(product) == "planar" else Tree
         return TreeSum.single(leaf_cls((), expr.name if labeled else None))

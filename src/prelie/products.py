@@ -5,27 +5,32 @@ all non-planar.  Like terms are collected eagerly, so equality of sums is
 plain equality of term maps.  Coefficients are Python ints (arbitrary
 precision, so "overflow" cannot occur silently).
 
-A product of two sums is built in one pass: every term of every pair of
-operand terms goes into one accumulation dict, which is sorted once.
+Every sum is collected one way: its terms go into one dict keyed by tree
+text, which is sorted once.  A product of two sums is built in one pass:
+every term of every pair of operand terms goes into that dict.
 
-Left grafting works on serializations.  In the grammar
+Both grafting products work on serializations, and a tree is built only
+once per distinct text of the final sum.  In the grammar
 ``label? "(" tree* ")"`` grafting sigma leftmost at a vertex of tau means
-inserting sigma's text right after that vertex's ``(``, so a planar
-grafting sum is a dict from texts to coefficients, and a tree is built
-only once per distinct text of the final sum.  Pre-Lie grafting, whose
-results need the canonical child order, grafts at each vertex in turn,
-rebuilding only the path from the root to that vertex.
+inserting sigma's text right after that vertex's ``(``.  Pre-Lie
+grafting keeps texts canonical (children in descending serialization
+order): s's text is inserted in sorted place among the children of the
+grafting vertex, and each vertex on the path up to the root takes its new
+text in sorted place among its siblings.  The grafts of s at every vertex
+of t are memoized per pair of operand texts.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
 
 from .trees import (
     _KEY_TABLE,
+    _child_texts,
     DomainError,
     PlanarTree,
     Tree,
@@ -48,12 +53,18 @@ class TreeSum:
         if flavor not in (PLANAR, NONPLANAR):
             raise DomainError(f"unknown flavor {flavor!r}")
         want = PlanarTree if flavor == PLANAR else Tree
-        acc: dict = {}
+        acc: dict[str, int] = {}
+        held: dict[str, PlanarTree | Tree] = {}
         for tree, coeff in terms:
             if not isinstance(tree, want):
                 raise DomainError(f"{flavor} sum cannot hold {type(tree).__name__}")
-            acc[tree] = acc.get(tree, 0) + coeff
-        return cls(flavor, _collected(acc))
+            text = tree._text
+            if text in acc:
+                acc[text] += coeff
+            else:
+                acc[text] = coeff
+                held[text] = tree
+        return cls(flavor, tuple([(held[t], c) for _, t, c in _ranked(acc)]))
 
     @classmethod
     def single(cls, tree: PlanarTree | Tree, coeff: int = 1) -> "TreeSum":
@@ -107,24 +118,19 @@ class TreeSum:
         return json.dumps(self.to_json())
 
 
-def _term_key(term) -> str:
-    return serial_key(term[0].serialize())
+def _ranked(acc: dict[str, int]) -> list[tuple[str, str, int]]:
+    """The (key, text, coefficient) triples of a dict from serializations
+    to coefficients, zeros dropped, in descending serialization order: the
+    order of the ``terms`` of a ``TreeSum``.  Each text is translated to
+    its ``serial_key`` once."""
+    return sorted([(t.translate(_KEY_TABLE), t, c) for t, c in acc.items() if c], reverse=True)
 
 
-def _collected(acc: dict) -> tuple:
-    """The terms of an accumulation dict without the zero coefficients, in
-    descending serialization order: the ``terms`` of a ``TreeSum``."""
-    return tuple(sorted([tc for tc in acc.items() if tc[1]], key=_term_key, reverse=True))
-
-
-def _sum_of_texts(flavor: str, acc: dict) -> TreeSum:
-    """The sum of a dict from serializations to coefficients: zeros
-    dropped, sorted once by text (each text is translated to its
-    ``serial_key`` once), each tree built once through the memoized
-    text-to-tree map of its class."""
+def _sum_of_texts(flavor: str, acc: dict[str, int]) -> TreeSum:
+    """The sum of a dict from serializations to coefficients, each tree
+    built once through the memoized text-to-tree map of its class."""
     of_text = _planar_of_text if flavor == PLANAR else _tree_of_text
-    ranked = sorted([(t.translate(_KEY_TABLE), t, c) for t, c in acc.items() if c], reverse=True)
-    return TreeSum(flavor, tuple([(of_text(t), c) for _, t, c in ranked]))
+    return TreeSum(flavor, tuple([(of_text(t), c) for _, t, c in _ranked(acc)]))
 
 
 # ---------------------------------------------------------------------------
@@ -181,16 +187,51 @@ def _left_graft_texts(acc: dict, a, b) -> dict:
     return acc
 
 
-def _grafts(sigma, tau):
-    """sigma grafted leftmost at each vertex of tau in preorder, each as a
-    non-planar tree.  Only the vertices on the path from the root to the
-    grafting vertex are rebuilt."""
-    cls, children, label = type(tau), tau.children, tau.label
-    yield cls((sigma,) + children, label)
-    for i, child in enumerate(children):
-        before, after = children[:i], children[i + 1 :]
-        for grafted in _grafts(sigma, child):
-            yield cls(before + (grafted,) + after, label)
+@lru_cache(maxsize=None)
+def _children(text: str) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
+    """The label of a canonical tree text, its children's texts left to
+    right (descending serialization order) and their keys in ascending
+    order."""
+    kids = tuple(_child_texts(text))
+    return text[: text.index("(")], kids, tuple(map(serial_key, reversed(kids)))
+
+
+def _joined(label: str, kids: tuple[str, ...], keys: tuple[str, ...], x: str) -> str:
+    """The canonical text of a vertex labeled ``label`` whose children are
+    the canonical texts ``kids`` (their keys ``keys`` ascending) and ``x``:
+    ``x`` goes right after the children of higher key, where
+    ``Tree._arrange`` would sort it."""
+    i = len(keys) - bisect_right(keys, serial_key(x))
+    return f"{label}({''.join(kids[:i])}{x}{''.join(kids[i:])})"
+
+
+@lru_cache(maxsize=None)
+def _graft_texts(s: str, t: str) -> tuple[str, ...]:
+    """The canonical texts of the tree ``s`` grafted at each vertex of the
+    tree ``t`` in preorder, both given by their canonical texts.  At the
+    root, ``s`` joins the root's children in sorted place; at a child
+    ``c``, each graft onto ``c`` takes the place of ``c``.  So only the
+    path to the grafting vertex is re-sorted."""
+    label, kids, keys = _children(t)
+    out = [_joined(label, kids, keys, s)]
+    n = len(kids)
+    for i, c in enumerate(kids):
+        rest, rest_keys = kids[:i] + kids[i + 1 :], keys[: n - 1 - i] + keys[n - i :]
+        out.extend([_joined(label, rest, rest_keys, g) for g in _graft_texts(s, c)])
+    return tuple(out)
+
+
+def _graft_sum_texts(acc: dict, a, b) -> dict:
+    """Add to ``acc`` every pre-Lie graft of a term of ``a`` onto a term of
+    ``b``, both iterables of (canonical text, coefficient) pairs, weighted
+    by the product of the coefficients."""
+    get = acc.get
+    for sa, ca in a:
+        for sb, cb in b:
+            c = ca * cb
+            for t in _graft_texts(sa, sb):
+                acc[t] = get(t, 0) + c
+    return acc
 
 
 def left_graft(sigma: PlanarTree, tau: PlanarTree) -> TreeSum:
@@ -202,8 +243,12 @@ def left_graft(sigma: PlanarTree, tau: PlanarTree) -> TreeSum:
 
 
 def graft(s: Tree, t: Tree) -> TreeSum:
-    """Pre-Lie grafting: sum over all vertices of t, like terms collected."""
-    return TreeSum.make(NONPLANAR, ((u, 1) for u in _grafts(s, t)))
+    """Pre-Lie grafting: the sum over the vertices v of t of s grafted at v,
+    like terms collected.  Computed on canonical texts by sorted insertion
+    along the path to v, memoized per pair of operand texts."""
+    if not isinstance(s, Tree) or not isinstance(t, Tree):
+        raise DomainError("pre-Lie grafting needs two non-planar trees")
+    return _sum_of_texts(NONPLANAR, _graft_sum_texts({}, ((s._text, 1),), ((t._text, 1),)))
 
 
 PRODUCTS: dict[str, Callable] = {
@@ -242,25 +287,11 @@ def bilinear_extend(name: str, a: TreeSum, b: TreeSum) -> TreeSum:
     flavor = product_flavor(name)
     if a.flavor != flavor or b.flavor != flavor:
         raise DomainError(f"product {name!r} needs two {flavor} sums")
-    if name == "left-graft":
-        acc = _left_graft_texts(
-            {},
-            [(t.serialize(), c) for t, c in a.terms],
-            [(t.serialize(), c) for t, c in b.terms],
-        )
-        return _sum_of_texts(PLANAR, acc)
-    acc: dict = {}
-    get = acc.get
-    if name == "graft":
-        for ta, ca in a.terms:
-            for tb, cb in b.terms:
-                c = ca * cb
-                for t in _grafts(ta, tb):
-                    acc[t] = get(t, 0) + c
-    else:
-        product = PRODUCTS[name]
-        for ta, ca in a.terms:
-            for tb, cb in b.terms:
-                t = product(ta, tb)
-                acc[t] = get(t, 0) + ca * cb
-    return TreeSum(flavor, _collected(acc))
+    if name in ("left-graft", "graft"):
+        kernel = _left_graft_texts if name == "left-graft" else _graft_sum_texts
+        acc = kernel({}, [(t._text, c) for t, c in a.terms], [(t._text, c) for t, c in b.terms])
+        return _sum_of_texts(flavor, acc)
+    product = PRODUCTS[name]
+    return TreeSum.make(
+        flavor, [(product(ta, tb), ca * cb) for ta, ca in a.terms for tb, cb in b.terms]
+    )

@@ -108,6 +108,8 @@ def verify_sequences(max_degree: int, seed: int) -> list[dict]:
 
 
 def verify_identities(max_degree: int, seed: int, limit: int = 4000) -> list[dict]:
+    if max_degree < 3:
+        raise DomainError(f"identities need a max degree of at least 3, got {max_degree}")
     pool = []
     for n in range(1, max_degree - 1):
         pool.extend(trees.enumerate_nonplanar(n))
@@ -226,13 +228,12 @@ def verify_tree_grounded(max_degree: int, seed: int) -> list[dict]:
         basis = monomials.ag_basis(n)
         ok, witness = monomials.is_tree_grounded(basis.monomials, n)
         checks.append(check(f"ag-basis-tree-grounded-n{n}", ok, json.dumps(witness)))
-    if max_degree >= 4:
-        basis = monomials.ag_basis(4)
-        section = monomials.section_of_basis(basis.monomials, 4)
-        bm = projection.beta_matrix(section, 4)
+    for n in range(2, max_degree + 1):
+        basis = monomials.ag_basis(n)
+        section = monomials.section_of_basis(basis.monomials, n)
+        bm = projection.beta_matrix(section, n)
         em = monomials.expand_basis(basis)
-        same = _same_columns(bm, em, basis)
-        checks.append(check("section-round-trip-n4", same))
+        checks.append(check(f"section-round-trip-n{n}", _same_columns(bm, em, basis)))
     return checks
 
 

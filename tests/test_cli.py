@@ -314,10 +314,26 @@ def test_verify_rejects_max_degree_below_one(capsys):
         assert captured.err.startswith("error: ")
 
 
+def test_verify_identities_rejects_max_degree_below_three(capsys):
+    # every triple has degree >= 3: below that the suite would check nothing
+    for degree in ("1", "2"):
+        code = main(["verify", "identities", "--max-degree", degree])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+    code, out = run(capsys, "verify", "identities", "--max-degree", "3")
+    assert code == 0
+    assert "[PASS] pre-lie-identity  (1 triples, 0 failures)" in out
+
+
 def test_verify_tree_grounded(capsys):
     code, out = run(capsys, "verify", "tree-grounded", "--max-degree", "5")
     assert code == 0
-    assert "section-round-trip-n4" in out
+    for n in range(2, 6):
+        assert f"[PASS] section-round-trip-n{n}\n" in out
+    assert "section-round-trip-n1" not in out
+    assert "section-round-trip-n6" not in out
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

@@ -1,4 +1,6 @@
 import random
+from functools import lru_cache
+from itertools import product as iproduct
 
 import pytest
 
@@ -21,7 +23,7 @@ from prelie import (
     rotation,
 )
 from prelie.products import NONPLANAR, PLANAR, product_flavor
-from prelie.trees import LEAF, BinaryTree, PlanarTree, enumerate_binary
+from prelie.trees import LEAF, BinaryTree, PlanarTree, enumerate_binary, serial_key
 
 
 def tree_sum(*pairs):
@@ -207,6 +209,17 @@ def test_bilinear_extend_examples():
     )
 
 
+def test_graft_rejects_planar_operands():
+    planar, tree = parse_planar("(())"), parse_tree("(())")
+    for s, t in ((planar, tree), (tree, planar), (planar, planar)):
+        with pytest.raises(DomainError, match="non-planar trees"):
+            graft(s, t)
+    planar_sum_, tree_sum_ = TreeSum.single(planar), TreeSum.single(tree)
+    for a, b in ((planar_sum_, tree_sum_), (tree_sum_, planar_sum_), (planar_sum_, planar_sum_)):
+        with pytest.raises(DomainError, match="needs two nonplanar sums"):
+            bilinear_extend("graft", a, b)
+
+
 def test_flavor_mismatch_raises():
     with pytest.raises(DomainError):
         bilinear_extend(
@@ -273,11 +286,27 @@ def reference_graft(sigma, tau):
     )
 
 
-def random_sum(rng, flavor, max_degree=5, size=4):
+def labelings(tree, alphabet):
+    """Every way to put a label of ``alphabet`` on each vertex of ``tree``,
+    as trees of its class (so non-planar labelings come out canonical)."""
+    for label in alphabet:
+        for kids in iproduct(*(labelings(c, alphabet) for c in tree.children)):
+            yield type(tree)(kids, label)
+
+
+@lru_cache(maxsize=None)
+def labeled_trees(flavor, n):
+    """The distinct trees of degree n labeled over {a, b}, sorted by text."""
+    enum = enumerate_planar if flavor == PLANAR else enumerate_nonplanar
+    return tuple(sorted({t for u in enum(n) for t in labelings(u, "ab")}, key=str))
+
+
+def random_sum(rng, flavor, max_degree=5, size=4, labeled=False):
     enum = enumerate_planar if flavor == PLANAR else enumerate_nonplanar
     terms = []
     for _ in range(rng.randint(0, size)):
-        tree = rng.choice(enum(rng.randint(1, max_degree)))
+        n = rng.randint(1, max_degree)
+        tree = rng.choice(labeled_trees(flavor, n) if labeled else enum(n))
         coeff = rng.choice([-3, -2, -1, 1, 2, 3])
         terms.append((tree, coeff))
         if rng.random() < 0.25:
@@ -285,12 +314,24 @@ def random_sum(rng, flavor, max_degree=5, size=4):
     return TreeSum.make(flavor, terms)
 
 
-@pytest.mark.parametrize("name", ["left-butcher", "butcher", "left-graft", "graft"])
-def test_bilinear_extend_matches_pairwise_definition(name):
+@pytest.mark.parametrize(
+    "name, labeled",
+    [
+        ("left-butcher", False),
+        ("butcher", False),
+        ("left-graft", False),
+        ("graft", False),
+        ("butcher", True),
+        ("graft", True),
+    ],
+    ids=["left-butcher", "butcher", "left-graft", "graft", "butcher-labeled", "graft-labeled"],
+)
+def test_bilinear_extend_matches_pairwise_definition(name, labeled):
     flavor = product_flavor(name)
-    rng = random.Random(f"bilinear:{name}")
+    rng = random.Random(f"bilinear:{name}" + (":labeled" if labeled else ""))
     for _ in range(60):
-        a, b = random_sum(rng, flavor), random_sum(rng, flavor)
+        a = random_sum(rng, flavor, labeled=labeled)
+        b = random_sum(rng, flavor, labeled=labeled)
         got = bilinear_extend(name, a, b)
         assert got.terms == reference_bilinear_extend(name, a, b).terms
         # the reference shares the zero-dropping step with the kernel
@@ -309,6 +350,61 @@ def test_grafts_match_per_vertex_path_copy():
 def test_grafts_keep_labels():
     sigma, tau = parse_planar("a()"), parse_planar("b(c()d())")
     assert left_graft(sigma, tau) == reference_graft(sigma, tau)
-    s, t = parse_tree("a()"), parse_tree("b(c()c())")
-    assert graft(s, t) == reference_graft(s, t)
-    assert graft(s, t).coefficient(parse_tree("b(c(a())c())")) == 2
+    assert graft(parse_tree("a()"), parse_tree("b(c()c())")).coefficient(
+        parse_tree("b(c(a())c())")
+    ) == 2
+    # every pair of trees labeled over {a, b} with total degree <= 5
+    for n1 in range(1, 5):
+        for n2 in range(1, 6 - n1):
+            for s in labeled_trees(NONPLANAR, n1):
+                for t in labeled_trees(NONPLANAR, n2):
+                    assert graft(s, t).terms == reference_graft(s, t).terms, (s, t)
+
+
+def reference_collected(flavor, terms):
+    """Like terms collected in a dict keyed by the tree objects, zeros
+    dropped, in descending serialization order."""
+    acc = {}
+    for tree, coeff in terms:
+        acc[tree] = acc.get(tree, 0) + coeff
+    kept = [(t, c) for t, c in acc.items() if c]
+    return tuple(sorted(kept, key=lambda tc: serial_key(tc[0].serialize()), reverse=True))
+
+
+@pytest.mark.parametrize("flavor", [PLANAR, NONPLANAR])
+def test_make_and_sub_match_tree_keyed_collection(flavor):
+    rng = random.Random(f"collect:{flavor}")
+    for _ in range(200):
+        terms = []
+        for _ in range(rng.randint(0, 8)):
+            n = rng.randint(1, 4)
+            tree = rng.choice(labeled_trees(flavor, n))
+            coeff = rng.choice([-2, -1, 0, 1, 2])
+            terms.append((tree, coeff))
+            if rng.random() < 0.3:
+                terms.append((tree, -coeff))  # cancels
+        made = TreeSum.make(flavor, terms)
+        assert made.terms == reference_collected(flavor, terms)
+        assert all(c != 0 for _, c in made.terms)
+        other = random_sum(rng, flavor, max_degree=4, labeled=True)
+        want = reference_collected(flavor, made.terms + tuple((t, -c) for t, c in other.terms))
+        assert (made - other).terms == want
+        assert (made - made).terms == ()
+
+
+def test_prelie_identity_labeled():
+    rng = random.Random("prelie-identity:labeled")
+    one = TreeSum.single
+    for _ in range(200):
+        total = rng.randint(3, 7)
+        a = rng.randint(1, total - 2)
+        b = rng.randint(1, total - a - 1)
+        c = rng.randint(1, total - a - b)
+        s, t, u = (rng.choice(labeled_trees(NONPLANAR, n)) for n in (a, b, c))
+        left = bilinear_extend("graft", graft(s, t), one(u)) - bilinear_extend(
+            "graft", one(s), graft(t, u)
+        )
+        right = bilinear_extend("graft", graft(t, s), one(u)) - bilinear_extend(
+            "graft", one(t), graft(s, u)
+        )
+        assert left == right, (s, t, u)
