@@ -85,7 +85,7 @@ def _max_degree(args) -> int:
             return int(env)
         except ValueError:
             raise DomainError(f"PRELIE_MAX_DEGREE must be an integer, got {env!r}") from None
-    return getattr(args, "cap", None) or trees.ENUMERATION_CAP
+    return trees.ENUMERATION_CAP if getattr(args, "cap", None) is None else args.cap
 
 
 def _emit(text: str):
@@ -225,7 +225,7 @@ def cmd_compute_expand(args) -> int:
 
 def cmd_compute_ag_multigen(args) -> int:
     order = monomials.GeneratorOrder(tuple(args.alphabet.split(",")))
-    basis = monomials.ag_basis_multigen(args.degree, order, cap=args.cap or 5)
+    basis = monomials.ag_basis_multigen(args.degree, order, cap=5 if args.cap is None else args.cap)
     if args.format == "json":
         _emit(json.dumps({"degree": args.degree, "count": len(basis), "monomials": [m.serialize() for m in basis]}))
     else:

@@ -6,8 +6,9 @@ plain equality of term maps.  Coefficients are Python ints (arbitrary
 precision, so "overflow" cannot occur silently).
 
 Every sum is collected one way: its terms go into one dict keyed by tree
-text, which is sorted once.  A product of two sums is built in one pass:
-every term of every pair of operand terms goes into that dict.
+text, which is sorted once, and its trees come from the text-to-tree map.
+A product of two sums is built in one pass: every term of every pair of
+operand terms goes into that dict.
 
 Both grafting products work on serializations, and a tree is built only
 once per distinct text of the final sum.  In the grammar
@@ -54,17 +55,11 @@ class TreeSum:
             raise DomainError(f"unknown flavor {flavor!r}")
         want = PlanarTree if flavor == PLANAR else Tree
         acc: dict[str, int] = {}
-        held: dict[str, PlanarTree | Tree] = {}
         for tree, coeff in terms:
             if not isinstance(tree, want):
                 raise DomainError(f"{flavor} sum cannot hold {type(tree).__name__}")
-            text = tree._text
-            if text in acc:
-                acc[text] += coeff
-            else:
-                acc[text] = coeff
-                held[text] = tree
-        return cls(flavor, tuple([(held[t], c) for _, t, c in _ranked(acc)]))
+            acc[tree._text] = acc.get(tree._text, 0) + coeff
+        return _sum_of_texts(flavor, acc)
 
     @classmethod
     def single(cls, tree: PlanarTree | Tree, coeff: int = 1) -> "TreeSum":
@@ -90,7 +85,7 @@ class TreeSum:
         return TreeSum.make(self.flavor, self.terms + other.terms)
 
     def __sub__(self, other: "TreeSum") -> "TreeSum":
-        return self + other.scale(-1)
+        return self + TreeSum(other.flavor, tuple([(t, -c) for t, c in other.terms]))
 
     def scale(self, k: int) -> "TreeSum":
         return TreeSum.make(self.flavor, [(t, k * c) for t, c in self.terms])
@@ -118,19 +113,13 @@ class TreeSum:
         return json.dumps(self.to_json())
 
 
-def _ranked(acc: dict[str, int]) -> list[tuple[str, str, int]]:
-    """The (key, text, coefficient) triples of a dict from serializations
-    to coefficients, zeros dropped, in descending serialization order: the
-    order of the ``terms`` of a ``TreeSum``.  Each text is translated to
-    its ``serial_key`` once."""
-    return sorted([(t.translate(_KEY_TABLE), t, c) for t, c in acc.items() if c], reverse=True)
-
-
 def _sum_of_texts(flavor: str, acc: dict[str, int]) -> TreeSum:
-    """The sum of a dict from serializations to coefficients, each tree
-    built once through the memoized text-to-tree map of its class."""
+    """The sum of a dict from serializations to coefficients: zeros dropped,
+    texts sorted once by ``serial_key``, descending, and each tree read from
+    the memoized text-to-tree map of its class."""
     of_text = _planar_of_text if flavor == PLANAR else _tree_of_text
-    return TreeSum(flavor, tuple([(of_text(t), c) for _, t, c in _ranked(acc)]))
+    ranked = sorted([(t.translate(_KEY_TABLE), t, c) for t, c in acc.items() if c], reverse=True)
+    return TreeSum(flavor, tuple([(of_text(t), c) for _, t, c in ranked]))
 
 
 # ---------------------------------------------------------------------------

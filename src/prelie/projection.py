@@ -24,18 +24,18 @@ from .trees import (
     PlanarTree,
     Tree,
     _child_texts,
+    _planar_of_text,
+    _tree_of_text,
     enumerate_nonplanar,
     enumerate_planar,
     serial_key,
 )
 
 
-@lru_cache(maxsize=None)
 def forget_planarity(sigma: PlanarTree) -> Tree:
-    """Project a planar tree onto its canonical non-planar form.  Memoized:
-    the terms of the planar images share their subtrees, so each planar
-    tree is projected once."""
-    return Tree(tuple(forget_planarity(c) for c in sigma.children), sigma.label)
+    """Project a planar tree onto its canonical non-planar form: the tree
+    of its canonical text."""
+    return _tree_of_text(_canonical(sigma._text))
 
 
 @lru_cache(maxsize=None)
@@ -164,9 +164,9 @@ class Section:
 
 def default_embedding(t: Tree) -> PlanarTree:
     """Canonical planar representative: embedded children in descending
-    serialization order.  The children of ``t`` are already in that order
-    and embedding keeps each serialization, so no sort is needed."""
-    return PlanarTree(tuple(map(default_embedding, t.children)), t.label)
+    serialization order.  The children of ``t`` are already in that order,
+    so it is the planar tree of ``t``'s text."""
+    return _planar_of_text(t._text)
 
 
 def default_section(n: int, max_degree: int = ENUMERATION_CAP) -> Section:

@@ -160,17 +160,18 @@ class Tree(_RootedTree):
 
 
 def _subtree_end(text: str, start: int) -> int:
-    """Index just past the subtree whose text begins at ``start``."""
-    depth = 0
-    for i in range(text.index("(", start), len(text)):
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    raise DomainError(f"unbalanced parentheses in {text!r}")
+    """Index just past the subtree whose text begins at ``start``.  A
+    character closes at most one open vertex, so the scan jumps ahead by the
+    number still open: a few steps per doubling of a deep subtree's length."""
+    i = text.index("(", start) + 1
+    depth = 1
+    while depth:
+        j = i + depth
+        if j > len(text):
+            raise DomainError(f"unbalanced parentheses in {text!r}")
+        depth += text.count("(", i, j) - text.count(")", i, j)
+        i = j
+    return i
 
 
 def _child_texts(text: str) -> list[str]:
@@ -185,15 +186,22 @@ def _child_texts(text: str) -> list[str]:
 
 
 def _text_builder(cls):
-    """A memoized map from serializations to trees of class ``cls``.  Each
-    distinct text is built once and shares its subtrees with every other
-    tree the map builds.  A text must be a serialization of its class
-    (canonical, for ``Tree``)."""
+    """The memoized map from serializations to trees of class ``cls``, by
+    which all text becomes trees.  Each distinct text is built once, sharing
+    its subtrees, at one recursive call per tree level.  A text for ``Tree``
+    need not be canonical: the constructor sorts the children."""
+    memo: dict[str, _RootedTree] = {}
+    get = memo.get
 
-    @lru_cache(maxsize=None)
     def of_text(text: str):
-        label = text[: text.index("(")] or None
-        return cls(tuple(map(of_text, _child_texts(text))), label)
+        tree = get(text)
+        if tree is None:
+            text = sys.intern(text)  # so a planar tree stores this very string
+            children = []
+            for child in _child_texts(text):
+                children.append(of_text(child))
+            tree = memo[text] = cls(tuple(children), text[: text.index("(")] or None)
+        return tree
 
     return of_text
 
@@ -236,40 +244,37 @@ class BinaryTree:
 LEAF = BinaryTree()
 
 
-def _parse_tokens(tokens: list[str], pos: int, cls):
-    label = None
-    if pos < len(tokens) and tokens[pos] not in "()":
-        label = tokens[pos]
-        pos += 1
-    if pos >= len(tokens) or tokens[pos] != "(":
-        raise DomainError(f"expected '(' at token {pos}")
-    pos += 1
-    children = []
-    while pos < len(tokens) and tokens[pos] != ")":
-        child, pos = _parse_tokens(tokens, pos, cls)
-        children.append(child)
-    if pos >= len(tokens):
-        raise DomainError("unbalanced parentheses")
-    return cls(tuple(children), label), pos + 1
-
-
-def _parse(text: str, cls):
+def _checked(text: str) -> str:
+    """The text of one tree of the grammar, spaces removed; ``DomainError``
+    if it is not one.  The tokens are read left to right with the depth of
+    the open vertices, so nesting costs no recursion."""
     tokens = _TOKEN_RE.findall(text)
     if "".join(tokens) != text.replace(" ", ""):
         raise DomainError(f"cannot tokenize {text!r}")
-    tree, pos = _parse_tokens(tokens, 0, cls)
-    if pos != len(tokens):
-        raise DomainError(f"trailing input in {text!r}")
-    return tree
+    n, pos, depth = len(tokens), 0, 0
+    while True:  # a tree starts at pos: an optional label, then "("
+        if pos < n and tokens[pos] not in "()":
+            pos += 1
+        if pos >= n or tokens[pos] != "(":
+            raise DomainError(f"expected '(' at token {pos}")
+        pos, depth = pos + 1, depth + 1
+        while pos < n and tokens[pos] == ")":
+            pos, depth = pos + 1, depth - 1
+            if depth == 0:
+                if pos != n:
+                    raise DomainError(f"trailing input in {text!r}")
+                return "".join(tokens)
+        if pos >= n:
+            raise DomainError("unbalanced parentheses")
 
 
 def parse_planar(text: str) -> PlanarTree:
-    return _parse(text, PlanarTree)
+    return _planar_of_text(_checked(text))
 
 
 def parse_tree(text: str) -> Tree:
     """Parse and canonicalize a non-planar tree."""
-    return _parse(text, Tree)
+    return _tree_of_text(_checked(text))
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +312,6 @@ def symmetry_factor(s: Tree) -> int:
             prev = c
             run_len = 1
     return result
-
-
-def catalan(n: int) -> int:
-    return math.comb(2 * n, n) // (n + 1)
 
 
 # ---------------------------------------------------------------------------

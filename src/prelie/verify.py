@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import random
-from itertools import product as iproduct
 
 from . import monomials, projection, trees
 from .products import PLANAR, TreeSum, bilinear_extend, butcher, graft
@@ -110,14 +109,7 @@ def verify_sequences(max_degree: int, seed: int) -> list[dict]:
 def verify_identities(max_degree: int, seed: int, limit: int = 4000) -> list[dict]:
     if max_degree < 3:
         raise DomainError(f"identities need a max degree of at least 3, got {max_degree}")
-    pool = []
-    for n in range(1, max_degree - 1):
-        pool.extend(trees.enumerate_nonplanar(n))
-    triples = [
-        (s, t, u)
-        for s, t, u in iproduct(pool, pool, pool)
-        if s.degree + t.degree + u.degree <= max_degree
-    ]
+    triples = _triples(max_degree)
     if len(triples) > limit:
         rng = random.Random(seed)
         triples = rng.sample(triples, limit)
@@ -140,6 +132,21 @@ def verify_identities(max_degree: int, seed: int, limit: int = 4000) -> list[dic
         check("nap-identity", bad_nap == 0, f"{len(triples)} triples, {bad_nap} failures"),
     ]
     return checks
+
+
+def _triples(max_degree: int) -> list[tuple]:
+    """Every triple of total degree at most ``max_degree`` from the pool of
+    trees in ascending degree, in lexicographic order."""
+    pool, fits = [], [0]  # fits[d]: how many trees of the pool have degree <= d
+    for n in range(1, max_degree - 1):
+        pool.extend(trees.enumerate_nonplanar(n))
+        fits.append(len(pool))
+    return [
+        (s, t, u)
+        for s in pool
+        for t in pool[: fits[max_degree - 1 - s.degree]]
+        for u in pool[: fits[max_degree - s.degree - t.degree]]
+    ]
 
 
 def verify_matrices(max_degree: int, seed: int) -> list[dict]:
@@ -264,4 +271,6 @@ def run(suite: str, max_degree: int | None = None, seed: int = 0) -> dict:
         max_degree = default_degree
     elif max_degree < 1:
         raise DomainError(f"max degree must be positive, got {max_degree}")
+    elif max_degree > ENUMERATION_CAP:
+        raise DegreeCapError(f"max degree {max_degree} exceeds cap {ENUMERATION_CAP}")
     return report(suite, fn(max_degree, seed))

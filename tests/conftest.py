@@ -1,7 +1,7 @@
 """Test settings shared by every module.
 
 Hypothesis runs without its per-example deadline: the first call into a
-memoized function (``psi``, ``forget_planarity``, the monomial folds) pays
+memoized function (``psi``, the text-to-tree maps, the monomial folds) pays
 for filling the cache, and can exceed the default 200 ms on a slow host.
 """
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product as iproduct
 from pathlib import Path
 
 import prelie
@@ -52,6 +53,18 @@ def test_enumerate_env_cap(capsys, monkeypatch):
     monkeypatch.delenv("PRELIE_MAX_DEGREE")
     code, _ = run(capsys, "enumerate", "planar", "--degree", "5")
     assert code == 0
+
+
+def test_cap_zero_exits_3(capsys):
+    for argv in (
+        ["enumerate", "planar", "--degree", "3", "--cap", "0"],
+        ["compute", "ag-multigen", "--degree", "6", "--cap", "0"],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3, argv
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "cap 0" in captured.err, argv
 
 
 def test_enumerate_env_cap_not_integer(capsys, monkeypatch):
@@ -181,6 +194,31 @@ def test_deep_tree_exits_3_without_traceback_in_subprocess():
     assert proc.stderr.startswith("error: ")
 
 
+def _cli_in_fresh_process(*argv):
+    src = str(Path(prelie.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "prelie.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_left_graft_of_deep_chains_in_subprocess():
+    # Both exit 3 when a tree level costs two levels of the recursion limit.
+    # Grafting onto an n-deep chain sums n trees whose distinct subtrees hold
+    # about 2n^3/3 characters, so that chain stays at 600 (about 200 MiB).
+    chain = "(" * 900 + ")" * 900
+    proc = _cli_in_fresh_process("compute", "product", "--product", "left-graft", "--left", chain, "--right", "()")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"1 ({chain})\n"
+    chain = "(" * 600 + ")" * 600
+    proc = _cli_in_fresh_process("compute", "product", "--product", "left-graft", "--left", "()", "--right", chain)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    terms = proc.stdout.split(" + ")
+    assert len(terms) == 600
+    assert all(t.startswith("1 (") for t in terms)
+
+
 def test_main_reuses_parser_without_leaking_options(capsys):
     both = ("compute", "coeff", "--sigma", "(()())", "--tau", "(()())")
     code, out = run(capsys, *both, "--method", "both")
@@ -297,6 +335,41 @@ def test_verify_oracle_rejects_degree_above_brute_force_cap(capsys, monkeypatch)
     captured = capsys.readouterr()
     assert code == 3
     assert "brute-force cap 8" in captured.err
+
+
+def test_verify_rejects_max_degree_above_cap_before_work(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("verify started work above the cap")
+
+    monkeypatch.setattr(verify, "psi_matrix", no_work)
+    monkeypatch.setattr(verify, "n_statistic_total", no_work)
+    monkeypatch.setattr(verify.trees, "enumerate_nonplanar", no_work)
+    monkeypatch.setattr(verify.monomials, "ag_basis", no_work)
+    for suite in sorted(verify.SUITES):
+        code = main(["verify", suite, "--max-degree", "13"])
+        captured = capsys.readouterr()
+        assert code == 3, suite
+        assert captured.out == ""
+        assert captured.err == "error: max degree 13 exceeds cap 12\n", suite
+
+
+def reference_triples(max_degree):
+    """The triples the identities suite drew from before: the whole cube
+    of the pool, filtered by total degree."""
+    pool = []
+    for n in range(1, max_degree - 1):
+        pool.extend(prelie.enumerate_nonplanar(n))
+    return [
+        (s, t, u)
+        for s, t, u in iproduct(pool, pool, pool)
+        if s.degree + t.degree + u.degree <= max_degree
+    ]
+
+
+def test_identity_triples_match_filtered_cube():
+    for n in range(3, 10):
+        want = reference_triples(n)
+        assert verify._triples(n) == want, n
 
 
 def test_verify_matrices(capsys):

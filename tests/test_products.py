@@ -229,6 +229,10 @@ def test_flavor_mismatch_raises():
         )
     with pytest.raises(DomainError):
         TreeSum.single(parse_planar("()")) + TreeSum.single(parse_tree("()"))
+    with pytest.raises(DomainError):
+        TreeSum.single(parse_planar("()")) - TreeSum.single(parse_tree("()"))
+    with pytest.raises(DomainError):
+        TreeSum.zero(NONPLANAR) - TreeSum.zero(PLANAR)
 
 
 def test_sum_collects_and_drops_zeros():

@@ -43,7 +43,6 @@ def reference_forget_planarity(sigma):
 
 
 def test_forget_planarity_matches_recursive_definition():
-    forget_planarity.cache_clear()
     for n in range(1, 9):
         for sigma in enumerate_planar(n):
             want = reference_forget_planarity(sigma)

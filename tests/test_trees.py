@@ -1,5 +1,6 @@
 import json
 import pickle
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,7 +21,14 @@ from prelie import (
     vertex_order,
 )
 from prelie.orders import left_refined_pairs
-from prelie.trees import canonical_key, serial_key
+from prelie.trees import (
+    _TOKEN_RE,
+    _planar_of_text,
+    _subtree_end,
+    _tree_of_text,
+    canonical_key,
+    serial_key,
+)
 
 
 def catalan_oracle(n):
@@ -130,6 +138,144 @@ def test_parse_rejects_garbage():
     for bad in ["", "(", "((", "())(", "()x", "A()"]:
         with pytest.raises(DomainError):
             parse_planar(bad)
+
+
+# The recursive-descent reader the text-to-tree maps replaced, kept as the
+# reference for what parses and for every error message.
+
+
+def reference_parse_tokens(tokens, pos, cls):
+    label = None
+    if pos < len(tokens) and tokens[pos] not in "()":
+        label = tokens[pos]
+        pos += 1
+    if pos >= len(tokens) or tokens[pos] != "(":
+        raise DomainError(f"expected '(' at token {pos}")
+    pos += 1
+    children = []
+    while pos < len(tokens) and tokens[pos] != ")":
+        child, pos = reference_parse_tokens(tokens, pos, cls)
+        children.append(child)
+    if pos >= len(tokens):
+        raise DomainError("unbalanced parentheses")
+    return cls(tuple(children), label), pos + 1
+
+
+def reference_parse(text, cls):
+    tokens = _TOKEN_RE.findall(text)
+    if "".join(tokens) != text.replace(" ", ""):
+        raise DomainError(f"cannot tokenize {text!r}")
+    tree, pos = reference_parse_tokens(tokens, 0, cls)
+    if pos != len(tokens):
+        raise DomainError(f"trailing input in {text!r}")
+    return tree
+
+
+def outcome(parse, *args):
+    """The tree a reader returns, or the message of its ``DomainError``."""
+    try:
+        return parse(*args)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+PARSERS = [(parse_planar, PlanarTree), (parse_tree, Tree)]
+
+MALFORMED = ["", "(", "((", "())(", "()x", "A()", "a", ")", "(a)", "a b()", "()()", "\t()"]
+
+
+def test_parse_matches_reference_reader_through_degree_7():
+    for n in range(1, 8):
+        for sigma in enumerate_planar(n):
+            text = sigma.serialize()
+            for parse, cls in PARSERS:
+                got = parse(text)
+                assert type(got) is cls
+                assert got == reference_parse(text, cls)
+
+
+def test_malformed_input_messages_match_reference_reader():
+    for bad in MALFORMED:
+        for parse, cls in PARSERS:
+            got = outcome(parse, bad)
+            assert isinstance(got, str), (bad, cls)
+            assert got == outcome(reference_parse, bad, cls), (bad, cls)
+
+
+LABELS = st.sampled_from([None, "a", "b", "x_1", "07"])
+
+
+def _draw_labeled(draw, n):
+    children = []
+    rest = n - 1
+    while rest:
+        k = draw(st.integers(1, rest))
+        children.append(_draw_labeled(draw, k))
+        rest -= k
+    return PlanarTree(tuple(children), draw(LABELS))
+
+
+@st.composite
+def spaced_texts(draw):
+    """The text of a labeled planar tree through degree 7 with spaces put
+    in at random places, inside labels too (a space that splits a label
+    makes the text malformed)."""
+    text = _draw_labeled(draw, draw(st.integers(1, 7))).serialize()
+    places = draw(st.lists(st.integers(0, len(text)), max_size=6))
+    for i in sorted(places, reverse=True):
+        text = text[:i] + " " * draw(st.integers(1, 2)) + text[i:]
+    return text
+
+
+@given(spaced_texts())
+def test_parse_matches_reference_reader_on_spaced_labeled_trees(text):
+    for parse, cls in PARSERS:
+        assert outcome(parse, text) == outcome(reference_parse, text, cls)
+
+
+def test_text_maps_build_each_text_once():
+    for n in range(1, 7):
+        for sigma in enumerate_planar(n):
+            text = sigma.serialize()
+            assert _planar_of_text(text) is _planar_of_text(text) == sigma
+            # a planar text need not be canonical for the non-planar map
+            assert _tree_of_text(text) == reference_parse(text, Tree)
+            assert _tree_of_text(text) is _tree_of_text(text)
+
+
+def reference_subtree_end(text, start):
+    """Read one character at a time until the parentheses balance."""
+    depth = 0
+    for i in range(text.index("(", start), len(text)):
+        depth += {"(": 1, ")": -1}.get(text[i], 0)
+        if depth == 0 and text[i] == ")":
+            return i + 1
+    raise AssertionError("unbalanced")
+
+
+def random_text(rng, n):
+    """A labeled planar tree text with n vertices, deep or wide by chance."""
+    label = rng.choice(["", "", "a", "x_1"])
+    kids = []
+    rest = n - 1
+    while rest:
+        k = rng.randint(1, rest) if rng.random() < 0.5 else rest
+        kids.append(random_text(rng, k))
+        rest -= k
+    return f"{label}({''.join(kids)})"
+
+
+def test_subtree_end_on_long_texts():
+    # past its first characters the scan jumps; check every subtree start
+    rng = random.Random("subtree-end")
+    texts = [random_text(rng, rng.randint(30, 300)) for _ in range(40)]
+    texts += ["(" * 500 + ")" * 500, "(" + "()" * 300 + ")", "a(" * 80 + "b()" + ")" * 80]
+    for text in texts:
+        for start in range(len(text)):
+            if text[start] == "(" or (text[start] != ")" and (start == 0 or text[start - 1] in "()")):
+                assert _subtree_end(text, start) == reference_subtree_end(text, start), (text, start)
+    with pytest.raises(DomainError):
+        _subtree_end("(" * 100 + ")" * 99, 0)
 
 
 @st.composite
