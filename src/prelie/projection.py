@@ -49,21 +49,29 @@ def planar_embeddings(s: Tree) -> tuple[PlanarTree, ...]:
     return tuple(sorted(out, key=lambda t: serial_key(t.serialize()), reverse=True))
 
 
-@lru_cache(maxsize=None)
+_canonical_texts: dict[str, str] = {}
+
+
 def _canonical(text: str) -> str:
     """The canonical non-planar text of a planar tree text: children
-    canonicalized, then in descending serialization order."""
-    kids = sorted(map(_canonical, _child_texts(text)), key=serial_key, reverse=True)
-    return f"{text[: text.index('(')]}({''.join(kids)})"
+    canonicalized, then in descending serialization order.  Memoized in a
+    plain dict, at one recursive call per tree level."""
+    out = _canonical_texts.get(text)
+    if out is None:
+        kids = sorted(map(_canonical, _child_texts(text)), key=serial_key, reverse=True)
+        out = _canonical_texts[text] = f"{text[: text.index('(')]}({''.join(kids)})"
+    return out
 
 
 def psi_bar(tau: PlanarTree) -> TreeSum:
     """Planar base change followed by termwise projection: the terms of the
-    planar image summed under the memoized text canonicalization."""
+    planar image summed under the memoized text canonicalization, its memo
+    read inline so that a known text costs no call."""
     acc: dict[str, int] = {}
     get = acc.get
+    canonical = _canonical_texts.get
     for t, c in _psi(tau.serialize()).items():
-        s = _canonical(t)
+        s = canonical(t) or _canonical(t)
         acc[s] = get(s, 0) + c
     return _sum_of_texts(NONPLANAR, acc)
 

@@ -19,6 +19,7 @@ built only for the public sums, once per distinct text.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import ge
 from types import MappingProxyType
 
 from .matrix import CoeffMatrix, _from_images
@@ -118,7 +119,8 @@ def _domain_table(tree, refined: bool) -> tuple:
       :mod:`prelie.orders`);
     * per vertex, its strict descendants, the indices right after it;
     * per (label, m), when not empty, the vertices carrying that label
-      with at least m strict descendants.
+      with at least m strict descendants;
+    * the numbers of strict descendants of all vertices, descending.
     """
     n = tree.degree
     pred = [0] * n
@@ -146,7 +148,8 @@ def _domain_table(tree, refined: bool) -> tuple:
             acc |= exact.get((label, m), 0)
             if acc:
                 masks[label, m] = acc
-    return tuple(pred), tuple(descendants), masks
+    counts = tuple(sorted(map(int.bit_count, descendants), reverse=True))
+    return tuple(pred), tuple(descendants), masks, counts
 
 
 @lru_cache(maxsize=None)
@@ -156,13 +159,14 @@ def _refined_table(sigma: PlanarTree) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _total_order_table(tau: PlanarTree) -> tuple[tuple[int, ...], tuple]:
+def _total_order_table(tau: PlanarTree) -> tuple[tuple[int, ...], tuple, tuple[int, ...]]:
     """For each vertex in the total-order listing of tau: the position of
     its parent in that listing (-1 for the root, which comes first), and
     its key (label, number of strict descendants) into the label masks of
-    a domain table.  With tau = branch o-> trunk the trunk's listing comes
-    before the branch's, so the listing is the root followed by the
-    listings of its children, last child first."""
+    a domain table; then the numbers of strict descendants, descending.
+    With tau = branch o-> trunk the trunk's listing comes before the
+    branch's, so the listing is the root followed by the listings of its
+    children, last child first."""
     parents, keys = [], []
 
     def walk(node, parent: int) -> None:
@@ -173,7 +177,7 @@ def _total_order_table(tau: PlanarTree) -> tuple[tuple[int, ...], tuple]:
             walk(child, k)
 
     walk(tau, -1)
-    return tuple(parents), tuple(keys)
+    return tuple(parents), tuple(keys), tuple(sorted([m for _, m in keys], reverse=True))
 
 
 def _count_bijections(table, tau: PlanarTree) -> int:
@@ -197,7 +201,11 @@ def _count_bijections(table, tau: PlanarTree) -> int:
       each strict descendant of w to a strict descendant of its image, and
       is injective.
 
-    The last two conditions are one lookup in the label masks.  The root
+    The last two conditions are one lookup in the label masks.  The last
+    one also gives a test before the search: the filling maps the vertices
+    of tau with at least m strict descendants injectively to domain
+    vertices with at least m, so when the domain's descending counts do
+    not dominate tau's term by term, there is no bijection.  The root
     of tau comes first in its listing, and its mask holds the domain root
     alone (the one vertex with degree - 1 strict descendants), which no
     vertex has to precede.  The enumeration runs on an explicit
@@ -206,8 +214,10 @@ def _count_bijections(table, tau: PlanarTree) -> int:
     earlier position, so its predecessors are placed: each candidate there
     counts as one bijection.
     """
-    pred, descendants, masks = table
-    parents, keys = _total_order_table(tau)
+    pred, descendants, masks, counts = table
+    parents, keys, tau_counts = _total_order_table(tau)
+    if not all(map(ge, counts, tau_counts)):
+        return 0
     try:
         allowed = list(map(masks.__getitem__, keys))
     except KeyError:  # a position no domain vertex may fill

@@ -1,9 +1,9 @@
 """Rooted trees: planar, non-planar (canonical) and planar binary.
 
-All tree values are immutable and hashable.  A rooted tree's
-serialization and degree are computed once, at construction, from its
-children's stored values; equality and hashing read the stored text.  The
-text grammar is
+All tree values are immutable and hashable.  There is one rooted tree
+per (class, text), compared and hashed by identity; its serialization and
+degree are computed once, when its text is first built, from its
+children's stored values.  The text grammar is
 
     tree  := label? "(" tree* ")"
     label := [a-z0-9_]+
@@ -57,26 +57,30 @@ class _RootedTree:
     """Body shared by planar and non-planar trees.  The two stay distinct
     classes: trees of different classes never compare equal.
 
-    A tree computes its serialization (interned) and its degree once, at
-    construction, from its children's stored values.  Equality is "same
-    class, same text" and the hash is the hash of the text.
-    """
+    There is one tree per (class, text), compared by identity: the
+    constructor returns the tree of its text from its class's table, and
+    only a new text builds one, storing its serialization (interned) and
+    degree.  Children of another class are refused, so no table holds a
+    tree mixing the two."""
 
     __slots__ = ("children", "label", "degree", "_text")
 
-    def __init__(self, children: tuple[_RootedTree, ...] = (), label: str | None = None):
+    def __new__(cls, children: tuple[_RootedTree, ...] = (), label: str | None = None):
         if label is not None and not _LABEL_RE.fullmatch(label):
             raise DomainError(f"bad label {label!r}")
-        children = self._arrange(tuple(children))
-        degree = 1
-        texts = []
-        for c in children:
-            degree += c.degree
-            texts.append(c._text)
-        _set_children(self, children)
-        _set_label(self, label)
-        _set_degree(self, degree)
-        _set_text(self, sys.intern(f"{label or ''}({''.join(texts)})"))
+        children = cls._arrange(tuple(children))
+        if any(type(c) is not cls for c in children):
+            raise DomainError(f"children of a {cls.__name__} must be {cls.__name__}s")
+        text = f"{label or ''}({''.join([c._text for c in children])})"
+        tree = cls._by_text.get(text)
+        if tree is None:
+            tree = object.__new__(cls)
+            _set_children(tree, children)
+            _set_label(tree, label)
+            _set_degree(tree, sum([c.degree for c in children], 1))
+            _set_text(tree, sys.intern(text))
+            cls._by_text[tree._text] = tree
+        return tree
 
     @staticmethod
     def _arrange(children: tuple) -> tuple:
@@ -87,14 +91,6 @@ class _RootedTree:
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._text == other._text
-
-    def __hash__(self):
-        return hash(self._text)
 
     def __reduce__(self):
         return type(self), (self.children, self.label)
@@ -141,6 +137,7 @@ class PlanarTree(_RootedTree):
     """Ordered rooted tree; the free-magma element on one or more generators."""
 
     __slots__ = ()
+    _by_text: dict[str, PlanarTree] = {}
 
 
 def _descending_key(child: _RootedTree) -> str:
@@ -151,6 +148,7 @@ class Tree(_RootedTree):
     """Non-planar rooted tree; children are a multiset stored in canonical order."""
 
     __slots__ = ()
+    _by_text: dict[str, Tree] = {}  # non-canonical texts read are keys too
 
     @staticmethod
     def _arrange(children: tuple) -> tuple:
@@ -186,12 +184,14 @@ def _child_texts(text: str) -> list[str]:
 
 
 def _text_builder(cls):
-    """The memoized map from serializations to trees of class ``cls``, by
-    which all text becomes trees.  Each distinct text is built once, sharing
-    its subtrees, at one recursive call per tree level.  A text for ``Tree``
-    need not be canonical: the constructor sorts the children."""
-    memo: dict[str, _RootedTree] = {}
-    get = memo.get
+    """The map from serializations to trees of class ``cls``, by which all
+    text becomes trees.  It reads and writes the class's table, so each
+    distinct text is built once, sharing its subtrees, at one recursive
+    call per tree level.  A text for ``Tree`` need not be canonical: the
+    constructor sorts the children, and the text becomes a second key of
+    the tree."""
+    table = cls._by_text
+    get = table.get
 
     def of_text(text: str):
         tree = get(text)
@@ -200,7 +200,7 @@ def _text_builder(cls):
             children = []
             for child in _child_texts(text):
                 children.append(of_text(child))
-            tree = memo[text] = cls(tuple(children), text[: text.index("(")] or None)
+            tree = table[text] = cls(tuple(children), text[: text.index("(")] or None)
         return tree
 
     return of_text

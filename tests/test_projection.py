@@ -1,4 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import prelie
 
 from prelie import (
     DegreeCapError,
@@ -50,6 +57,29 @@ def test_forget_planarity_matches_recursive_definition():
             assert forget_planarity(sigma) == want  # read back from the cache
     labeled = parse_planar("a(b()c(d()))")
     assert forget_planarity(labeled) == reference_forget_planarity(labeled)
+
+
+def test_forget_planarity_of_deep_trees_in_subprocess():
+    # A planar tree 900 levels deep whose every vertex has a leaf left of
+    # its deep child, canonicalized in a fresh process; the chain too.
+    planar = canonical = "()"
+    for _ in range(899):
+        planar, canonical = f"((){planar})", f"({canonical}())"
+    src = str(Path(prelie.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys\n"
+        "from prelie import forget_planarity, parse_planar\n"
+        "for text in sys.stdin.read().split():\n"
+        "    print(forget_planarity(parse_planar(text)).serialize())\n"
+    )
+    chain = "(" * 900 + ")" * 900
+    proc = subprocess.run(
+        [sys.executable, "-c", code], input=f"{planar}\n{chain}\n",
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"{canonical}\n{chain}\n"
 
 
 def test_fiber_sizes_degree4():

@@ -211,11 +211,100 @@ def test_bijection_tables_match_the_vertex_orders():
             rank = {w: k for k, w in enumerate(listing)}
             parents = tuple(rank[w[:-1]] if w else -1 for w in listing)
             keys = tuple((None, t.subtree(w).degree - 1) for w in listing)
-            assert _total_order_table(t) == (parents, keys)
+            assert _total_order_table(t)[:2] == (parents, keys)
         for s in enumerate_nonplanar(n):
             verts = s.vertices()
             ancestors = _masks(verts, lambda v, u: tree_less(u, v))
             assert _ancestor_table(s)[:2] == (ancestors, _masks(verts, tree_less))
+
+
+def reference_count_bijections(table, tau):
+    """The bijection count without the descendant-count test before the
+    search: the same enumeration, on the same tables."""
+    pred, descendants, masks = table[:3]
+    parents, keys = _total_order_table(tau)[:2]
+    try:
+        allowed = list(map(masks.__getitem__, keys))
+    except KeyError:  # a position no domain vertex may fill
+        return 0
+    last = len(keys) - 1
+    if not last:
+        return 1
+    image = [0] * len(keys)  # position in tau's listing -> domain vertex
+    free = [0] * len(keys)  # per position: the candidates not yet tried
+    free[1] = descendants[0] & allowed[1]
+    used = 1
+    count = 0
+    k = 1
+    while k:
+        f = free[k]
+        if not f:
+            k -= 1
+            used ^= 1 << image[k]
+            continue
+        if k == last:
+            count += 1
+            free[k] = 0
+            continue
+        bit = f & -f
+        free[k] = f ^ bit
+        i = bit.bit_length() - 1
+        if pred[i] & ~used:
+            continue
+        image[k] = i
+        used |= bit
+        k += 1
+        free[k] = descendants[image[parents[k]]] & allowed[k] & ~used
+    return count
+
+
+def _labeled(tree, alphabet="ab"):
+    """Every labeling of ``tree`` over ``alphabet``, as trees of its class."""
+    for label in alphabet:
+        for kids in product(*(_labeled(c, alphabet) for c in tree.children)):
+            yield type(tree)(kids, label)
+
+
+def _rejected(table, tau):
+    """Whether the domain's descending descendant counts fail to dominate
+    tau's, so that the count returns 0 before its search."""
+    return any(d < t for d, t in zip(table[3], _total_order_table(tau)[2]))
+
+
+def test_descendant_count_rejection_matches_reference_count():
+    rejected = 0
+    for n in range(1, 8):
+        planar, nonplanar = enumerate_planar(n), enumerate_nonplanar(n)
+        for tau in planar:
+            for sigma in planar:
+                table = _refined_table(sigma)
+                assert coeff_c_bijections(sigma, tau) == reference_count_bijections(table, tau)
+                rejected += _rejected(table, tau)
+            for s in nonplanar:
+                table = _ancestor_table(s)
+                assert count_tilde_b(s, tau) == reference_count_bijections(table, tau)
+                rejected += _rejected(table, tau)
+    assert rejected == 14742
+    for n in range(1, 5):
+        planar = [t for u in enumerate_planar(n) for t in _labeled(u)]
+        nonplanar = [t for u in enumerate_nonplanar(n) for t in _labeled(u)]
+        for tau in planar:
+            for sigma in planar:
+                want = reference_count_bijections(_refined_table(sigma), tau)
+                assert coeff_c_bijections(sigma, tau) == want
+            for s in nonplanar:
+                want = reference_count_bijections(_ancestor_table(s), tau)
+                assert count_tilde_b(s, tau) == want
+
+
+def test_domain_and_listing_tables_hold_descending_descendant_counts():
+    for n in range(1, 7):
+        for t in enumerate_planar(n):
+            want = tuple(sorted((t.subtree(v).degree - 1 for v in t.vertices()), reverse=True))
+            assert _refined_table(t)[3] == _total_order_table(t)[2] == want
+        for s in enumerate_nonplanar(n):
+            want = tuple(sorted((s.subtree(v).degree - 1 for v in s.vertices()), reverse=True))
+            assert _ancestor_table(s)[3] == want
 
 
 @pytest.mark.parametrize("n", [9, 10])

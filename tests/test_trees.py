@@ -1,6 +1,8 @@
+import copy
 import json
 import pickle
 import random
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +12,7 @@ from prelie import (
     DomainError,
     PlanarTree,
     Tree,
+    TreeSum,
     enumerate_binary,
     enumerate_nonplanar,
     enumerate_planar,
@@ -21,6 +24,7 @@ from prelie import (
     vertex_order,
 )
 from prelie.orders import left_refined_pairs
+from prelie.projection import planar_embeddings
 from prelie.trees import (
     _TOKEN_RE,
     _planar_of_text,
@@ -55,6 +59,14 @@ def automorphism_oracle(s: Tree) -> int:
         if all(image[parent[v]] == image[v][:-1] for v in verts if v):
             count += 1
     return count
+
+
+def labelings(tree, alphabet):
+    """Every way to put a label of ``alphabet`` on each vertex of ``tree``,
+    as trees of its class."""
+    for label in alphabet:
+        for kids in iproduct(*(labelings(c, alphabet) for c in tree.children)):
+            yield type(tree)(kids, label)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +358,55 @@ def test_equality_is_class_and_text():
             assert (a == b) == same
             if same:
                 assert hash(a) == hash(b)
+
+
+def _rebuilt(t):
+    """The ways of building ``t`` again, other than its own class's parse."""
+    out = [
+        type(t)(t.children, t.label),
+        type(t)(list(t.children), t.label),
+        type(t).from_json(t.to_json()),
+        pickle.loads(pickle.dumps(t)),
+        copy.deepcopy(t),
+        copy.copy(t),
+        TreeSum.single(t).terms[0][0],
+    ]
+    if isinstance(t, PlanarTree):
+        out += [parse_planar(t.serialize()), _planar_of_text(t.serialize())]
+    else:
+        # unsorted children and non-canonical texts reach the same tree
+        out += [Tree(t.children[::-1], t.label), parse_tree(t.serialize())]
+        for sigma in planar_embeddings(t):
+            out += [_tree_of_text(sigma.serialize()), parse_tree(sigma.serialize())]
+    return out
+
+
+def test_one_object_per_class_and_text():
+    labeled = []
+    for n in range(1, 5):
+        for u in enumerate_planar(n) + enumerate_nonplanar(n):
+            labeled += labelings(u, "ab")
+    for t in kernel_sample() + labeled:
+        for other in _rebuilt(t):
+            assert other is t, (t, other)
+
+
+def test_planar_and_nonplanar_of_one_text_are_distinct_objects():
+    for n in range(1, 7):
+        for s in enumerate_nonplanar(n):
+            sigma = _planar_of_text(s.serialize())
+            assert sigma is not s and sigma != s and s != sigma
+            assert {sigma: 1, s: 2}[sigma] == 1
+
+
+def test_children_of_the_other_class_are_refused():
+    for cls, other in ((PlanarTree, Tree), (Tree, PlanarTree)):
+        for kids in ((other(),), (cls(), other((other(),), "a"))):
+            with pytest.raises(DomainError):
+                cls(kids)
+    # no table was left holding a tree that mixes the classes
+    assert type(parse_planar("(())").children[0]) is PlanarTree
+    assert type(parse_tree("(()a(()))").children[0]) is Tree
 
 
 def test_nonplanar_children_keep_canonical_order():
