@@ -21,13 +21,17 @@ they agree with the coefficient in psi(tau).  The degree-10 AG expansion
 is 719 x 719 and each column sums to S(m), where S(g) = 1 and
 S([x,y]) = S(x) S(y) deg(y).  The pre-Lie and NAP identities hold on all
 1353 triples of total degree 10, and each graft(s, t) has coefficient sum
-|t|.  A failed check fails the run and the script exits 1.  Only the
+|t|.  The 2000 seeded ``prelie.cli.main`` requests of ``cli_requests_2000``
+all exit 0, each psi answer sums to N(tau), each product answer to the
+size of its right operand, and every ``--method both`` answer prints
+``match``.  A failed check fails the run and the script exits 1.  Only the
 standard library is used.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -263,6 +267,111 @@ def _graft_identities(n: int, triples: int):
     return setup, work, check
 
 
+def _random_planar(rng: random.Random, n: int) -> str:
+    """Uniform planar rooted tree with n vertices, by the cyclic lemma: of
+    the rotations of a shuffled word of n - 1 steps up and n steps down,
+    the one starting after the first lowest prefix keeps every proper
+    prefix sum >= 0, and without its last step it is the Dyck word of the
+    root's children."""
+    steps = [1] * (n - 1) + [-1] * n
+    rng.shuffle(steps)
+    low = total = start = 0
+    for i, step in enumerate(steps):
+        total += step
+        if total < low:
+            low, start = total, i + 1
+    word = steps[start:] + steps[:start]
+    return "(" + "".join("(" if step > 0 else ")" for step in word[:-1]) + ")"
+
+
+def _image_size(text: str) -> int:
+    """N(tau), the coefficient sum of psi(tau) for an unlabeled planar
+    tree: the product over vertices with children c_1 .. c_k of
+    (1 + |c_{i+1}| + ... + |c_k|) for i = 1 .. k."""
+    stack: list[list[int]] = [[]]  # sizes of the children read, per open vertex
+    size = 1
+    for ch in text:
+        if ch == "(":
+            stack.append([])
+        else:
+            rest = 1
+            for child in reversed(stack.pop()):
+                size *= rest
+                rest += child
+            stack[-1].append(rest)
+    return size
+
+
+def _coefficient_sum(text: str) -> int:
+    return sum(int(term.split()[0]) for term in text.split(" + "))
+
+
+# (kind, requests, lowest degree, highest degree); the degrees cycle
+CLI_MIX = (
+    ("psi", 800, 5, 8),
+    ("coeff", 300, 4, 6),
+    ("alpha", 300, 4, 6),
+    ("psi-inverse", 300, 3, 7),
+    ("product", 300, 1, 5),
+)
+
+
+def _cli_requests():
+    """Seeded command lines through ``prelie.cli.main`` in one process,
+    stdout captured, sharing the library's caches as a batch of requests
+    does.  The parser is built by the first request, inside the timing."""
+
+    def setup(P):
+        import prelie.cli
+
+        rng = random.Random(11)
+        requests = []
+        for kind, count, lo, hi in CLI_MIX:
+            for i in range(count):
+                n = lo + i % (hi - lo + 1)
+                a, b = _random_planar(rng, n), _random_planar(rng, n)
+                if kind in ("psi", "psi-inverse"):
+                    argv = ["compute", kind, "--tree", a]
+                elif kind == "coeff":
+                    argv = ["compute", kind, "--sigma", a, "--tau", b, "--method", "both"]
+                elif kind == "alpha":
+                    argv = ["compute", kind, "--s", a, "--tau", b, "--method", "both"]
+                else:
+                    right = _random_planar(rng, rng.randint(lo, hi))
+                    product = rng.choice(("graft", "left-graft"))
+                    argv = ["compute", kind, "--product", product, "--left", a, "--right", right]
+                requests.append(argv)
+        rng.shuffle(requests)
+        return prelie.cli, requests
+
+    def work(P, state):
+        cli, requests = state
+        out = []
+        for argv in requests:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = cli.main(argv)
+            out.append((argv, code, buf.getvalue()))
+        return out
+
+    def check(P, out):
+        if len(out) != sum(count for _, count, _, _ in CLI_MIX):
+            return False, f"{len(out)} requests"
+        for argv, code, stdout in out:
+            kind = argv[1]
+            if code != 0:
+                return False, f"{argv}: exit {code}"
+            if kind == "psi" and _coefficient_sum(stdout) != _image_size(argv[3]):
+                return False, f"psi({argv[3]}) coefficient sum is not N(tau)"
+            if kind == "product" and _coefficient_sum(stdout) != argv[7].count("("):
+                return False, f"{argv}: coefficient sum is not |right|"
+            if kind in ("coeff", "alpha") and stdout.splitlines()[-1] != "match":
+                return False, f"{argv}: methods disagree"
+        return True, f"{len(out)} requests exit 0; psi sums N(tau), products |right|, both methods match"
+
+    return setup, work, check
+
+
 LAYERS = {
     "psi_all_9": _psi_layer(9),
     "psi_all_10": _psi_layer(10),
@@ -274,6 +383,7 @@ LAYERS = {
     "oracle_sample_10": _oracle_sample(10, 1000),
     "ag_expand_10": _ag_expand(10, 719),
     "graft_identities_10": _graft_identities(10, 1353),
+    "cli_requests_2000": _cli_requests(),
 }
 
 

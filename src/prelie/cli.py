@@ -4,8 +4,14 @@ Subcommands: enumerate, compute, verify, section.  This module only parses
 arguments, calls the library and prints; the verification suites live in
 :mod:`prelie.verify`.  Output formats are text (default), json and csv
 where a matrix is involved.  Exit codes: 0 success, 1 verification
-failure, 2 bad arguments, 3 degree cap exceeded or a tree nested too
-deeply to process, 4 dual-method disagreement.
+failure, 2 bad arguments, 3 degree cap exceeded, a tree nested too
+deeply to process or a dense matrix above its cell budget, 4 dual-method
+disagreement, 141 output pipe closed by its reader (silent, as for
+``prelie ... | head``).
+
+Each command line goes straight to the parser of its leaf subcommand
+(``enumerate``, ``verify``, ``section``, ``compute <op>``); help and usage
+errors still come from the full parser tree, byte for byte.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_BAD_ARGS = 2
 EXIT_CAP = 3
 EXIT_MISMATCH = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer cut off by head
 
 # Each public library operation the CLI reaches, with one complete command
 # line that reaches it.  Operations no command reaches are not listed.
@@ -274,12 +281,18 @@ def cmd_section(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="prelie", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # The parser of each leaf subcommand, keyed by the words that select it.
+    parser.leaves = {}
+
+    def leaf(subparsers, *words, **kwargs):
+        parser.leaves[words] = p = subparsers.add_parser(words[-1], **kwargs)
+        return p
 
     def add_format(p, csv=False):
         choices = ["text", "json"] + (["csv"] if csv else [])
         p.add_argument("--format", choices=choices, default="text")
 
-    p = sub.add_parser("enumerate", help="list trees of one degree")
+    p = leaf(sub, "enumerate", help="list trees of one degree")
     p.add_argument("kind", choices=["planar", "nonplanar", "binary"])
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--cap", type=int, default=None)
@@ -289,24 +302,24 @@ def build_parser() -> argparse.ArgumentParser:
     comp = sub.add_parser("compute", help="run one library operation")
     csub = comp.add_subparsers(dest="operation", required=True)
 
-    p = csub.add_parser("product")
+    p = leaf(csub, "compute", "product")
     p.add_argument("--product", choices=sorted(PRODUCTS), required=True)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     add_format(p)
     p.set_defaults(func=cmd_compute_product)
 
-    p = csub.add_parser("psi")
+    p = leaf(csub, "compute", "psi")
     p.add_argument("--tree", required=True)
     add_format(p)
     p.set_defaults(func=cmd_compute_psi)
 
-    p = csub.add_parser("psi-inverse")
+    p = leaf(csub, "compute", "psi-inverse")
     p.add_argument("--tree", required=True)
     add_format(p)
     p.set_defaults(func=cmd_compute_psi_inverse)
 
-    p = csub.add_parser("coeff")
+    p = leaf(csub, "compute", "coeff")
     p.add_argument("--sigma", required=True)
     p.add_argument("--tau", required=True)
     p.add_argument("--method", choices=["recursive", "bijections", "both"], default="recursive")
@@ -314,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(func=cmd_compute_coeff)
 
-    p = csub.add_parser("alpha")
+    p = leaf(csub, "compute", "alpha")
     p.add_argument("--s", required=True)
     p.add_argument("--tau", required=True)
     p.add_argument("--method", choices=["fiber", "bijections", "both"], default="fiber")
@@ -322,41 +335,41 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(func=cmd_compute_alpha)
 
-    p = csub.add_parser("matrix")
+    p = leaf(csub, "compute", "matrix")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--cap", type=int, default=None)
     add_format(p, csv=True)
     p.set_defaults(func=cmd_compute_matrix)
 
-    p = csub.add_parser("beta")
+    p = leaf(csub, "compute", "beta")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--section", default=None, help="section file; default section if omitted")
     p.add_argument("--cap", type=int, default=None)
     add_format(p, csv=True)
     p.set_defaults(func=cmd_compute_beta)
 
-    p = csub.add_parser("expand")
+    p = leaf(csub, "compute", "expand")
     p.add_argument("--ag", action="store_true")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--cap", type=int, default=None)
     add_format(p, csv=True)
     p.set_defaults(func=cmd_compute_expand)
 
-    p = csub.add_parser("ag-multigen")
+    p = leaf(csub, "compute", "ag-multigen")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--alphabet", default="a,b")
     p.add_argument("--cap", type=int, default=None)
     add_format(p)
     p.set_defaults(func=cmd_compute_ag_multigen)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+    p = leaf(sub, "verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(verify.SUITES))
     p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     add_format(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("section", help="validate or show a section file")
+    p = leaf(sub, "section", help="validate or show a section file")
     p.add_argument("action", choices=["validate", "show"])
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--degree", type=int, default=4)
@@ -373,10 +386,34 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """Parse one command line with the parser of its leaf subcommand, the
+    same object the full tree would hand it to.  Anything the leaf alone
+    cannot take (no leaf named, or arguments left over) goes through the
+    full tree, so help, usage errors and exit codes are the tree's own."""
+    parser = _parser()
+    words = sys.argv[1:] if argv is None else list(argv)
+    for n in (1, 2):
+        leaf = parser.leaves.get(tuple(words[:n]))
+        if leaf is not None:
+            args, rest = leaf.parse_known_args(words[n:])
+            if not rest:
+                return args
+            break
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader is gone (``prelie ... | head``): what is still
+        # buffered goes to the null device, so the flush at exit is silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except DegreeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

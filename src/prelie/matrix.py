@@ -7,6 +7,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .trees import DegreeCapError
+
 
 @dataclass(frozen=True)
 class CoeffMatrix:
@@ -100,14 +102,31 @@ class CoeffMatrix:
         return json.dumps(self.to_json())
 
 
+# Most cells one dense matrix may have.  psi_matrix(10) (4862^2 = 23.6M cells)
+# and the degree-12 AG expansion and beta (4766^2 = 22.7M) fit; the next
+# planar degree (16796^2 = 282M cells) cannot be held in memory.
+MAX_DENSE_CELLS = 24_000_000
+
+
 def _from_images(degree: int, rows, cols, images) -> CoeffMatrix:
     """Matrix with one column per element of ``cols``: the coefficients of
-    the matching sum in ``images`` over the trees ``rows``.  Rows and
-    columns are named by their serializations.  Each row text is indexed
-    once and only the nonzero cells are written."""
+    the matching image in the iterable ``images`` over the trees ``rows``.
+    Rows and columns are named by their serializations.  Each row text is
+    indexed once and only the nonzero cells are written.  A shape above
+    :data:`MAX_DENSE_CELLS` raises ``DegreeCapError`` before the first
+    image is drawn."""
     row_basis = tuple(r.serialize() for r in rows)
+    col_basis = tuple(c.serialize() for c in cols)
+    if len(row_basis) * len(col_basis) > MAX_DENSE_CELLS:
+        raise DegreeCapError(
+            f"degree {degree}: a dense {len(row_basis)} x {len(col_basis)} matrix "
+            f"exceeds {MAX_DENSE_CELLS} cells"
+        )
+    # Every image is built before the rows exist: the collector, which runs
+    # while images are built, would otherwise walk each row cell each time.
+    images = list(images)
     index = {r: i for i, r in enumerate(row_basis)}
-    cells = [[0] * len(images) for _ in row_basis]
+    cells = [[0] * len(col_basis) for _ in row_basis]
     for j, image in enumerate(images):
         for t, c in image.terms:
             i = index.get(t.serialize())
@@ -116,6 +135,6 @@ def _from_images(degree: int, rows, cols, images) -> CoeffMatrix:
     return CoeffMatrix(
         degree=degree,
         row_basis=row_basis,
-        col_basis=tuple(c.serialize() for c in cols),
+        col_basis=col_basis,
         entries=tuple(map(tuple, cells)),
     )

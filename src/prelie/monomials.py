@@ -232,7 +232,7 @@ def expand_basis(basis: MonomialBasis, max_degree: int = ENUMERATION_CAP) -> Coe
     for m in basis.monomials:
         if len(m.generator_names()) != 1:
             raise DomainError("expansion matrices are single-generator only")
-    images = [evaluate(m, "graft") for m in basis.monomials]
+    images = (evaluate(m, "graft") for m in basis.monomials)
     return _from_images(basis.degree, rows, basis.monomials, images)
 
 

@@ -106,7 +106,7 @@ def alpha_matrix(n: int, max_degree: int = ENUMERATION_CAP) -> CoeffMatrix:
     planar columns, both in canonical order."""
     rows = enumerate_nonplanar(n, max_degree)
     cols = enumerate_planar(n, max_degree)
-    return _from_images(n, rows, cols, [psi_bar(tau) for tau in cols])
+    return _from_images(n, rows, cols, (psi_bar(tau) for tau in cols))
 
 
 # ---------------------------------------------------------------------------
@@ -200,4 +200,4 @@ def beta_matrix(section: Section, n: int, max_degree: int = ENUMERATION_CAP) -> 
     for t in basis:
         if not section.covers(t):
             raise DomainError(f"section does not cover degree {n}")
-    return _from_images(n, basis, basis, [psi_tilde(section, t) for t in basis])
+    return _from_images(n, basis, basis, (psi_tilde(section, t) for t in basis))

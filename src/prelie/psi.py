@@ -269,7 +269,7 @@ def coeff_c_bijections(
 def psi_matrix(n: int, max_degree: int = ENUMERATION_CAP) -> CoeffMatrix:
     """Per-degree matrix of the isomorphism over the canonical planar basis."""
     basis = enumerate_planar(n, max_degree)
-    return _from_images(n, basis, basis, [psi(tau) for tau in basis])
+    return _from_images(n, basis, basis, (psi(tau) for tau in basis))
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,8 @@
 import inspect
 import json
 import os
+import random
+import shlex
 import subprocess
 import sys
 from itertools import product as iproduct
@@ -525,3 +527,173 @@ def test_registry_paths_reach_their_operation(capsys):
         capsys.readouterr()
         assert exit_code == 0, path
         assert code_object in entered, f"{path} does not reach {name}"
+
+
+# ---------------------------------------------------------------------------
+# leaf-first dispatch against the full parser tree
+
+
+def reference_main(argv):
+    """``main`` as it was before leaf-first dispatch: the whole parser tree
+    parses every line, then the same exception mapping."""
+    args = cli.build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except cli.DegreeCapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli.EXIT_CAP
+    except RecursionError:
+        print("error: tree nested too deeply to process", file=sys.stderr)
+        return cli.EXIT_CAP
+    except (cli.DomainError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli.EXIT_BAD_ARGS
+
+
+def outcome(capsys, fn, argv):
+    """(exit code, stdout, stderr) of one call, a ``SystemExit`` included."""
+    try:
+        code = fn(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+EDGE_CASES = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["enumerate", "-h"],
+    ["compute", "-h"],
+    ["compute", "psi", "-h"],
+    ["compute", "psi", "--tree", "()", "-h"],
+    ["verify", "--help"],
+    ["section", "-h"],
+    ["frobnicate"],
+    ["-x"],
+    ["compute"],
+    ["compute", "frobnicate"],
+    ["compute", "-x"],
+    ["compute", "psi"],
+    ["compute", "psi", "--tree"],
+    ["enumerate", "planar"],
+    ["enumerate", "trees", "--degree", "3"],
+    ["compute", "coeff", "--sigma", "()", "--tau", "()", "--method", "all"],
+    ["enumerate", "planar", "--degree", "x"],
+    ["enumerate", "planar", "--deg", "3"],
+    ["enumerate", "--degree", "3", "planar"],
+    ["compute", "psi", "--tree=(())"],
+    ["compute", "psi", "--tre", "(())"],
+    ["compute", "psi", "--", "--tree", "(())"],
+    ["--", "compute", "psi", "--tree", "()"],
+    ["compute", "--", "psi", "--tree", "()"],
+    ["enumerate", "--", "planar", "--degree", "3"],
+    ["enumerate", "planar", "--degree", "3", "extra"],
+    ["compute", "psi", "--tree", "()", "extra"],
+    ["section", "show", "a", "b"],
+    ["enumerate", "planar", "--degree", "3", "--unknown"],
+    ["compute", "psi", "--tree", "()", "--tree", "(())"],
+    ["compute", "matrix", "--degree", "3", "--format", "xml"],
+    ["section"],
+    ["verify", "sequences", "--max-degree", "-1"],
+    ["compute", "alpha", "--ta", "(())", "--s", "(())"],
+    ["compute", "psi-inverse", "--tree", ""],
+    ["compute", "expand", "--ag", "--ag", "--degree", "2"],
+]
+
+
+def readme_command_lines():
+    """Each ``prelie ...`` line of the README, split into words, with the
+    file a ``>`` redirection names."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    for line in readme.read_text().splitlines():
+        if line.startswith("prelie "):
+            command, _, target = line.partition(" > ")
+            yield shlex.split(command)[1:], target.strip() or None
+
+
+def sampled_request_lines(seed=11, count=60):
+    """Seeded compute psi / psi-inverse / coeff / alpha / product lines."""
+    rng = random.Random(seed)
+    trees = {n: [t.serialize() for t in prelie.enumerate_planar(n)] for n in range(1, 7)}
+    lines = []
+    for k in range(count):
+        n = rng.randint(1, 6)
+        a, b = rng.choice(trees[n]), rng.choice(trees[n])
+        fmt = ["--format", "json"] if k % 7 == 0 else []
+        kind = k % 5
+        if kind == 0:
+            lines.append(["compute", "psi", "--tree", a, *fmt])
+        elif kind == 1:
+            lines.append(["compute", "psi-inverse", "--tree", a, *fmt])
+        elif kind == 2:
+            method = rng.choice(["recursive", "bijections", "both"])
+            lines.append(["compute", "coeff", "--sigma", a, "--tau", b, "--method", method, *fmt])
+        elif kind == 3:
+            method = rng.choice(["fiber", "bijections", "both"])
+            lines.append(["compute", "alpha", "--s", a, "--tau", b, "--method", method, *fmt])
+        else:
+            product = rng.choice(sorted(cli.PRODUCTS))
+            right = rng.choice(trees[rng.randint(1, 5)])
+            lines.append(["compute", "product", "--product", product, "--left", a, "--right", right, *fmt])
+    return lines
+
+
+def test_leaf_dispatch_matches_full_parser(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("PRELIE_MAX_DEGREE", raising=False)
+    monkeypatch.chdir(tmp_path)
+    cases = [path.split() for path in OP_REGISTRY.values()] + EDGE_CASES + sampled_request_lines()
+    for argv in cases:
+        want = outcome(capsys, reference_main, argv)
+        assert outcome(capsys, main, argv) == want, argv
+    readme = list(readme_command_lines())
+    assert len(readme) >= 15
+    for argv, target in readme:
+        want = outcome(capsys, reference_main, argv)
+        assert outcome(capsys, main, argv) == want, argv
+        if target:
+            (tmp_path / target).write_text(want[1])
+
+
+def test_leaf_parsers_are_recorded_under_their_command_words():
+    parser = cli._parser()
+    assert set(parser.leaves) == {
+        ("enumerate",), ("verify",), ("section",),
+        *(("compute", op) for op in (
+            "product", "psi", "psi-inverse", "coeff", "alpha", "matrix", "beta",
+            "expand", "ag-multigen",
+        )),
+    }
+    for words, leaf in parser.leaves.items():
+        assert leaf.prog == " ".join(("prelie", *words))
+
+
+def test_closed_output_pipe_exits_141_silently():
+    # degree 11 prints about 570 kB, more than a pipe holds, so the writer is
+    # still writing when the reader closes its end
+    src = str(Path(prelie.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "prelie.cli", "enumerate", "planar", "--degree", "11"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert first == b"((((((((((()))))))))))  energy=55\n"
+    assert err == b""
+
+
+def test_dense_matrix_above_cell_budget_exits_3_before_any_image(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("an image was computed above the cell budget")
+
+    monkeypatch.setattr(sys.modules["prelie.psi"], "psi", no_work)
+    code = main(["compute", "matrix", "--degree", "11"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: degree 11: a dense 16796 x 16796 matrix exceeds 24000000 cells\n"

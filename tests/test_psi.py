@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -9,6 +10,7 @@ from prelie import (
     PlanarTree,
     TreeSum,
     alpha,
+    alpha_matrix,
     coeff_c_bijections,
     coeff_c_recursive,
     count_tilde_b,
@@ -28,6 +30,7 @@ from prelie import (
     symmetry_factor,
     verify_a088716,
 )
+from prelie import matrix
 from prelie.orders import left_refined_pairs, total_order_list, tree_less
 from prelie.products import PLANAR
 from prelie.projection import _ancestor_table
@@ -369,6 +372,29 @@ def test_psi_matrix_degree3():
     m = psi_matrix(3)
     assert m.entries == ((1, 1), (0, 1))
     assert m.row_basis == ("((()))", "(()())")
+
+
+def test_dense_matrix_above_the_cell_budget_is_refused_before_any_image(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("an image was computed above the cell budget")
+
+    monkeypatch.setattr(sys.modules["prelie.psi"], "psi", no_work)
+    monkeypatch.setattr(sys.modules["prelie.projection"], "psi_bar", no_work)
+    with pytest.raises(DegreeCapError, match="16796 x 16796 matrix exceeds 24000000 cells"):
+        psi_matrix(11)
+    with pytest.raises(DegreeCapError, match="1842 x 16796 matrix"):
+        alpha_matrix(11)
+    # the budget admits psi_matrix(10) and the degree-12 AG expansion and beta
+    assert 4862 ** 2 <= matrix.MAX_DENSE_CELLS < 1842 * 16796
+    assert 4766 ** 2 <= matrix.MAX_DENSE_CELLS
+
+
+def test_dense_matrix_cell_budget_is_inclusive(monkeypatch):
+    monkeypatch.setattr(matrix, "MAX_DENSE_CELLS", 25)
+    assert psi_matrix(4).shape == (5, 5)
+    monkeypatch.setattr(matrix, "MAX_DENSE_CELLS", 24)
+    with pytest.raises(DegreeCapError, match="5 x 5 matrix exceeds 24 cells"):
+        psi_matrix(4)
 
 
 def test_psi_matrix_degree4_statistics():
