@@ -14,7 +14,10 @@ the commits.  Without ``--out`` the file is ``BENCH.json`` at the root.
 
 A layer's output is checked after it is timed: the entry sum of every psi
 and alpha matrix, and the coefficient total of psi over a whole degree,
-equal the A088716 term; the inverse composes back to the identity on a
+equal the A088716 term, and each matrix column sums to N(tau), the
+coefficient sum of psi(tau); the inverse satisfies
+sum_tau psi^-1(sigma)_tau N(tau) = 1 for every sigma (the coefficient sum
+of psi(psi^-1(sigma)) = sigma) and composes back to the identity on a
 seeded sample; beta is unipotent.  The two coefficient oracles agree on
 every degree-7 pair, with column sums N(tau); on seeded degree-10 pairs
 they agree with the coefficient in psi(tau).  The degree-10 AG expansion
@@ -34,6 +37,7 @@ import argparse
 import contextlib
 import io
 import json
+import operator
 import os
 import platform
 import random
@@ -76,9 +80,21 @@ def _psi_layer(n: int):
 
 
 def _matrix_check(n: int):
+    """Entry sum A088716(n), and each column, named by a planar tree text,
+    sums to N(tau).  The column sums are added row by row, so the check
+    holds no second copy of a dense matrix."""
+
     def check(P, m):
         total = m.entry_sum()
-        return total == a088716(n), f"entry sum {total}, A088716({n}) = {a088716(n)}"
+        if total != a088716(n):
+            return False, f"entry sum {total}, A088716({n}) = {a088716(n)}"
+        sums = [0] * len(m.col_basis)
+        for row in m.entries:
+            sums = list(map(operator.add, sums, row))
+        for tau, total in zip(m.col_basis, sums):
+            if total != _image_size(tau):
+                return False, f"column {tau} sums to {total}, N = {_image_size(tau)}"
+        return True, f"entry sum A088716({n}) = {a088716(n)}; column sums N(tau)"
 
     return check
 
@@ -99,6 +115,16 @@ def _psi_inverse(n: int):
         return {t: P.psi_inverse(t) for t in basis}
 
     def check(P, inverses):
+        sizes: dict = {}
+        for sigma, preimage in inverses.items():
+            weighted = 0
+            for rho, d in preimage.terms:
+                text = str(rho)
+                if text not in sizes:
+                    sizes[text] = _image_size(text)
+                weighted += d * sizes[text]
+            if weighted != 1:
+                return False, f"sum of c N(tau) over psi_inverse({sigma}) is {weighted}"
         sample = random.Random(n).sample(sorted(inverses, key=str), 20)
         for sigma in sample:
             image: dict = {}
@@ -107,7 +133,8 @@ def _psi_inverse(n: int):
                     image[t] = image.get(t, 0) + c * d
             if {t: c for t, c in image.items() if c} != {sigma: 1}:
                 return False, f"psi(psi_inverse({sigma})) != {sigma}"
-        return True, "psi(psi_inverse(sigma)) = sigma on 20 seeded trees"
+        return True, ("sum of c N(tau) over each psi_inverse(sigma) is 1; "
+                      "psi(psi_inverse(sigma)) = sigma on 20 seeded trees")
 
     return setup, work, check
 
@@ -376,8 +403,10 @@ LAYERS = {
     "psi_all_9": _psi_layer(9),
     "psi_all_10": _psi_layer(10),
     "psi_matrix_9": _psi_matrix(9),
+    "psi_matrix_10": _psi_matrix(10),
     "alpha_matrix_9_after_psi_matrix": _alpha_after_psi(9),
     "psi_inverse_all_9": _psi_inverse(9),
+    "psi_inverse_all_10": _psi_inverse(10),
     "beta_matrix_default_section_9": _beta_default(9),
     "oracle_all_7": _oracle_all(7),
     "oracle_sample_10": _oracle_sample(10, 1000),

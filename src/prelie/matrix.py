@@ -108,28 +108,30 @@ class CoeffMatrix:
 MAX_DENSE_CELLS = 24_000_000
 
 
-def _from_images(degree: int, rows, cols, images) -> CoeffMatrix:
-    """Matrix with one column per element of ``cols``: the coefficients of
-    the matching image in the iterable ``images`` over the trees ``rows``.
-    Rows and columns are named by their serializations.  Each row text is
-    indexed once and only the nonzero cells are written.  A shape above
-    :data:`MAX_DENSE_CELLS` raises ``DegreeCapError`` before the first
-    image is drawn."""
-    row_basis = tuple(r.serialize() for r in rows)
-    col_basis = tuple(c.serialize() for c in cols)
-    if len(row_basis) * len(col_basis) > MAX_DENSE_CELLS:
+def _check_dense(degree: int, rows: int, cols: int) -> None:
+    """Raise ``DegreeCapError`` when a dense ``rows`` x ``cols`` matrix
+    exceeds :data:`MAX_DENSE_CELLS`.  Every matrix builder calls it with the
+    closed-form sizes of its bases, before any tree is enumerated."""
+    if rows * cols > MAX_DENSE_CELLS:
         raise DegreeCapError(
-            f"degree {degree}: a dense {len(row_basis)} x {len(col_basis)} matrix "
-            f"exceeds {MAX_DENSE_CELLS} cells"
+            f"degree {degree}: a dense {rows} x {cols} matrix exceeds {MAX_DENSE_CELLS} cells"
         )
-    # Every image is built before the rows exist: the collector, which runs
+
+
+def _from_images(degree: int, row_basis: tuple, col_basis: tuple, images) -> CoeffMatrix:
+    """Matrix with one column per text of ``col_basis``: the coefficients of
+    the matching image in the iterable ``images``, each an iterable of
+    (text, coefficient) pairs, over the texts ``row_basis``.  Each row text
+    is indexed once and only the nonzero cells are written; the caller has
+    checked the shape with :func:`_check_dense`."""
+    # Every image is drawn before the rows exist: the collector, which runs
     # while images are built, would otherwise walk each row cell each time.
     images = list(images)
     index = {r: i for i, r in enumerate(row_basis)}
     cells = [[0] * len(col_basis) for _ in row_basis]
     for j, image in enumerate(images):
-        for t, c in image.terms:
-            i = index.get(t.serialize())
+        for t, c in image:
+            i = index.get(t)
             if i is not None:
                 cells[i][j] = c
     return CoeffMatrix(

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .matrix import CoeffMatrix, _from_images
+from .matrix import CoeffMatrix, _check_dense, _from_images
 from .products import TreeSum, bilinear_extend, product_flavor
 from .projection import Section
 from .trees import (
@@ -26,6 +26,8 @@ from .trees import (
     PlanarTree,
     Tree,
     _LABEL_RE,
+    _check_degree,
+    _nonplanar_count,
     canonical_key,
     enumerate_nonplanar,
 )
@@ -228,12 +230,16 @@ def ag_basis_multigen(
 def expand_basis(basis: MonomialBasis, max_degree: int = ENUMERATION_CAP) -> CoeffMatrix:
     """Tree expansions of a one-generator basis: one column per monomial,
     rows over the canonical non-planar basis."""
-    rows = enumerate_nonplanar(basis.degree, max_degree)
+    n = basis.degree
+    _check_degree(n, max_degree)
+    _check_dense(n, _nonplanar_count(n), len(basis.monomials))
+    rows = tuple([t._text for t in enumerate_nonplanar(n, max_degree)])
     for m in basis.monomials:
         if len(m.generator_names()) != 1:
             raise DomainError("expansion matrices are single-generator only")
-    images = (evaluate(m, "graft") for m in basis.monomials)
-    return _from_images(basis.degree, rows, basis.monomials, images)
+    cols = tuple([m.serialize() for m in basis.monomials])
+    images = (((t._text, c) for t, c in evaluate(m, "graft").terms) for m in basis.monomials)
+    return _from_images(n, rows, cols, images)
 
 
 def is_tree_grounded(

@@ -113,13 +113,21 @@ class TreeSum:
         return json.dumps(self.to_json())
 
 
+def _ranked(acc: dict[str, int]) -> list[tuple[bytes, str, int]]:
+    """The (``serial_key``, text, coefficient) triples of a dict from
+    serializations to coefficients, zeros dropped, sorted once, descending:
+    the order of every sum's terms."""
+    return sorted(
+        [(t.encode().translate(_KEY_TABLE), t, c) for t, c in acc.items() if c], reverse=True
+    )
+
+
 def _sum_of_texts(flavor: str, acc: dict[str, int]) -> TreeSum:
-    """The sum of a dict from serializations to coefficients: zeros dropped,
-    texts sorted once by ``serial_key``, descending, and each tree read from
-    the memoized text-to-tree map of its class."""
+    """The sum of a dict from serializations to coefficients, its terms in
+    :func:`_ranked` order, each tree read from the memoized text-to-tree map
+    of its class."""
     of_text = _planar_of_text if flavor == PLANAR else _tree_of_text
-    ranked = sorted([(t.translate(_KEY_TABLE), t, c) for t, c in acc.items() if c], reverse=True)
-    return TreeSum(flavor, tuple([(of_text(t), c) for _, t, c in ranked]))
+    return TreeSum(flavor, tuple([(of_text(t), c) for _, t, c in _ranked(acc)]))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +185,7 @@ def _left_graft_texts(acc: dict, a, b) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _children(text: str) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
+def _children(text: str) -> tuple[str, tuple[str, ...], tuple[bytes, ...]]:
     """The label of a canonical tree text, its children's texts left to
     right (descending serialization order) and their keys in ascending
     order."""
@@ -185,7 +193,7 @@ def _children(text: str) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
     return text[: text.index("(")], kids, tuple(map(serial_key, reversed(kids)))
 
 
-def _joined(label: str, kids: tuple[str, ...], keys: tuple[str, ...], x: str) -> str:
+def _joined(label: str, kids: tuple[str, ...], keys: tuple[bytes, ...], x: str) -> str:
     """The canonical text of a vertex labeled ``label`` whose children are
     the canonical texts ``kids`` (their keys ``keys`` ascending) and ``x``:
     ``x`` goes right after the children of higher key, where

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations, product
 
-from .matrix import CoeffMatrix, _from_images
+from .matrix import CoeffMatrix, _check_dense, _from_images
 from .psi import _count_bijections, _domain_table, _psi, coeff_c_recursive
 from .products import NONPLANAR, TreeSum, _sum_of_texts
 from .trees import (
@@ -23,7 +23,10 @@ from .trees import (
     DomainError,
     PlanarTree,
     Tree,
+    _check_degree,
     _child_texts,
+    _nonplanar_count,
+    _planar_count,
     _planar_of_text,
     _tree_of_text,
     enumerate_nonplanar,
@@ -63,17 +66,22 @@ def _canonical(text: str) -> str:
     return out
 
 
-def psi_bar(tau: PlanarTree) -> TreeSum:
-    """Planar base change followed by termwise projection: the terms of the
-    planar image summed under the memoized text canonicalization, its memo
-    read inline so that a known text costs no call."""
+def _psi_bar(text: str) -> dict[str, int]:
+    """The projected image of a planar tree text: the terms of its planar
+    image summed under the memoized text canonicalization, its memo read
+    inline so that a known text costs no call."""
     acc: dict[str, int] = {}
     get = acc.get
     canonical = _canonical_texts.get
-    for t, c in _psi(tau.serialize()).items():
+    for t, c in _psi(text).items():
         s = canonical(t) or _canonical(t)
         acc[s] = get(s, 0) + c
-    return _sum_of_texts(NONPLANAR, acc)
+    return acc
+
+
+def psi_bar(tau: PlanarTree) -> TreeSum:
+    """Planar base change followed by termwise projection."""
+    return _sum_of_texts(NONPLANAR, _psi_bar(tau.serialize()))
 
 
 def alpha(s: Tree, tau: PlanarTree) -> int:
@@ -104,9 +112,11 @@ def _ancestor_table(s: Tree) -> tuple:
 def alpha_matrix(n: int, max_degree: int = ENUMERATION_CAP) -> CoeffMatrix:
     """Rectangular matrix of the projected base change: non-planar rows,
     planar columns, both in canonical order."""
-    rows = enumerate_nonplanar(n, max_degree)
-    cols = enumerate_planar(n, max_degree)
-    return _from_images(n, rows, cols, (psi_bar(tau) for tau in cols))
+    _check_degree(n, max_degree)
+    _check_dense(n, _nonplanar_count(n), _planar_count(n))
+    rows = tuple([t._text for t in enumerate_nonplanar(n, max_degree)])
+    cols = tuple([tau._text for tau in enumerate_planar(n, max_degree)])
+    return _from_images(n, rows, cols, (_psi_bar(text).items() for text in cols))
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +206,13 @@ def psi_tilde(section: Section, t: Tree) -> TreeSum:
 
 
 def beta_matrix(section: Section, n: int, max_degree: int = ENUMERATION_CAP) -> CoeffMatrix:
+    """Square matrix of the non-planar expansions through ``section``, over
+    the canonical non-planar basis."""
+    _check_degree(n, max_degree)
+    _check_dense(n, _nonplanar_count(n), _nonplanar_count(n))
     basis = enumerate_nonplanar(n, max_degree)
     for t in basis:
         if not section.covers(t):
             raise DomainError(f"section does not cover degree {n}")
-    return _from_images(n, basis, basis, (psi_tilde(section, t) for t in basis))
+    texts = tuple([t._text for t in basis])
+    return _from_images(n, texts, texts, (_psi_bar(section(t)._text).items() for t in basis))

@@ -6,14 +6,25 @@ fixing the single vertex and intertwining the two products is unipotent
 upper triangular per degree in the canonical basis order.  Its
 coefficients c(sigma, tau) are computed two independent ways: by the
 decomposition recursion, and by brute-force counting of order-compatible
-vertex bijections.  Unipotence alone gives the inverse: each preimage is
-the tree minus the preimages of the higher-energy terms of its image.
+vertex bijections.
 
 The isomorphism is computed on serializations: psi(b o-> t) is the left
 graft of psi(b) onto psi(t), and a left graft inserts one text right
 after a ``(`` of another (see :mod:`prelie.products`).  Images are
 memoized per text as read-only maps from texts to coefficients; trees are
-built only for the public sums, once per distinct text.
+built only for the public sums, once per distinct text, and the matrices
+read the texts directly.
+
+The inverse is its own text kernel, by the left-Butcher recursion: psi^-1
+carries left grafting back to the left Butcher product, and b grafted
+leftmost at the root of t is b o-> t, so
+
+    psi^-1(b o-> t) = psi^-1(b) o-> psi^-1(t) - sum over v != root of psi^-1(b at v),
+
+where "b at v" is b grafted leftmost at the vertex v of t.  On texts,
+``x o-> y`` inserts x right after the root's ``(`` in y, and "b at v"
+inserts b after the other ``(``.  Every "b at v" has strictly higher
+potential energy than b o-> t, so the recursion ends.
 """
 
 from __future__ import annotations
@@ -22,14 +33,16 @@ from functools import lru_cache
 from operator import ge
 from types import MappingProxyType
 
-from .matrix import CoeffMatrix, _from_images
-from .products import PLANAR, TreeSum, _left_graft_texts, _sum_of_texts
+from .matrix import CoeffMatrix, _check_dense, _from_images
+from .products import PLANAR, TreeSum, _left_graft_texts, _opens, _ranked, _sum_of_texts
 from .trees import (
     BRUTE_FORCE_CAP,
     ENUMERATION_CAP,
     DegreeCapError,
     DomainError,
     PlanarTree,
+    _check_degree,
+    _planar_count,
     _planar_of_text,
     _subtree_end,
     enumerate_planar,
@@ -267,30 +280,51 @@ def coeff_c_bijections(
 
 
 def psi_matrix(n: int, max_degree: int = ENUMERATION_CAP) -> CoeffMatrix:
-    """Per-degree matrix of the isomorphism over the canonical planar basis."""
-    basis = enumerate_planar(n, max_degree)
-    return _from_images(n, basis, basis, (psi(tau) for tau in basis))
+    """Per-degree matrix of the isomorphism over the canonical planar basis,
+    each column read from the text kernel."""
+    _check_degree(n, max_degree)
+    _check_dense(n, _planar_count(n), _planar_count(n))
+    basis = tuple([tau._text for tau in enumerate_planar(n, max_degree)])
+    return _from_images(n, basis, basis, (_psi(text).items() for text in basis))
 
 
-@lru_cache(maxsize=None)
+_inverses: dict[str, tuple[tuple[str, int], ...]] = {}
+
+
+def _psi_inv(text: str) -> tuple[tuple[str, int], ...]:
+    """The preimage of a tree text, as (text, coefficient) pairs without
+    zeros in descending ``serial_key`` order, by the left-Butcher recursion
+    of the module docstring.  Memoized in a plain dict, at one interpreter
+    level per recursive call."""
+    out = _inverses.get(text)
+    if out is not None:
+        return out
+    parts = _split(text)
+    if parts is None:
+        out = ((text, 1),)
+    else:
+        branch, trunk = parts
+        acc: dict[str, int] = {}
+        get = acc.get
+        preimage = _psi_inv(branch)
+        for y, cy in _psi_inv(trunk):
+            p = y.index("(") + 1
+            head, tail = y[:p], y[p:]
+            for x, cx in preimage:  # x o-> y, distinct per pair (x, y)
+                acc[head + x + tail] = cx * cy
+        for q in _opens(trunk)[1:]:  # b at v, for each vertex v but the root
+            for t, c in _psi_inv(trunk[:q] + branch + trunk[q:]):
+                acc[t] = get(t, 0) - c
+        out = tuple([(t, c) for _, t, c in _ranked(acc)])
+    _inverses[text] = out
+    return out
+
+
 def psi_inverse(sigma: PlanarTree) -> TreeSum:
-    """Preimage of a planar tree, by the unipotent recursion
-
-        psi^-1(sigma) = sigma - sum over tau != sigma of c(tau, sigma) psi^-1(tau).
-
-    Every tau in the image of sigma other than sigma itself has strictly
-    higher potential energy, so the recursion ends.  The image is read from
-    the text kernel; the recursion goes through this memoized function.
-    """
-    text = sigma.serialize()
-    acc = {text: 1}
-    get = acc.get
-    for tau, c in _psi(text).items():
-        if tau != text:
-            for rho, d in psi_inverse(_planar_of_text(tau)).terms:
-                r = rho.serialize()
-                acc[r] = get(r, 0) - c * d
-    return _sum_of_texts(PLANAR, acc)
+    """Preimage of a planar tree: the texts of its memoized kernel preimage,
+    mapped to trees."""
+    preimage = _psi_inv(sigma.serialize())
+    return TreeSum(PLANAR, tuple([(_planar_of_text(t), c) for t, c in preimage]))
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,8 @@ else:
 A report passes when every one of its checks passes.  The suites are
 ``sequences`` (A088716 totals and their differential equation),
 ``identities`` (pre-Lie and NAP identities on random triples),
-``matrices`` (unipotence, entry sums, column sums, psi o psi^-1 = id),
+``matrices`` (unipotence, entry sums, column sums, the alpha and beta
+columns against the public psi_bar and psi_tilde, psi o psi^-1 = id),
 ``oracle`` (recursion against bijection counts, brute force) and
 ``tree-grounded`` (AG bases and the section they induce).
 """
@@ -170,15 +171,33 @@ def verify_matrices(max_degree: int, seed: int) -> list[dict]:
                 am.column_sums() == m.column_sums(),
             )
         )
-        bm = projection.beta_matrix(projection.default_section(n), n)
+        planar = trees.enumerate_planar(n)
+        checks.append(
+            check(
+                f"alpha-columns-are-psi-bar-n{n}",
+                _columns_are(am, map(projection.psi_bar, planar)),
+            )
+        )
+        section = projection.default_section(n)
+        bm = projection.beta_matrix(section, n)
         checks.append(
             check(f"beta-default-unipotent-n{n}", bm.is_unipotent_upper_triangular())
         )
-        identity = all(
-            _compose_is_identity(sigma) for sigma in trees.enumerate_planar(n)
-        )
+        images = (projection.psi_tilde(section, t) for t in trees.enumerate_nonplanar(n))
+        checks.append(check(f"beta-default-columns-are-psi-tilde-n{n}", _columns_are(bm, images)))
+        identity = all(_compose_is_identity(sigma) for sigma in planar)
         checks.append(check(f"psi-inverse-n{n}", identity))
     return checks
+
+
+def _columns_are(m, images) -> bool:
+    """Whether each column of ``m``, in order, holds exactly the terms of
+    the matching sum of ``images``."""
+    for column, image in zip(zip(*m.entries), images, strict=True):
+        nonzero = {r: c for r, c in zip(m.row_basis, column) if c}
+        if nonzero != {t.serialize(): c for t, c in image.terms}:
+            return False
+    return True
 
 
 def _compose_is_identity(sigma) -> bool:

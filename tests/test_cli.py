@@ -176,6 +176,7 @@ DEEP_TREE = "(" * 3000 + ")" * 3000
 def test_deep_tree_exits_3(capsys):
     for argv in (
         ["compute", "psi", "--tree", DEEP_TREE],
+        ["compute", "psi-inverse", "--tree", DEEP_TREE],
         ["compute", "product", "--product", "graft", "--left", "()", "--right", DEEP_TREE],
     ):
         code = main(argv)
@@ -203,6 +204,14 @@ def _cli_in_fresh_process(*argv):
         [sys.executable, "-m", "prelie.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_psi_inverse_of_a_deep_chain_in_subprocess():
+    # The left-Butcher recursion goes one level per branch: a chain is its
+    # own image and preimage.
+    chain = "(" * 450 + ")" * 450
+    proc = _cli_in_fresh_process("compute", "psi-inverse", "--tree", chain)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", f"1 {chain}\n")
 
 
 def test_left_graft_of_deep_chains_in_subprocess():
@@ -692,8 +701,21 @@ def test_dense_matrix_above_cell_budget_exits_3_before_any_image(capsys, monkeyp
         raise AssertionError("an image was computed above the cell budget")
 
     monkeypatch.setattr(sys.modules["prelie.psi"], "psi", no_work)
+    monkeypatch.setattr(sys.modules["prelie.psi"], "_psi", no_work)
     code = main(["compute", "matrix", "--degree", "11"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert captured.err == "error: degree 11: a dense 16796 x 16796 matrix exceeds 24000000 cells\n"
+
+
+def test_dense_matrix_above_cell_budget_exits_3_before_any_tree(capsys, monkeypatch):
+    def no_trees(n):
+        raise AssertionError(f"degree-{n} trees were enumerated above the cell budget")
+
+    monkeypatch.setattr(sys.modules["prelie.trees"], "_planar_raw", no_trees)
+    code = main(["compute", "matrix", "--degree", "13", "--cap", "20"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: degree 13: a dense 208012 x 208012 matrix exceeds 24000000 cells\n"

@@ -6,9 +6,13 @@ branch/trunk recursion ``coeff_c_recursive``, and against references
 written in this file with tree objects: left grafting by path copies, psi
 by the branch/trunk split over that grafting, the unipotent recursion for
 the inverse, and projection by rebuilding each tree as a non-planar one.
+The left-Butcher inverse is also checked against the unipotent recursion
+on the text kernel, as the package computed the inverse before it.
 """
 
+import time
 from functools import lru_cache
+from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,12 +24,15 @@ from prelie import (
     coeff_c_recursive,
     enumerate_planar,
     left_graft,
+    n_statistic,
+    parse_planar,
     psi,
     psi_bar,
     psi_inverse,
     psi_matrix,
 )
-from prelie.products import NONPLANAR, PLANAR
+from prelie.products import NONPLANAR, PLANAR, _sum_of_texts
+from prelie.psi import _psi
 from prelie.trees import _planar_of_text
 
 LABELS = st.sampled_from([None, "a", "b", "x_1"])
@@ -86,6 +93,30 @@ def ref_psi_inverse(sigma: PlanarTree) -> TreeSum:
     return TreeSum.make(PLANAR, terms)
 
 
+_unipotent_memo: dict = {}
+
+
+def unipotent_psi_inverse(text: str) -> dict:
+    """The unipotent recursion on the text kernel, as the package computed
+    the inverse before the left-Butcher recursion:
+    psi^-1(sigma) = sigma - sum over tau != sigma of c(tau, sigma) psi^-1(tau)."""
+    out = _unipotent_memo.get(text)
+    if out is None:
+        acc = {text: 1}
+        get = acc.get
+        for tau, c in _psi(text).items():
+            if tau != text:
+                for rho, d in unipotent_psi_inverse(tau).items():
+                    acc[rho] = get(rho, 0) - c * d
+        out = _unipotent_memo[text] = {t: c for t, c in acc.items() if c}
+    return out
+
+
+def _same_as_unipotent(sigma: PlanarTree) -> bool:
+    reference = _sum_of_texts(PLANAR, unipotent_psi_inverse(sigma.serialize()))
+    return psi_inverse(sigma).to_text() == reference.to_text()
+
+
 def ref_project(sigma: PlanarTree) -> Tree:
     return Tree(tuple(ref_project(c) for c in sigma.children), sigma.label)
 
@@ -128,6 +159,41 @@ def test_psi_inverse_matches_tree_reference():
 @given(planar_trees(max_degree=6))
 def test_psi_inverse_matches_tree_reference_labeled(sigma):
     assert psi_inverse(sigma) == ref_psi_inverse(sigma)
+
+
+def _labelings(tree: PlanarTree, alphabet=("a", "b")):
+    """Every labeling of the vertices of ``tree`` over ``alphabet``."""
+    for label in alphabet:
+        for kids in product(*(list(_labelings(c, alphabet)) for c in tree.children)):
+            yield PlanarTree(kids, label)
+
+
+def test_psi_inverse_matches_unipotent_recursion():
+    for n in range(1, 9):
+        for sigma in enumerate_planar(n):
+            assert _same_as_unipotent(sigma), sigma
+    for n in range(1, 6):
+        for shape in enumerate_planar(n):
+            for sigma in _labelings(shape):
+                assert _same_as_unipotent(sigma), sigma
+
+
+def test_psi_inverse_of_labeled_corolla_matches_unipotent_recursion_fast():
+    sigma = parse_planar("(a()b()x_1()a()b()x_1()())")
+    start = time.process_time()
+    fast = psi_inverse(sigma)
+    elapsed = time.process_time() - start
+    assert len(fast.terms) == 4680
+    assert _same_as_unipotent(sigma)
+    assert elapsed < 1.0, f"{elapsed:.2f} s of CPU"
+
+
+def test_psi_inverse_n_weighted_sum_is_one():
+    # The coefficient-sum functional applied to psi(psi^-1(sigma)) = sigma,
+    # with N(tau) the coefficient sum of psi(tau).
+    for n in range(1, 10):
+        for sigma in enumerate_planar(n):
+            assert sum(c * n_statistic(tau) for tau, c in psi_inverse(sigma).terms) == 1, sigma
 
 
 @settings(max_examples=150)

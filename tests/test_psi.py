@@ -10,7 +10,9 @@ from prelie import (
     PlanarTree,
     TreeSum,
     alpha,
+    Section,
     alpha_matrix,
+    beta_matrix,
     coeff_c_bijections,
     coeff_c_recursive,
     count_tilde_b,
@@ -30,7 +32,7 @@ from prelie import (
     symmetry_factor,
     verify_a088716,
 )
-from prelie import matrix
+from prelie import matrix, trees
 from prelie.orders import left_refined_pairs, total_order_list, tree_less
 from prelie.products import PLANAR
 from prelie.projection import _ancestor_table
@@ -378,8 +380,9 @@ def test_dense_matrix_above_the_cell_budget_is_refused_before_any_image(monkeypa
     def no_work(*args):
         raise AssertionError("an image was computed above the cell budget")
 
-    monkeypatch.setattr(sys.modules["prelie.psi"], "psi", no_work)
-    monkeypatch.setattr(sys.modules["prelie.projection"], "psi_bar", no_work)
+    monkeypatch.setattr(sys.modules["prelie.psi"], "_psi", no_work)
+    monkeypatch.setattr(sys.modules["prelie.projection"], "_psi", no_work)
+    monkeypatch.setattr(sys.modules["prelie.projection"], "_psi_bar", no_work)
     with pytest.raises(DegreeCapError, match="16796 x 16796 matrix exceeds 24000000 cells"):
         psi_matrix(11)
     with pytest.raises(DegreeCapError, match="1842 x 16796 matrix"):
@@ -387,6 +390,20 @@ def test_dense_matrix_above_the_cell_budget_is_refused_before_any_image(monkeypa
     # the budget admits psi_matrix(10) and the degree-12 AG expansion and beta
     assert 4862 ** 2 <= matrix.MAX_DENSE_CELLS < 1842 * 16796
     assert 4766 ** 2 <= matrix.MAX_DENSE_CELLS
+
+
+def test_dense_matrix_above_the_cell_budget_is_refused_before_any_tree(monkeypatch):
+    def no_trees(n):
+        raise AssertionError(f"degree-{n} trees were enumerated above the cell budget")
+
+    monkeypatch.setattr(trees, "_planar_raw", no_trees)
+    monkeypatch.setattr(trees, "_nonplanar_raw", no_trees)
+    with pytest.raises(DegreeCapError, match="degree 13: a dense 208012 x 208012 matrix"):
+        psi_matrix(13, max_degree=20)
+    with pytest.raises(DegreeCapError, match="degree 13: a dense 12486 x 208012 matrix"):
+        alpha_matrix(13, max_degree=20)
+    with pytest.raises(DegreeCapError, match="degree 13: a dense 12486 x 12486 matrix"):
+        beta_matrix(Section({}), 13, max_degree=20)
 
 
 def test_dense_matrix_cell_budget_is_inclusive(monkeypatch):

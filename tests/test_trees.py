@@ -27,6 +27,8 @@ from prelie.orders import left_refined_pairs
 from prelie.projection import planar_embeddings
 from prelie.trees import (
     _TOKEN_RE,
+    _nonplanar_count,
+    _planar_count,
     _planar_of_text,
     _subtree_end,
     _tree_of_text,
@@ -112,6 +114,31 @@ def test_enumeration_domain_errors():
         enumerate_planar(13)
     with pytest.raises(DegreeCapError):
         enumerate_nonplanar(99)
+
+
+def test_enumerations_return_fresh_lists():
+    for enumerate_trees in (enumerate_planar, enumerate_nonplanar):
+        first = enumerate_trees(5)
+        first.reverse()
+        assert enumerate_trees(5) == first[::-1]
+        assert enumerate_trees(5) is not enumerate_trees(5)
+
+
+def test_closed_form_basis_sizes_match_the_enumerations():
+    for n in range(1, 11):
+        assert _planar_count(n) == len(enumerate_planar(n)) == catalan_oracle(n - 1)
+        assert _nonplanar_count(n) == len(enumerate_nonplanar(n))
+    # Catalan(12) and A000081(13), the sizes of the degree-13 bases
+    assert (_planar_count(13), _nonplanar_count(13)) == (208012, 12486)
+
+
+def test_known_texts_parse_to_their_trees():
+    planar = parse_planar("(()(()))")
+    assert parse_planar("(()(()))") is planar is parse_planar("( () (()) )")
+    canonical = parse_tree("((())())")
+    assert parse_tree("(()(()))") is canonical is parse_tree("(()(()))")
+    with pytest.raises(DomainError):
+        parse_planar("(()(())")
 
 
 def test_binary_enumeration():
