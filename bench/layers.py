@@ -22,13 +22,16 @@ seeded sample; beta is unipotent.  The two coefficient oracles agree on
 every degree-7 pair, with column sums N(tau); on seeded degree-10 pairs
 they agree with the coefficient in psi(tau).  The degree-10 AG expansion
 is 719 x 719 and each column sums to S(m), where S(g) = 1 and
-S([x,y]) = S(x) S(y) deg(y).  The pre-Lie and NAP identities hold on all
-1353 triples of total degree 10, and each graft(s, t) has coefficient sum
-|t|.  The 2000 seeded ``prelie.cli.main`` requests of ``cli_requests_2000``
-all exit 0, each psi answer sums to N(tau), each product answer to the
-size of its right operand, and every ``--method both`` answer prints
-``match``.  A failed check fails the run and the script exits 1.  Only the
-standard library is used.
+S([x,y]) = S(x) S(y) deg(y).  At degree 8 the beta matrix of the AG
+section has, for each basis monomial, the monomial's expansion column as
+the column of its lower-energy term.  The pre-Lie and NAP identities hold
+on all 1353 triples of total degree 10 and on 336 seeded triples of total
+degree at most 9, and each graft(s, t) has coefficient sum |t|.  The
+2000 seeded ``prelie.cli.main`` requests of ``cli_requests_2000`` all exit
+0, each psi answer sums to N(tau), each product answer to the size of its
+right operand, and every ``--method both`` answer prints ``match``.  A
+failed check fails the run and the script exits 1.  Only the standard
+library is used.
 """
 
 from __future__ import annotations
@@ -256,14 +259,9 @@ def _ag_expand(n: int, rows: int):
     return (lambda P: None), work, check
 
 
-def _graft_identities(n: int, triples: int):
-    """The pre-Lie and NAP identities on every triple of non-planar trees
-    with total degree n."""
-
-    def setup(P):
-        pool = [t for m in range(1, n - 1) for t in P.enumerate_nonplanar(m)]
-        return [(s, t, u) for s in pool for t in pool for u in pool
-                if s.degree + t.degree + u.degree == n]
+def _graft_identities(pick, triples: int):
+    """The pre-Lie and NAP identities on the triples of non-planar trees
+    that ``pick(P)`` returns, each graft(s, t) with coefficient sum |t|."""
 
     def work(P, sample):
         one = P.TreeSum.single
@@ -274,7 +272,7 @@ def _graft_identities(n: int, triples: int):
                 "graft", one(s), P.graft(t, u))
             right = P.bilinear_extend("graft", P.graft(t, s), one(u)) - P.bilinear_extend(
                 "graft", one(t), P.graft(s, u))
-            out.append((str(t), st.terms, left.to_text(), right.to_text(),
+            out.append((str(t), st, left.to_text(), right.to_text(),
                         str(P.butcher(s, P.butcher(t, u))), str(P.butcher(t, P.butcher(s, u)))))
         return out
 
@@ -282,7 +280,7 @@ def _graft_identities(n: int, triples: int):
         if len(out) != triples:
             return False, f"{len(out)} triples, want {triples}"
         for t, st, left, right, nap_left, nap_right in out:
-            size = sum(c for _, c in st)
+            size = st.coefficient_sum()
             if size != t.count("("):
                 return False, f"graft onto {t} has coefficient sum {size}"
             if left != right:
@@ -291,7 +289,59 @@ def _graft_identities(n: int, triples: int):
                 return False, f"NAP identity fails: {nap_left} != {nap_right}"
         return True, f"{triples} triples; both identities hold, graft sums are |t|"
 
-    return setup, work, check
+    return pick, work, check
+
+
+def _all_triples(n: int):
+    """Every triple of non-planar trees with total degree n."""
+
+    def pick(P):
+        pool = [t for m in range(1, n - 1) for t in P.enumerate_nonplanar(m)]
+        return [(s, t, u) for s in pool for t in pool for u in pool
+                if s.degree + t.degree + u.degree == n]
+
+    return pick
+
+
+def _seeded_triples(max_total: int, rounds: int):
+    """``rounds`` uniform planar draws, read as non-planar trees, for each
+    degree composition (a, b, c) with a + b + c <= max_total, shuffled: the
+    many small sums of the identity checks."""
+
+    def pick(P):
+        rng = random.Random(max_total)
+        shapes = [(a, b, c) for a in range(1, max_total) for b in range(1, max_total)
+                  for c in range(1, max_total) if a + b + c <= max_total] * rounds
+        triples = [tuple(P.parse_tree(_random_planar(rng, d)) for d in shape) for shape in shapes]
+        rng.shuffle(triples)
+        return triples
+
+    return pick
+
+
+def _ag_pipeline(n: int):
+    """The degree-n AG basis, its grafting expansion, the section of its
+    lower-energy terms and that section's beta matrix.  psi_bar carries
+    the left Butcher fold of a monomial to its grafting fold, so the beta
+    column of each lower-energy term is the expansion column of its
+    monomial."""
+
+    def work(P, _):
+        basis = P.ag_basis(n)
+        section = P.section_of_basis(basis.monomials, n)
+        return basis, P.expand_basis(basis), P.beta_matrix(section, n)
+
+    def check(P, out):
+        basis, expansion, beta = out
+        if expansion.row_basis != beta.row_basis:
+            return False, "expansion and beta rows differ"
+        for m in basis.monomials:
+            lower = P.lower_energy_term(m).serialize()
+            if expansion.column(m.serialize()) != beta.column(lower):
+                return False, f"beta column of {lower} is not the expansion of {m.serialize()}"
+        return True, f"{len(basis.monomials)} beta columns equal their expansion columns"
+
+    return (lambda P: None), work, check
 
 
 def _random_planar(rng: random.Random, n: int) -> str:
@@ -411,7 +461,9 @@ LAYERS = {
     "oracle_all_7": _oracle_all(7),
     "oracle_sample_10": _oracle_sample(10, 1000),
     "ag_expand_10": _ag_expand(10, 719),
-    "graft_identities_10": _graft_identities(10, 1353),
+    "graft_identities_10": _graft_identities(_all_triples(10), 1353),
+    "identities_9": _graft_identities(_seeded_triples(9, 4), 336),
+    "ag_pipeline_8": _ag_pipeline(8),
     "cli_requests_2000": _cli_requests(),
 }
 

@@ -13,7 +13,7 @@ monomials evaluate to vertex-labeled trees.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .matrix import CoeffMatrix, _check_dense, _from_images
@@ -28,12 +28,21 @@ from .trees import (
     _LABEL_RE,
     _check_degree,
     _nonplanar_count,
+    _planar_of_text,
+    _tree_of_text,
     canonical_key,
     enumerate_nonplanar,
 )
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=None)
+def _singleton(name: str) -> frozenset[str]:
+    """One shared generator set per name, so that the product nodes of a
+    one-generator monomial all hold the same set."""
+    return frozenset((name,))
+
+
+@dataclass(frozen=True, slots=True)
 class Generator:
     name: str = "g"
 
@@ -44,24 +53,46 @@ class Generator:
     def degree(self) -> int:
         return 1
 
-    def generator_names(self) -> set[str]:
-        return {self.name}
+    def generator_names(self) -> frozenset[str]:
+        return _singleton(self.name)
+
+    def __hash__(self) -> int:
+        return hash(self.name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Product:
+    """The product node of a monomial.  Its serialization, degree and
+    generator set are computed once, from its operands' stored values, and
+    it compares and hashes by its serialization, so a memo keyed by
+    monomials reads no subexpression."""
+
     left: "MonomialExpr"
     right: "MonomialExpr"
+    _text: str = field(init=False, repr=False)
+    degree: int = field(init=False, repr=False)
+    _names: frozenset[str] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        left, right = self.left, self.right
+        object.__setattr__(self, "_text", f"[{left.serialize()},{right.serialize()}]")
+        object.__setattr__(self, "degree", left.degree + right.degree)
+        names, more = left.generator_names(), right.generator_names()
+        object.__setattr__(self, "_names", names if more <= names else names | more)
 
     def serialize(self) -> str:
-        return f"[{self.left.serialize()},{self.right.serialize()}]"
+        return self._text
 
-    @property
-    def degree(self) -> int:
-        return self.left.degree + self.right.degree
+    def generator_names(self) -> frozenset[str]:
+        return self._names
 
-    def generator_names(self) -> set[str]:
-        return self.left.generator_names() | self.right.generator_names()
+    def __eq__(self, other) -> bool:
+        if type(other) is not Product:
+            return NotImplemented
+        return self._text == other._text
+
+    def __hash__(self) -> int:
+        return hash(self._text)
 
 
 MonomialExpr = Generator | Product
@@ -125,12 +156,11 @@ def _fold(expr: MonomialExpr, product: str, labeled: bool | None) -> TreeSum:
 
 def lower_energy_term(m: MonomialExpr) -> Tree:
     """The single tree obtained by binding the product to the Butcher fold."""
-    terms = evaluate(m, "butcher").terms
-    return terms[0][0]
+    return _tree_of_text(evaluate(m, "butcher").texts[0][0])
 
 
 def planar_lower_term(m: MonomialExpr) -> PlanarTree:
-    return evaluate(m, "left-butcher").terms[0][0]
+    return _planar_of_text(evaluate(m, "left-butcher").texts[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +268,7 @@ def expand_basis(basis: MonomialBasis, max_degree: int = ENUMERATION_CAP) -> Coe
         if len(m.generator_names()) != 1:
             raise DomainError("expansion matrices are single-generator only")
     cols = tuple([m.serialize() for m in basis.monomials])
-    images = (((t._text, c) for t, c in evaluate(m, "graft").terms) for m in basis.monomials)
+    images = (evaluate(m, "graft").texts for m in basis.monomials)
     return _from_images(n, rows, cols, images)
 
 

@@ -5,13 +5,18 @@ all non-planar.  Like terms are collected eagerly, so equality of sums is
 plain equality of term maps.  Coefficients are Python ints (arbitrary
 precision, so "overflow" cannot occur silently).
 
-Every sum is collected one way: its terms go into one dict keyed by tree
-text, which is sorted once, and its trees come from the text-to-tree map.
-A product of two sums is built in one pass: every term of every pair of
-operand terms goes into that dict.
+A sum is held as text: its (serialization, coefficient) pairs, zeros
+dropped, in descending ``serial_key`` order.  There is one tree per text,
+so the pairs are the sum, and its trees are built, through the
+text-to-tree map, only when its ``terms`` are first read.  Every sum is
+collected one way: its terms go into one dict keyed by tree text, which
+is sorted once.  A product of two sums is built in one pass: every term
+of every pair of operand texts goes into that dict, and ``+``, ``-``,
+``scale`` and ``to_text`` read and write texts alone.
 
-Both grafting products work on serializations, and a tree is built only
-once per distinct text of the final sum.  In the grammar
+The products of two sums work on serializations.  The Butcher products
+insert one text after the root's ``(`` of another (in sorted place among
+the root's children for the non-planar one).  In the grammar
 ``label? "(" tree* ")"`` grafting sigma leftmost at a vertex of tau means
 inserting sigma's text right after that vertex's ``(``.  Pre-Lie
 grafting keeps texts canonical (children in descending serialization
@@ -26,7 +31,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable
 
 from .trees import (
@@ -46,14 +51,22 @@ NONPLANAR = "nonplanar"
 
 @dataclass(frozen=True)
 class TreeSum:
+    """A sum held as its (text, coefficient) pairs, zeros dropped, in
+    :func:`_ranked` order.  There is one tree per text, so these pairs
+    determine the sum; its trees are built the first time ``terms`` is
+    read."""
+
     flavor: str
-    terms: tuple[tuple[PlanarTree | Tree, int], ...]
+    texts: tuple[tuple[str, int], ...]
+
+    @cached_property
+    def terms(self) -> tuple[tuple[PlanarTree | Tree, int], ...]:
+        of_text = _planar_of_text if self.flavor == PLANAR else _tree_of_text
+        return tuple([(of_text(t), c) for t, c in self.texts])
 
     @classmethod
     def make(cls, flavor: str, terms: Iterable[tuple[PlanarTree | Tree, int]]) -> "TreeSum":
-        if flavor not in (PLANAR, NONPLANAR):
-            raise DomainError(f"unknown flavor {flavor!r}")
-        want = PlanarTree if flavor == PLANAR else Tree
+        want = _tree_class(flavor)
         acc: dict[str, int] = {}
         for tree, coeff in terms:
             if not isinstance(tree, want):
@@ -71,35 +84,46 @@ class TreeSum:
         return cls.make(flavor, [])
 
     def coefficient(self, tree: PlanarTree | Tree) -> int:
-        for t, c in self.terms:
-            if t == tree:
-                return c
+        if type(tree) is _tree_class(self.flavor):
+            for t, c in self.texts:
+                if t == tree._text:
+                    return c
         return 0
 
     def coefficient_sum(self) -> int:
-        return sum(c for _, c in self.terms)
+        return sum([c for _, c in self.texts])
 
-    def __add__(self, other: "TreeSum") -> "TreeSum":
+    def _merged(self, other: "TreeSum", sign: int) -> "TreeSum":
+        """This sum plus ``sign`` times ``other``, collected on texts."""
         if self.flavor != other.flavor:
             raise DomainError("cannot add sums of different flavors")
-        return TreeSum.make(self.flavor, self.terms + other.terms)
+        acc = dict(self.texts)
+        get = acc.get
+        for t, c in other.texts:
+            acc[t] = get(t, 0) + sign * c
+        return _sum_of_texts(self.flavor, acc)
+
+    def __add__(self, other: "TreeSum") -> "TreeSum":
+        return self._merged(other, 1)
 
     def __sub__(self, other: "TreeSum") -> "TreeSum":
-        return self + TreeSum(other.flavor, tuple([(t, -c) for t, c in other.terms]))
+        return self._merged(other, -1)
 
     def scale(self, k: int) -> "TreeSum":
-        return TreeSum.make(self.flavor, [(t, k * c) for t, c in self.terms])
+        if not k:
+            return TreeSum(self.flavor, ())
+        return TreeSum(self.flavor, tuple([(t, k * c) for t, c in self.texts]))
 
     def map_trees(self, f: Callable, flavor: str) -> "TreeSum":
         return TreeSum.make(flavor, [(f(t), c) for t, c in self.terms])
 
     def to_text(self) -> str:
-        if not self.terms:
+        if not self.texts:
             return "0"
         parts = []
-        for i, (t, c) in enumerate(self.terms):
+        for i, (t, c) in enumerate(self.texts):
             sign = "-" if c < 0 else "+"
-            chunk = f"{abs(c)} {t.serialize()}"
+            chunk = f"{abs(c)} {t}"
             if i == 0:
                 parts.append(chunk if c > 0 else f"-{chunk}")
             else:
@@ -113,6 +137,15 @@ class TreeSum:
         return json.dumps(self.to_json())
 
 
+def _tree_class(flavor: str) -> type:
+    """The tree class of a sum flavor."""
+    if flavor == PLANAR:
+        return PlanarTree
+    if flavor == NONPLANAR:
+        return Tree
+    raise DomainError(f"unknown flavor {flavor!r}")
+
+
 def _ranked(acc: dict[str, int]) -> list[tuple[bytes, str, int]]:
     """The (``serial_key``, text, coefficient) triples of a dict from
     serializations to coefficients, zeros dropped, sorted once, descending:
@@ -123,11 +156,9 @@ def _ranked(acc: dict[str, int]) -> list[tuple[bytes, str, int]]:
 
 
 def _sum_of_texts(flavor: str, acc: dict[str, int]) -> TreeSum:
-    """The sum of a dict from serializations to coefficients, its terms in
-    :func:`_ranked` order, each tree read from the memoized text-to-tree map
-    of its class."""
-    of_text = _planar_of_text if flavor == PLANAR else _tree_of_text
-    return TreeSum(flavor, tuple([(of_text(t), c) for _, t, c in _ranked(acc)]))
+    """The sum of a dict from serializations to coefficients, its texts in
+    :func:`_ranked` order.  No tree is built."""
+    return TreeSum(flavor, tuple([(t, c) for _, t, c in _ranked(acc)]))
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +262,34 @@ def _graft_sum_texts(acc: dict, a, b) -> dict:
     return acc
 
 
+def _left_butcher_texts(acc: dict, a, b) -> dict:
+    """Add to ``acc`` the left Butcher product of every term of ``a`` with
+    every term of ``b``, both iterables of (text, coefficient) pairs: the
+    ``a`` text inserted right after the root's ``(`` of the ``b`` text."""
+    get = acc.get
+    for sb, cb in b:
+        p = sb.index("(") + 1
+        head, tail = sb[:p], sb[p:]
+        for sa, ca in a:
+            t = head + sa + tail
+            acc[t] = get(t, 0) + ca * cb
+    return acc
+
+
+def _butcher_texts(acc: dict, a, b) -> dict:
+    """Add to ``acc`` the Butcher product of every term of ``a`` with every
+    term of ``b``, both iterables of (canonical text, coefficient) pairs:
+    the ``a`` text joins the root's children of the ``b`` text in sorted
+    place."""
+    get = acc.get
+    for sb, cb in b:
+        label, kids, keys = _children(sb)
+        for sa, ca in a:
+            t = _joined(label, kids, keys, sa)
+            acc[t] = get(t, 0) + ca * cb
+    return acc
+
+
 def left_graft(sigma: PlanarTree, tau: PlanarTree) -> TreeSum:
     """Sum over the vertices v of tau of grafting sigma leftmost at v."""
     if not isinstance(sigma, PlanarTree) or not isinstance(tau, PlanarTree):
@@ -253,6 +312,13 @@ PRODUCTS: dict[str, Callable] = {
     "butcher": butcher,
     "left-graft": left_graft,
     "graft": graft,
+}
+
+_TEXT_KERNELS: dict[str, Callable] = {
+    "left-butcher": _left_butcher_texts,
+    "butcher": _butcher_texts,
+    "left-graft": _left_graft_texts,
+    "graft": _graft_sum_texts,
 }
 
 _PRODUCT_FLAVOR = {
@@ -280,15 +346,9 @@ def apply_product(name: str, a, b) -> TreeSum:
 def bilinear_extend(name: str, a: TreeSum, b: TreeSum) -> TreeSum:
     """Distribute a named product over two sums with coefficient products.
 
-    Every product term of every pair goes into one dict, sorted once."""
+    Every product term of every pair of texts goes into one dict, sorted
+    once; no tree is built."""
     flavor = product_flavor(name)
     if a.flavor != flavor or b.flavor != flavor:
         raise DomainError(f"product {name!r} needs two {flavor} sums")
-    if name in ("left-graft", "graft"):
-        kernel = _left_graft_texts if name == "left-graft" else _graft_sum_texts
-        acc = kernel({}, [(t._text, c) for t, c in a.terms], [(t._text, c) for t, c in b.terms])
-        return _sum_of_texts(flavor, acc)
-    product = PRODUCTS[name]
-    return TreeSum.make(
-        flavor, [(product(ta, tb), ca * cb) for ta, ca in a.terms for tb, cb in b.terms]
-    )
+    return _sum_of_texts(flavor, _TEXT_KERNELS[name]({}, a.texts, b.texts))

@@ -11,9 +11,9 @@ vertex bijections.
 The isomorphism is computed on serializations: psi(b o-> t) is the left
 graft of psi(b) onto psi(t), and a left graft inserts one text right
 after a ``(`` of another (see :mod:`prelie.products`).  Images are
-memoized per text as read-only maps from texts to coefficients; trees are
-built only for the public sums, once per distinct text, and the matrices
-read the texts directly.
+memoized per text as read-only maps from texts to coefficients.  The
+public sums hold those texts and build a tree only when their ``terms``
+are read, and the matrices read the texts directly.
 
 The inverse is its own text kernel, by the left-Butcher recursion: psi^-1
 carries left grafting back to the left Butcher product, and b grafted
@@ -43,7 +43,6 @@ from .trees import (
     PlanarTree,
     _check_degree,
     _planar_count,
-    _planar_of_text,
     _subtree_end,
     enumerate_planar,
 )
@@ -321,10 +320,9 @@ def _psi_inv(text: str) -> tuple[tuple[str, int], ...]:
 
 
 def psi_inverse(sigma: PlanarTree) -> TreeSum:
-    """Preimage of a planar tree: the texts of its memoized kernel preimage,
-    mapped to trees."""
-    preimage = _psi_inv(sigma.serialize())
-    return TreeSum(PLANAR, tuple([(_planar_of_text(t), c) for t, c in preimage]))
+    """Preimage of a planar tree: the sum holding its memoized kernel
+    preimage, whose pairs are already in sum order."""
+    return TreeSum(PLANAR, _psi_inv(sigma.serialize()))
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,7 @@ import json
 import random
 
 from . import monomials, projection, trees
-from .products import PLANAR, TreeSum, bilinear_extend, butcher, graft
+from .products import PLANAR, TreeSum, _sum_of_texts, bilinear_extend, butcher, graft
 from .psi import (
     coeff_c_bijections,
     coeff_c_recursive,
@@ -195,21 +195,17 @@ def _columns_are(m, images) -> bool:
     the matching sum of ``images``."""
     for column, image in zip(zip(*m.entries), images, strict=True):
         nonzero = {r: c for r, c in zip(m.row_basis, column) if c}
-        if nonzero != {t.serialize(): c for t, c in image.terms}:
+        if nonzero != dict(image.texts):
             return False
     return True
 
 
 def _compose_is_identity(sigma) -> bool:
-    composed = TreeSum.make(
-        PLANAR,
-        (
-            (rho, c * d)
-            for tau, c in psi_inverse(sigma).terms
-            for rho, d in psi(tau).terms
-        ),
-    )
-    return composed == TreeSum.single(sigma)
+    acc: dict[str, int] = {}
+    for tau, c in psi_inverse(sigma).terms:
+        for rho, d in psi(tau).texts:
+            acc[rho] = acc.get(rho, 0) + c * d
+    return _sum_of_texts(PLANAR, acc) == TreeSum.single(sigma)
 
 
 def verify_oracle(max_degree: int, seed: int) -> list[dict]:

@@ -511,11 +511,15 @@ def test_registry_paths_name_real_subcommands():
 
 
 def _clear_package_caches():
+    """Empty every memo of the package: the ``lru_cache``s and the plain-dict
+    memos of the inverse kernel and of the canonical texts."""
     for name, module in list(sys.modules.items()):
         if name == "prelie" or name.startswith("prelie."):
             for obj in vars(module).values():
                 if hasattr(obj, "cache_clear"):
                     obj.cache_clear()
+    sys.modules["prelie.psi"]._inverses.clear()
+    sys.modules["prelie.projection"]._canonical_texts.clear()
 
 
 def test_registry_paths_reach_their_operation(capsys):

@@ -65,6 +65,43 @@ def test_degree_and_generators():
     assert Product(Generator("g"), Generator("g")).degree == 2
 
 
+def structural_degree(m):
+    if isinstance(m, Generator):
+        return 1
+    return structural_degree(m.left) + structural_degree(m.right)
+
+
+def structural_names(m):
+    if isinstance(m, Generator):
+        return {m.name}
+    return structural_names(m.left) | structural_names(m.right)
+
+
+def test_monomials_compare_and_hash_by_their_text():
+    two = GeneratorOrder(("a", "b"))
+    family = [m for n in range(1, 9) for m in ag_basis(n).monomials]
+    family += [m for n in range(1, 5) for m in ag_basis_multigen(n, two)]
+    generators = [Generator(name) for name in ("g", "a", "b")]
+    for m in family:
+        again = parse_monomial(m.serialize())
+        assert again == m and hash(again) == hash(m)
+        assert m.degree == structural_degree(m)
+        assert m.generator_names() == structural_names(m)
+        if isinstance(m, Product):
+            assert all(g != m and m != g for g in generators)
+            assert Generator(m.serialize()) != m
+    # a re-parsed monomial is a distinct object that finds the memoized fold
+    for m in family:
+        again = parse_monomial(m.serialize())
+        if isinstance(m, Product):
+            assert again is not m
+        want = evaluate(m, "graft")
+        before = monomials._fold.cache_info()
+        assert evaluate(again, "graft") is want
+        after = monomials._fold.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
 def test_evaluate_magmatic_products():
     m = parse_monomial("[[g,g],g]")
     assert evaluate(m, "butcher") == tree_sum(("((()))", 1))

@@ -20,10 +20,21 @@ from prelie import (
     parse_planar,
     parse_tree,
     potential_energy,
+    psi,
+    psi_inverse,
     rotation,
 )
 from prelie.products import NONPLANAR, PLANAR, product_flavor
-from prelie.trees import LEAF, BinaryTree, PlanarTree, enumerate_binary, serial_key
+from prelie.trees import (
+    LEAF,
+    BinaryTree,
+    PlanarTree,
+    Tree,
+    _planar_of_text,
+    _tree_of_text,
+    enumerate_binary,
+    serial_key,
+)
 
 
 def tree_sum(*pairs):
@@ -394,6 +405,138 @@ def test_make_and_sub_match_tree_keyed_collection(flavor):
         want = reference_collected(flavor, made.terms + tuple((t, -c) for t, c in other.terms))
         assert (made - other).terms == want
         assert (made - made).terms == ()
+
+
+# ---------------------------------------------------------------------------
+# sums held as texts against an eager, tree-held reference
+
+
+class EagerSum:
+    """A sum held as its (tree, coefficient) terms, built eagerly: like
+    terms collected by tree object, zeros dropped, in descending
+    serialization order, products taken on trees by the tree constructors."""
+
+    def __init__(self, flavor, terms):
+        self.flavor = flavor
+        self.terms = reference_collected(flavor, terms)
+
+    def __add__(self, other):
+        return EagerSum(self.flavor, self.terms + other.terms)
+
+    def __sub__(self, other):
+        return EagerSum(self.flavor, self.terms + tuple((t, -c) for t, c in other.terms))
+
+    def scale(self, k):
+        return EagerSum(self.flavor, [(t, k * c) for t, c in self.terms])
+
+    def coefficient(self, tree):
+        return dict(self.terms).get(tree, 0)
+
+    def to_text(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for i, (t, c) in enumerate(self.terms):
+            chunk = f"{abs(c)} {t.serialize()}"
+            if i == 0:
+                parts.append(chunk if c > 0 else f"-{chunk}")
+            else:
+                parts.append(f"{'-' if c < 0 else '+'} {chunk}")
+        return " ".join(parts)
+
+    def to_json(self):
+        return [{"coeff": str(c), "tree": t.to_json()} for t, c in self.terms]
+
+
+def eager_product(name, a, b):
+    """The trees of a named product of two trees, one per term."""
+    if name == "left-butcher":
+        return [PlanarTree((a,) + b.children, b.label)]
+    if name == "butcher":
+        return [Tree((a,) + b.children, b.label)]
+    return [reference_graft_at(a, b, v) for v in b.vertices()]
+
+
+def eager_bilinear_extend(name, a, b):
+    return EagerSum(
+        a.flavor,
+        [
+            (t, ca * cb)
+            for ta, ca in a.terms
+            for tb, cb in b.terms
+            for t in eager_product(name, ta, tb)
+        ],
+    )
+
+
+def enumerate_trees(flavor, n):
+    return enumerate_planar(n) if flavor == PLANAR else enumerate_nonplanar(n)
+
+
+def sum_pair(rng, flavor, labeled):
+    """One seeded list of terms, with zeros and cancelling terms, as a sum
+    and as its eager reference."""
+    terms = []
+    for _ in range(rng.randint(0, 6)):
+        n = rng.randint(1, 4)
+        tree = rng.choice(labeled_trees(flavor, n) if labeled else enumerate_trees(flavor, n))
+        coeff = rng.choice([-3, -1, 0, 1, 2])
+        terms.append((tree, coeff))
+        if rng.random() < 0.25:
+            terms.append((tree, -coeff))
+    return TreeSum.make(flavor, terms), EagerSum(flavor, terms)
+
+
+def parse_other(cls, tree):
+    """The tree of class ``cls`` with the text of ``tree``."""
+    return (parse_planar if cls is PlanarTree else parse_tree)(tree.serialize())
+
+
+@pytest.mark.parametrize(
+    "flavor, labeled",
+    [(PLANAR, False), (NONPLANAR, False), (PLANAR, True), (NONPLANAR, True)],
+    ids=["planar", "nonplanar", "planar-labeled", "nonplanar-labeled"],
+)
+def test_text_sums_agree_with_eager_tree_sums(flavor, labeled):
+    rng = random.Random(f"eager:{flavor}:{labeled}")
+    names = [n for n in ("left-butcher", "butcher", "left-graft", "graft")
+             if product_flavor(n) == flavor]
+    other_class = Tree if flavor == PLANAR else PlanarTree
+    for _ in range(80):
+        (a, ea), (b, eb) = sum_pair(rng, flavor, labeled), sum_pair(rng, flavor, labeled)
+        k = rng.choice([-2, 0, 1, 3])
+        cases = [(a, ea), (a + b, ea + eb), (a - b, ea - eb), (a - a, ea - ea)]
+        cases.append((a.scale(k), ea.scale(k)))
+        cases += [(bilinear_extend(n, a, b), eager_bilinear_extend(n, ea, eb)) for n in names]
+        for got, want in cases:
+            assert got.flavor == want.flavor
+            assert got.texts == tuple((t.serialize(), c) for t, c in want.terms)
+            assert got.to_text() == want.to_text()
+            assert got.to_json() == want.to_json()
+            assert got.terms == want.terms
+            assert got == TreeSum.make(flavor, want.terms)
+        probes = [t for t, _ in ea.terms + eb.terms] + list(enumerate_trees(flavor, 3))
+        for tree in probes:
+            assert a.coefficient(tree) == ea.coefficient(tree)
+            assert a.coefficient(parse_other(other_class, tree)) == 0
+
+
+def test_sums_build_no_tree_until_terms_are_read():
+    tau = parse_planar("lz1(lz2()lz3(lz4())lz5())")
+    s, t = parse_tree("lz6(lz7())"), parse_tree("lz8(lz9()lz9())")
+    tables = (PlanarTree._by_text, Tree._by_text)
+    before = [len(table) for table in tables]
+    sums = [(psi(tau), _planar_of_text), (psi_inverse(tau), _planar_of_text),
+            (graft(s, t), _tree_of_text)]
+    for x, _ in sums:
+        x.to_text()
+    assert [len(table) for table in tables] == before
+    for x, of_text in sums:
+        terms = x.terms
+        assert terms is x.terms
+        for (tree, c), (text, d) in zip(terms, x.texts, strict=True):
+            assert tree is of_text(text) and c == d
+    assert all(len(table) > n for table, n in zip(tables, before))
 
 
 def test_prelie_identity_labeled():
