@@ -1,6 +1,7 @@
 """Per-layer wall time and peak memory of prelie at degrees 7 to 10.
 
     python3 bench/layers.py [--parent REF] [--workdir DIR] [--out BENCH.json]
+                            [--layers NAME,NAME,...]
 
 Each layer runs in a fresh Python process that imports ``prelie`` from a
 source tree: this checkout's ``src``, and with ``--parent`` also the tree
@@ -10,7 +11,8 @@ run, so that drift of the host's speed hits both alike.  For every layer
 the file records the median and each of the RUNS runs of the layer's own
 wall time (set-up excluded) and of the process's peak resident set
 (``VmHWM``, read at its end; set-up included), plus Python, ``nproc`` and
-the commits.  Without ``--out`` the file is ``BENCH.json`` at the root.
+the commits.  Without ``--out`` the file is ``BENCH.json`` at the root;
+``--layers`` runs only the named layers, in the order given.
 
 A layer's output is checked after it is timed: the entry sum of every psi
 and alpha matrix, and the coefficient total of psi over a whole degree,
@@ -19,10 +21,10 @@ coefficient sum of psi(tau); the inverse satisfies
 sum_tau psi^-1(sigma)_tau N(tau) = 1 for every sigma (the coefficient sum
 of psi(psi^-1(sigma)) = sigma) and composes back to the identity on a
 seeded sample; beta is unipotent.  The two coefficient oracles agree on
-every degree-7 pair, with column sums N(tau); on seeded degree-10 pairs
-they agree with the coefficient in psi(tau).  The degree-10 AG expansion
-is 719 x 719 and each column sums to S(m), where S(g) = 1 and
-S([x,y]) = S(x) S(y) deg(y).  At degree 8 the beta matrix of the AG
+every pair of degree 7 and of degree 8 (the brute-force cap), with column
+sums N(tau); on seeded degree-10 pairs they agree with the coefficient in
+psi(tau).  The degree-10 AG expansion is 719 x 719 and each column sums
+to S(m), where S(g) = 1 and S([x,y]) = S(x) S(y) deg(y).  At degree 8 the beta matrix of the AG
 section has, for each basis monomial, the monomial's expansion column as
 the column of its lower-energy term.  The pre-Lie and NAP identities hold
 on all 1353 triples of total degree 10 and on 336 seeded triples of total
@@ -459,6 +461,7 @@ LAYERS = {
     "psi_inverse_all_10": _psi_inverse(10),
     "beta_matrix_default_section_9": _beta_default(9),
     "oracle_all_7": _oracle_all(7),
+    "oracle_all_8": _oracle_all(8),
     "oracle_sample_10": _oracle_sample(10, 1000),
     "ag_expand_10": _ag_expand(10, 719),
     "graft_identities_10": _graft_identities(_all_triples(10), 1353),
@@ -552,9 +555,16 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", help="git revision to measure alongside this checkout")
     parser.add_argument("--workdir", help="where the parent's tree is unpacked")
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH.json"))
+    parser.add_argument("--layers", help="comma-separated layer names to run (default: all)")
     args = parser.parse_args(argv)
     if args.child:
         return child(args.child)
+    names = list(LAYERS)
+    if args.layers:
+        names = args.layers.split(",")
+        unknown = [name for name in names if name not in LAYERS]
+        if unknown:
+            parser.error(f"unknown layers {', '.join(unknown)}; choose from {', '.join(LAYERS)}")
 
     dirty = bool(git("status", "--porcelain", "--untracked-files=no", "--", "src"))
     sides = {"change": (os.path.join(ROOT, "src"), git("rev-parse", "HEAD"), dirty)}
@@ -564,7 +574,7 @@ def main(argv=None) -> int:
         sides["parent"] = (src, commit, False)
 
     results = {side: {} for side in sides}
-    for name in LAYERS:
+    for name in names:
         runs = {side: [] for side in sides}
         for k in range(RUNS):
             for side, (src, _, _) in sides.items():
@@ -592,7 +602,7 @@ def main(argv=None) -> int:
                 key: round(results["change"][name][key] / results["parent"][name][key], 3)
                 for key in ("wall_s", "vmhwm_mib")
             }
-            for name in LAYERS
+            for name in names
             if results["change"][name]["ok"] and results["parent"][name]["ok"]
         }
     with open(args.out, "w") as fh:

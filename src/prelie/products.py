@@ -233,20 +233,26 @@ def _joined(label: str, kids: tuple[str, ...], keys: tuple[bytes, ...], x: str) 
     return f"{label}({''.join(kids[:i])}{x}{''.join(kids[i:])})"
 
 
-@lru_cache(maxsize=None)
-def _graft_texts(s: str, t: str) -> tuple[str, ...]:
+_grafts: dict[str, dict[str, tuple[str, ...]]] = {}
+
+
+def _graft_texts(memo: dict, s: str, t: str) -> tuple[str, ...]:
     """The canonical texts of the tree ``s`` grafted at each vertex of the
     tree ``t`` in preorder, both given by their canonical texts.  At the
     root, ``s`` joins the root's children in sorted place; at a child
     ``c``, each graft onto ``c`` takes the place of ``c``.  So only the
-    path to the grafting vertex is re-sorted."""
+    path to the grafting vertex is re-sorted.  Memoized in ``memo``, the
+    plain dict ``_grafts[s]`` keyed by ``t``, which every caller reads
+    first, at one recursive call per tree level."""
     label, kids, keys = _children(t)
     out = [_joined(label, kids, keys, s)]
     n = len(kids)
     for i, c in enumerate(kids):
         rest, rest_keys = kids[:i] + kids[i + 1 :], keys[: n - 1 - i] + keys[n - i :]
-        out.extend([_joined(label, rest, rest_keys, g) for g in _graft_texts(s, c)])
-    return tuple(out)
+        grafts = memo.get(c) or _graft_texts(memo, s, c)
+        out.extend([_joined(label, rest, rest_keys, g) for g in grafts])
+    out = memo[t] = tuple(out)
+    return out
 
 
 def _graft_sum_texts(acc: dict, a, b) -> dict:
@@ -255,9 +261,12 @@ def _graft_sum_texts(acc: dict, a, b) -> dict:
     by the product of the coefficients."""
     get = acc.get
     for sa, ca in a:
+        memo = _grafts.get(sa)
+        if memo is None:
+            memo = _grafts[sa] = {}
         for sb, cb in b:
             c = ca * cb
-            for t in _graft_texts(sa, sb):
+            for t in memo.get(sb) or _graft_texts(memo, sa, sb):
                 acc[t] = get(t, 0) + c
     return acc
 

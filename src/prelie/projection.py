@@ -11,7 +11,7 @@ unipotent matrix per degree.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations, product, repeat
 
 from .matrix import CoeffMatrix, _check_dense, _from_images
 from .psi import _count_bijections, _domain_table, _psi, coeff_c_recursive
@@ -89,7 +89,7 @@ def alpha(s: Tree, tau: PlanarTree) -> int:
     planar coefficients."""
     if s.degree != tau.degree:
         raise DomainError("alpha needs equal degrees")
-    return sum(coeff_c_recursive(sigma, tau) for sigma in planar_embeddings(s))
+    return sum(map(coeff_c_recursive, planar_embeddings(s), repeat(tau)))
 
 
 def count_tilde_b(s: Tree, tau: PlanarTree, cap: int = BRUTE_FORCE_CAP) -> int:
@@ -104,8 +104,8 @@ def count_tilde_b(s: Tree, tau: PlanarTree, cap: int = BRUTE_FORCE_CAP) -> int:
 
 @lru_cache(maxsize=None)
 def _ancestor_table(s: Tree) -> tuple:
-    """The domain table of s (see :func:`prelie.psi._domain_table`), its
-    ``pred`` the strict ancestors."""
+    """The domain table of s under the tree order (see
+    :func:`prelie.psi._domain_table`)."""
     return _domain_table(s, False)
 
 

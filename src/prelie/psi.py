@@ -30,7 +30,6 @@ potential energy than b o-> t, so the recursion ends.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import ge
 from types import MappingProxyType
 
 from .matrix import CoeffMatrix, _check_dense, _from_images
@@ -121,38 +120,58 @@ def coeff_c_recursive(sigma: PlanarTree, tau: PlanarTree) -> int:
     return total
 
 
+@lru_cache(maxsize=None)
+def _count_fields(n: int) -> tuple[tuple[int, ...], int]:
+    """The packing of the descendant counts of a degree-n tree into one
+    integer: field m, ``n.bit_length() + 1`` bits wide, holds the number of
+    vertices with at least m strict descendants, so the top bit of every
+    field stays clear, as a guard for the dominance test of
+    :func:`_count_bijections`.  Returns, per number d of strict
+    descendants, the packed count of one such vertex (a 1 in fields 0 to
+    d), and the mask of the guard bits."""
+    width = n.bit_length() + 1
+    units, acc = [], 0
+    for m in range(n):
+        acc |= 1 << (m * width)
+        units.append(acc)
+    return tuple(units), acc << (width - 1)
+
+
 def _domain_table(tree, refined: bool) -> tuple:
     """The per-tree masks a bijection count reads, as int bitmasks over the
     preorder indices of ``tree``, the root being 0:
 
-    * per vertex, its predecessors: its strict ancestors, and with
-      ``refined`` also the strict right siblings of the vertex and of its
-      ancestors, which together make its ``<<``-predecessors (see
-      :mod:`prelie.orders`);
+    * per vertex, the vertices it unlocks: those whose cover predecessor it
+      is.  Under the tree order every non-root vertex has its parent as its
+      one cover predecessor, so a vertex unlocks its children.  Under the
+      planar refinement ``<<`` (``refined``, see :mod:`prelie.orders`) the
+      cover predecessor is the right-adjacent sibling, or the parent when
+      there is none, so a vertex unlocks its rightmost child and its
+      left-adjacent sibling;
     * per vertex, its strict descendants, the indices right after it;
     * per (label, m), when not empty, the vertices carrying that label
       with at least m strict descendants;
-    * the numbers of strict descendants of all vertices, descending.
+    * the numbers of strict descendants, packed (:func:`_count_fields`).
     """
     n = tree.degree
-    pred = [0] * n
+    unlock = [0] * n
     descendants = [0] * n
     exact = {}  # (label, strict descendants) -> vertices
 
-    def walk(node, i: int, above: int) -> None:
-        pred[i] = above
+    def walk(node, i: int) -> None:
         descendants[i] = ((1 << (node.degree - 1)) - 1) << (i + 1)
         key = (node.label, node.degree - 1)
         exact[key] = exact.get(key, 0) | 1 << i
-        above |= 1 << i
+        cover = i  # the cover predecessor of the next child to the left
         j = i + node.degree
         for child in reversed(node.children):
             j -= child.degree
-            walk(child, j, above)
+            walk(child, j)
+            unlock[cover] |= 1 << j
             if refined:
-                above |= 1 << j
+                cover = j
 
-    walk(tree, 0, 0)
+    walk(tree, 0)
     masks = {}
     for label in {label for label, _ in exact}:
         acc = 0
@@ -160,25 +179,26 @@ def _domain_table(tree, refined: bool) -> tuple:
             acc |= exact.get((label, m), 0)
             if acc:
                 masks[label, m] = acc
-    counts = tuple(sorted(map(int.bit_count, descendants), reverse=True))
-    return tuple(pred), tuple(descendants), masks, counts
+    counts = sum(map(_count_fields(n)[0].__getitem__, map(int.bit_count, descendants)))
+    return tuple(unlock), tuple(descendants), masks, counts
 
 
 @lru_cache(maxsize=None)
 def _refined_table(sigma: PlanarTree) -> tuple:
-    """The domain table of sigma, its ``pred`` the ``<<``-predecessors."""
+    """The domain table of sigma under the planar refinement ``<<``."""
     return _domain_table(sigma, True)
 
 
 @lru_cache(maxsize=None)
-def _total_order_table(tau: PlanarTree) -> tuple[tuple[int, ...], tuple, tuple[int, ...]]:
+def _total_order_table(tau: PlanarTree) -> tuple[tuple[int, ...], tuple, int, int]:
     """For each vertex in the total-order listing of tau: the position of
     its parent in that listing (-1 for the root, which comes first), and
     its key (label, number of strict descendants) into the label masks of
-    a domain table; then the numbers of strict descendants, descending.
-    With tau = branch o-> trunk the trunk's listing comes before the
-    branch's, so the listing is the root followed by the listings of its
-    children, last child first."""
+    a domain table; then the numbers of strict descendants, packed
+    (:func:`_count_fields`), and the mask of the guard bits of their
+    fields.  With tau = branch o-> trunk the trunk's listing comes before
+    the branch's, so the listing is the root followed by the listings of
+    its children, last child first."""
     parents, keys = [], []
 
     def walk(node, parent: int) -> None:
@@ -189,21 +209,27 @@ def _total_order_table(tau: PlanarTree) -> tuple[tuple[int, ...], tuple, tuple[i
             walk(child, k)
 
     walk(tau, -1)
-    return tuple(parents), tuple(keys), tuple(sorted([m for _, m in keys], reverse=True))
+    units, guards = _count_fields(len(keys))
+    counts = sum([units[m] for _, m in keys])
+    return tuple(parents), tuple(keys), counts, guards
 
 
 def _count_bijections(table, tau: PlanarTree) -> int:
     """Count the bijections from a domain tree onto V(tau) that respect
-    ``table``, by an exhaustive depth-first enumeration.
+    ``table``, by an exhaustive depth-first enumeration of the linear
+    extensions of the domain order.
 
-    ``table`` is a domain table (:func:`_domain_table`); domain vertices are
-    preorder indices, the root being 0.  The positions of tau's total-order
-    listing are filled in turn, each with one unused domain vertex, so a
-    filling is the inverse of a bijection.  A vertex i may fill a position
-    only when
+    ``table`` is a domain table (:func:`_domain_table`) of a tree of tau's
+    degree; domain vertices are preorder indices, the root being 0.  The
+    positions of tau's total-order listing are filled in turn, each with
+    one domain vertex, so a filling is the inverse of a bijection.  A
+    vertex i may fill a position only when
 
-    * every vertex of ``pred[i]`` already fills an earlier one (the
-      bijection is increasing into the total order);
+    * it is ready: its cover predecessor fills an earlier position, and it
+      does not (the bijection is increasing into the total order; every
+      predecessor lies below the cover predecessor, so it is placed too).
+      The ready set of the next position is this one's, without the vertex
+      placed and with the vertices it unlocks;
     * it is a strict descendant of the vertex filling the position's
       parent (the inverse is tree-order increasing; checking parent covers
       is enough, the order being their transitive closure);
@@ -216,19 +242,21 @@ def _count_bijections(table, tau: PlanarTree) -> int:
     The last two conditions are one lookup in the label masks.  The last
     one also gives a test before the search: the filling maps the vertices
     of tau with at least m strict descendants injectively to domain
-    vertices with at least m, so when the domain's descending counts do
-    not dominate tau's term by term, there is no bijection.  The root
-    of tau comes first in its listing, and its mask holds the domain root
-    alone (the one vertex with degree - 1 strict descendants), which no
-    vertex has to precede.  The enumeration runs on an explicit
-    stack of candidate bitmasks, one per position.  At the last position a
-    single domain vertex is left unused, and every other vertex fills an
-    earlier position, so its predecessors are placed: each candidate there
-    counts as one bijection.
+    vertices with at least m, so when for some m the domain has fewer of
+    them than tau, there is no bijection.  Both numbers sit in field m of
+    the packed counts; with every field's guard bit set in the domain's,
+    subtracting tau's clears the guard bit of exactly the fields where the
+    domain has fewer, and borrows from no other field.  The root of tau
+    comes first in its listing, and its mask holds the domain root alone
+    (the one vertex with degree - 1 strict descendants), which no vertex
+    has to precede.  The enumeration runs on an explicit stack of
+    candidate bitmasks and ready sets, one per position.  At the last
+    position a single domain vertex is left, and it is ready, so each
+    candidate there counts as one bijection.
     """
-    pred, descendants, masks, counts = table
-    parents, keys, tau_counts = _total_order_table(tau)
-    if not all(map(ge, counts, tau_counts)):
+    unlock, descendants, masks, counts = table
+    parents, keys, tau_counts, guards = _total_order_table(tau)
+    if (counts | guards) - tau_counts & guards != guards:
         return 0
     try:
         allowed = list(map(masks.__getitem__, keys))
@@ -239,15 +267,15 @@ def _count_bijections(table, tau: PlanarTree) -> int:
         return 1
     image = [0] * len(keys)  # position in tau's listing -> domain vertex
     free = [0] * len(keys)  # per position: the candidates not yet tried
-    free[1] = descendants[0] & allowed[1]
-    used = 1
+    ready = [0] * len(keys)  # per position: the vertices that may fill it
+    ready[1] = unlock[0]
+    free[1] = ready[1] & allowed[1]
     count = 0
     k = 1
     while k:
         f = free[k]
         if not f:
             k -= 1
-            used ^= 1 << image[k]
             continue
         if k == last:
             count += 1
@@ -256,12 +284,11 @@ def _count_bijections(table, tau: PlanarTree) -> int:
         bit = f & -f
         free[k] = f ^ bit
         i = bit.bit_length() - 1
-        if pred[i] & ~used:
-            continue
         image[k] = i
-        used |= bit
+        r = ready[k] ^ bit | unlock[i]
         k += 1
-        free[k] = descendants[image[parents[k]]] & allowed[k] & ~used
+        ready[k] = r
+        free[k] = descendants[image[parents[k]]] & allowed[k] & r
     return count
 
 

@@ -230,6 +230,17 @@ def test_left_graft_of_deep_chains_in_subprocess():
     assert all(t.startswith("1 (") for t in terms)
 
 
+def test_graft_onto_a_deep_chain_in_subprocess():
+    # One interpreter level per tree level: a graft of a vertex at each of
+    # the 600 vertices of the chain gives 600 distinct trees.
+    chain = "(" * 600 + ")" * 600
+    proc = _cli_in_fresh_process("compute", "product", "--product", "graft", "--left", "()", "--right", chain)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    terms = proc.stdout.split(" + ")
+    assert len(terms) == 600
+    assert all(t.startswith("1 (") for t in terms)
+
+
 def test_main_reuses_parser_without_leaking_options(capsys):
     both = ("compute", "coeff", "--sigma", "(()())", "--tau", "(()())")
     code, out = run(capsys, *both, "--method", "both")
@@ -512,7 +523,8 @@ def test_registry_paths_name_real_subcommands():
 
 def _clear_package_caches():
     """Empty every memo of the package: the ``lru_cache``s and the plain-dict
-    memos of the inverse kernel and of the canonical texts."""
+    memos of the inverse kernel, of the canonical texts and of the pre-Lie
+    grafts."""
     for name, module in list(sys.modules.items()):
         if name == "prelie" or name.startswith("prelie."):
             for obj in vars(module).values():
@@ -520,6 +532,7 @@ def _clear_package_caches():
                     obj.cache_clear()
     sys.modules["prelie.psi"]._inverses.clear()
     sys.modules["prelie.projection"]._canonical_texts.clear()
+    sys.modules["prelie.products"]._grafts.clear()
 
 
 def test_registry_paths_reach_their_operation(capsys):

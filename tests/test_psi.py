@@ -202,16 +202,31 @@ def _masks(verts, related):
     )
 
 
+def _covers(verts, less):
+    """The Hasse diagram of the strict order ``less`` on ``verts``: per
+    vertex v, the bitmask of the w that cover v."""
+    return _masks(
+        verts,
+        lambda v, w: less(v, w) and not any(less(v, u) and less(u, w) for u in verts),
+    )
+
+
+def _refined_less(t):
+    refined = left_refined_pairs(t)
+    return lambda v, w: (v, w) in refined
+
+
 def test_bijection_tables_match_the_vertex_orders():
     # The count's per-tree masks, built in one walk, against the pair
-    # relations of prelie.orders.
+    # relations of prelie.orders: a vertex unlocks the vertices that cover
+    # it, and each non-root vertex is unlocked by exactly one vertex.
     for n in range(1, 8):
         for t in enumerate_planar(n):
             verts = t.vertices()
-            refined = left_refined_pairs(t)
-            pred = _masks(verts, lambda v, u: (u, v) in refined)
-            descendants = _masks(verts, tree_less)
-            assert _refined_table(t)[:2] == (pred, descendants)
+            unlock, descendants = _refined_table(t)[:2]
+            assert unlock == _covers(verts, _refined_less(t))
+            assert descendants == _masks(verts, tree_less)
+            assert sorted(i for u in unlock for i in range(n) if u >> i & 1) == list(range(1, n))
             listing = total_order_list(t)
             rank = {w: k for k, w in enumerate(listing)}
             parents = tuple(rank[w[:-1]] if w else -1 for w in listing)
@@ -219,14 +234,19 @@ def test_bijection_tables_match_the_vertex_orders():
             assert _total_order_table(t)[:2] == (parents, keys)
         for s in enumerate_nonplanar(n):
             verts = s.vertices()
-            ancestors = _masks(verts, lambda v, u: tree_less(u, v))
-            assert _ancestor_table(s)[:2] == (ancestors, _masks(verts, tree_less))
+            unlock, descendants = _ancestor_table(s)[:2]
+            assert unlock == _covers(verts, tree_less)
+            assert descendants == _masks(verts, tree_less)
+            assert sorted(i for u in unlock for i in range(n) if u >> i & 1) == list(range(1, n))
 
 
-def reference_count_bijections(table, tau):
+def reference_count_bijections(pred, table, tau):
     """The bijection count without the descendant-count test before the
-    search: the same enumeration, on the same tables."""
-    pred, descendants, masks = table[:3]
+    search, enumerating injections and dropping a candidate with an unplaced
+    predecessor: ``pred`` holds, per domain vertex, the bitmask of all its
+    predecessors, built from prelie.orders rather than taken from the
+    table under test."""
+    descendants, masks = table[1:3]
     parents, keys = _total_order_table(tau)[:2]
     try:
         allowed = list(map(masks.__getitem__, keys))
@@ -263,6 +283,12 @@ def reference_count_bijections(table, tau):
     return count
 
 
+def _predecessors(tree, less):
+    """Per vertex of ``tree``, the bitmask of its predecessors under ``less``."""
+    verts = tree.vertices()
+    return _masks(verts, lambda v, u: less(u, v))
+
+
 def _labeled(tree, alphabet="ab"):
     """Every labeling of ``tree`` over ``alphabet``, as trees of its class."""
     for label in alphabet:
@@ -270,46 +296,81 @@ def _labeled(tree, alphabet="ab"):
             yield type(tree)(kids, label)
 
 
-def _rejected(table, tau):
-    """Whether the domain's descending descendant counts fail to dominate
-    tau's, so that the count returns 0 before its search."""
-    return any(d < t for d, t in zip(table[3], _total_order_table(tau)[2]))
+def _descending_counts(tree):
+    return sorted((tree.subtree(v).degree - 1 for v in tree.vertices()), reverse=True)
+
+
+def _packed_test_rejects(table, tau):
+    """The count's test before the search, on the packed fields."""
+    tau_counts, guards = _total_order_table(tau)[2:]
+    return (table[3] | guards) - tau_counts & guards != guards
 
 
 def test_descendant_count_rejection_matches_reference_count():
     rejected = 0
     for n in range(1, 8):
         planar, nonplanar = enumerate_planar(n), enumerate_nonplanar(n)
+        domains = [(sigma, _refined_table(sigma), _predecessors(sigma, _refined_less(sigma)))
+                   for sigma in planar]
+        domains += [(s, _ancestor_table(s), _predecessors(s, tree_less)) for s in nonplanar]
         for tau in planar:
-            for sigma in planar:
-                table = _refined_table(sigma)
-                assert coeff_c_bijections(sigma, tau) == reference_count_bijections(table, tau)
-                rejected += _rejected(table, tau)
-            for s in nonplanar:
-                table = _ancestor_table(s)
-                assert count_tilde_b(s, tau) == reference_count_bijections(table, tau)
-                rejected += _rejected(table, tau)
+            tau_counts = _descending_counts(tau)
+            for tree, table, pred in domains:
+                want = reference_count_bijections(pred, table, tau)
+                if isinstance(tree, PlanarTree):
+                    assert coeff_c_bijections(tree, tau) == want
+                else:
+                    assert count_tilde_b(tree, tau) == want
+                dominated = any(map(int.__lt__, _descending_counts(tree), tau_counts))
+                assert _packed_test_rejects(table, tau) == dominated
+                rejected += dominated
     assert rejected == 14742
     for n in range(1, 5):
         planar = [t for u in enumerate_planar(n) for t in _labeled(u)]
         nonplanar = [t for u in enumerate_nonplanar(n) for t in _labeled(u)]
-        for tau in planar:
-            for sigma in planar:
-                want = reference_count_bijections(_refined_table(sigma), tau)
-                assert coeff_c_bijections(sigma, tau) == want
-            for s in nonplanar:
-                want = reference_count_bijections(_ancestor_table(s), tau)
-                assert count_tilde_b(s, tau) == want
+        for sigma in planar:
+            table, pred = _refined_table(sigma), _predecessors(sigma, _refined_less(sigma))
+            for tau in planar:
+                assert coeff_c_bijections(sigma, tau) == reference_count_bijections(pred, table, tau)
+        for s in nonplanar:
+            table, pred = _ancestor_table(s), _predecessors(s, tree_less)
+            for tau in planar:
+                assert count_tilde_b(s, tau) == reference_count_bijections(pred, table, tau)
+
+
+def _fields(packed, n):
+    """The n fields of a packed descendant count, field m first, and the
+    bits above them."""
+    width = n.bit_length() + 1
+    mask = (1 << width) - 1
+    return [packed >> (m * width) & mask for m in range(n)], packed >> (n * width)
 
 
 def test_domain_and_listing_tables_hold_descending_descendant_counts():
-    for n in range(1, 7):
-        for t in enumerate_planar(n):
-            want = tuple(sorted((t.subtree(v).degree - 1 for v in t.vertices()), reverse=True))
-            assert _refined_table(t)[3] == _total_order_table(t)[2] == want
-        for s in enumerate_nonplanar(n):
-            want = tuple(sorted((s.subtree(v).degree - 1 for v in s.vertices()), reverse=True))
-            assert _ancestor_table(s)[3] == want
+    for n in range(1, 9):
+        width = n.bit_length() + 1
+        trees = [(t, _refined_table(t)[3]) for t in enumerate_planar(n)]
+        trees += [(s, _ancestor_table(s)[3]) for s in enumerate_nonplanar(n)]
+        for t, packed in trees:
+            sizes = [t.subtree(v).degree - 1 for v in t.vertices()]
+            want = [sum(1 for d in sizes if d >= m) for m in range(n)]
+            assert _fields(packed, n) == (want, 0)
+            if isinstance(t, PlanarTree):
+                tau_counts, guards = _total_order_table(t)[2:]
+                assert tau_counts == packed
+                assert _fields(guards, n) == ([1 << (width - 1)] * n, 0)
+
+
+def test_bijection_count_where_the_field_width_grows():
+    # Field 0 of the packed counts holds the degree; at 16 and 32 it needs
+    # one more bit than at the degree before.
+    for n in (15, 16, 31, 32):
+        chain = parse_planar("(" * n + ")" * n)
+        corolla = PlanarTree((PlanarTree(),) * (n - 1))
+        for sigma, tau in ((chain, chain), (corolla, corolla), (chain, corolla), (corolla, chain)):
+            want = coeff_c_recursive(sigma, tau)
+            assert coeff_c_bijections(sigma, tau, cap=n) == want, (n, sigma, tau)
+        assert coeff_c_bijections(chain, chain, cap=n) == 1
 
 
 @pytest.mark.parametrize("n", [9, 10])
