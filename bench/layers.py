@@ -31,8 +31,9 @@ on all 1353 triples of total degree 10 and on 336 seeded triples of total
 degree at most 9, and each graft(s, t) has coefficient sum |t|.  The
 2000 seeded ``prelie.cli.main`` requests of ``cli_requests_2000`` all exit
 0, each psi answer sums to N(tau), each product answer to the size of its
-right operand, and every ``--method both`` answer prints ``match``.  A
-failed check fails the run and the script exits 1.  Only the standard
+right operand, and every ``--method both`` answer prints ``match``; the
+50 fresh-process requests of ``cli_oneshot_50`` exit 0 with the same
+psi and product sums.  A failed check fails the run and the script exits 1.  Only the standard
 library is used.
 """
 
@@ -451,6 +452,54 @@ def _cli_requests():
     return setup, work, check
 
 
+def _cli_oneshot(requests: int):
+    """Seeded single requests, each in a fresh ``python -m prelie.cli``
+    process: interpreter start-up, ``import prelie.cli``, one parse, one
+    answer, what a shell user pays per command.  Half are psi requests
+    (degree 4 to 7), half graft or left-graft products (degree 1 to 5).
+    One untimed request first writes the bytecode cache."""
+
+    def setup(P):
+        rng = random.Random(50)
+        argvs = []
+        for i in range(requests):
+            if i % 2 == 0:
+                argvs.append(["compute", "psi", "--tree", _random_planar(rng, 4 + i // 2 % 4)])
+            else:
+                product = rng.choice(("graft", "left-graft"))
+                left = _random_planar(rng, 1 + i // 2 % 5)
+                right = _random_planar(rng, rng.randint(1, 5))
+                argvs.append(["compute", "product", "--product", product,
+                              "--left", left, "--right", right])
+        _run_cli(argvs[0])
+        return argvs
+
+    def work(P, argvs):
+        return [(argv, *_run_cli(argv)) for argv in argvs]
+
+    def check(P, out):
+        if len(out) != requests:
+            return False, f"{len(out)} requests"
+        for argv, code, stdout in out:
+            if code != 0:
+                return False, f"{argv}: exit {code}"
+            if argv[1] == "psi" and _coefficient_sum(stdout) != _image_size(argv[3]):
+                return False, f"psi({argv[3]}) coefficient sum is not N(tau)"
+            if argv[1] == "product" and _coefficient_sum(stdout) != argv[7].count("("):
+                return False, f"{argv}: coefficient sum is not |right|"
+        return True, f"{len(out)} fresh processes exit 0; psi sums N(tau), products |right|"
+
+    return setup, work, check
+
+
+def _run_cli(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of one request in a fresh interpreter that
+    imports prelie from this process's PYTHONPATH."""
+    proc = subprocess.run([sys.executable, "-m", "prelie.cli", *argv],
+                          capture_output=True, text=True, timeout=TIMEOUT_S)
+    return proc.returncode, proc.stdout
+
+
 LAYERS = {
     "psi_all_9": _psi_layer(9),
     "psi_all_10": _psi_layer(10),
@@ -468,6 +517,7 @@ LAYERS = {
     "identities_9": _graft_identities(_seeded_triples(9, 4), 336),
     "ag_pipeline_8": _ag_pipeline(8),
     "cli_requests_2000": _cli_requests(),
+    "cli_oneshot_50": _cli_oneshot(50),
 }
 
 

@@ -17,7 +17,6 @@ errors still come from the full parser tree, byte for byte.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import lru_cache
@@ -99,6 +98,12 @@ def _emit(text: str):
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _emit_json(obj):
+    import json  # only json output needs it
+
+    _emit(json.dumps(obj))
+
+
 def _emit_matrix(m, fmt: str):
     _emit(m.to_json_str() if fmt == "json" else m.to_csv())
 
@@ -128,7 +133,7 @@ def cmd_enumerate(args) -> int:
             payload = [t.serialize() for t in items]
         else:
             payload = [t.to_json() for t in items]
-        _emit(json.dumps({"kind": kind, "degree": args.degree, "count": len(items), "trees": payload}))
+        _emit_json({"kind": kind, "degree": args.degree, "count": len(items), "trees": payload})
     else:
         for t in items:
             if kind == "binary":
@@ -165,7 +170,7 @@ def cmd_compute_psi_inverse(args) -> int:
 def _emit_methods(args, values: dict, match: bool) -> int:
     """Print the values one or both methods gave, and whether they agree."""
     if args.format == "json":
-        _emit(json.dumps({**values, "match": match}))
+        _emit_json({**values, "match": match})
     else:
         for k, v in values.items():
             _emit(f"{k}: {v}")
@@ -234,7 +239,7 @@ def cmd_compute_ag_multigen(args) -> int:
     order = monomials.GeneratorOrder(tuple(args.alphabet.split(",")))
     basis = monomials.ag_basis_multigen(args.degree, order, cap=5 if args.cap is None else args.cap)
     if args.format == "json":
-        _emit(json.dumps({"degree": args.degree, "count": len(basis), "monomials": [m.serialize() for m in basis]}))
+        _emit_json({"degree": args.degree, "count": len(basis), "monomials": [m.serialize() for m in basis]})
     else:
         for m in basis:
             _emit(m.serialize())
@@ -249,7 +254,7 @@ def cmd_compute_ag_multigen(args) -> int:
 def cmd_verify(args) -> int:
     report = verify.run(args.suite, args.max_degree, args.seed)
     if args.format == "json":
-        _emit(json.dumps(report))
+        _emit_json(report)
     else:
         for c in report["checks"]:
             detail = f"  ({c['detail']})" if c["detail"] else ""

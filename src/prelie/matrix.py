@@ -3,15 +3,12 @@
 from __future__ import annotations
 
 import io
-import json
-from dataclasses import dataclass
-from fractions import Fraction
+import math
 
-from .trees import DegreeCapError
+from .trees import DegreeCapError, _fill, _Value
 
 
-@dataclass(frozen=True)
-class CoeffMatrix:
+class CoeffMatrix(_Value):
     """Integer matrix indexed by row/column tree serializations.
 
     For the planar base change the matrix is square, upper triangular and
@@ -19,10 +16,16 @@ class CoeffMatrix:
     the planar-to-non-planar matrix is rectangular.
     """
 
-    degree: int
-    row_basis: tuple[str, ...]
-    col_basis: tuple[str, ...]
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("degree", "row_basis", "col_basis", "entries")
+
+    def __init__(
+        self,
+        degree: int,
+        row_basis: tuple[str, ...],
+        col_basis: tuple[str, ...],
+        entries: tuple[tuple[int, ...], ...],
+    ):
+        _fill(self, degree, row_basis, col_basis, entries)
 
     def entry(self, row: str, col: str) -> int:
         return self.entries[self.row_basis.index(row)][self.col_basis.index(col)]
@@ -49,11 +52,7 @@ class CoeffMatrix:
         return counts
 
     def is_upper_triangular(self) -> bool:
-        return all(
-            self.entries[i][j] == 0
-            for i in range(len(self.row_basis))
-            for j in range(min(i, len(self.col_basis)))
-        )
+        return not any(any(row[:i]) for i, row in enumerate(self.entries))
 
     def is_unipotent_upper_triangular(self) -> bool:
         n, m = self.shape
@@ -62,10 +61,16 @@ class CoeffMatrix:
         return all(self.entries[i][i] == 1 for i in range(n))
 
     def determinant(self) -> Fraction:
-        """Exact determinant by fraction-free-enough Gaussian elimination."""
+        """Exact determinant: the product of the diagonal when the matrix is
+        upper triangular (every base change in canonical order is), else
+        by Gaussian elimination over fractions."""
+        from fractions import Fraction
+
         n, m = self.shape
         if n != m:
             raise ValueError("determinant of a non-square matrix")
+        if self.is_upper_triangular():
+            return Fraction(math.prod([self.entries[i][i] for i in range(n)]))
         a = [[Fraction(e) for e in row] for row in self.entries]
         det = Fraction(1)
         for col in range(n):
@@ -99,6 +104,8 @@ class CoeffMatrix:
         }
 
     def to_json_str(self) -> str:
+        import json
+
         return json.dumps(self.to_json())
 
 

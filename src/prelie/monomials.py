@@ -13,7 +13,6 @@ monomials evaluate to vertex-labeled trees.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .matrix import CoeffMatrix, _check_dense, _from_images
@@ -28,8 +27,8 @@ from .trees import (
     _LABEL_RE,
     _check_degree,
     _nonplanar_count,
-    _planar_of_text,
-    _tree_of_text,
+    _fill,
+    _Value,
     canonical_key,
     enumerate_nonplanar,
 )
@@ -42,9 +41,11 @@ def _singleton(name: str) -> frozenset[str]:
     return frozenset((name,))
 
 
-@dataclass(frozen=True, slots=True)
-class Generator:
-    name: str = "g"
+class Generator(_Value):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str = "g"):
+        _set_name(self, name)
 
     def serialize(self) -> str:
         return self.name
@@ -56,29 +57,31 @@ class Generator:
     def generator_names(self) -> frozenset[str]:
         return _singleton(self.name)
 
+    def __eq__(self, other) -> bool:
+        if type(other) is not Generator:
+            return NotImplemented
+        return self.name == other.name
+
     def __hash__(self) -> int:
         return hash(self.name)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Product:
+class Product(_Value):
     """The product node of a monomial.  Its serialization, degree and
     generator set are computed once, from its operands' stored values, and
     it compares and hashes by its serialization, so a memo keyed by
     monomials reads no subexpression."""
 
-    left: "MonomialExpr"
-    right: "MonomialExpr"
-    _text: str = field(init=False, repr=False)
-    degree: int = field(init=False, repr=False)
-    _names: frozenset[str] = field(init=False, repr=False)
+    __slots__ = ("left", "right", "_text", "degree", "_names")
+    _fields = ("left", "right")
 
-    def __post_init__(self):
-        left, right = self.left, self.right
-        object.__setattr__(self, "_text", f"[{left.serialize()},{right.serialize()}]")
-        object.__setattr__(self, "degree", left.degree + right.degree)
+    def __init__(self, left: MonomialExpr, right: MonomialExpr):
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_text(self, f"[{left.serialize()},{right.serialize()}]")
+        _set_degree(self, left.degree + right.degree)
         names, more = left.generator_names(), right.generator_names()
-        object.__setattr__(self, "_names", names if more <= names else names | more)
+        _set_names(self, names if more <= names else names | more)
 
     def serialize(self) -> str:
         return self._text
@@ -94,6 +97,15 @@ class Product:
     def __hash__(self) -> int:
         return hash(self._text)
 
+
+# Both classes are frozen, so construction writes the slots through their
+# descriptors.
+_set_name = Generator.name.__set__
+_set_left = Product.left.__set__
+_set_right = Product.right.__set__
+_set_text = Product._text.__set__
+_set_degree = Product.degree.__set__
+_set_names = Product._names.__set__
 
 MonomialExpr = Generator | Product
 
@@ -134,19 +146,18 @@ def evaluate(m: MonomialExpr, product: str, labeled: bool | None = None) -> Tree
     give genuine sums.  With ``labeled=None`` vertices stay unlabeled when
     the expression uses a single generator symbol.
     """
-    return _fold(m, product, None if labeled is None else bool(labeled))
+    if labeled is None:
+        labeled = len(m.generator_names()) > 1
+    return _fold(m, product, bool(labeled))
 
 
 @lru_cache(maxsize=None)
-def _fold(expr: MonomialExpr, product: str, labeled: bool | None) -> TreeSum:
-    """The image of ``expr`` under ``product``; ``labeled=None`` labels the
-    vertices when ``expr`` uses more than one generator symbol.  Memoized,
-    that decision included: the basis monomials of a degree share their
-    sub-monomials, and the same monomial is folded again for sorting,
-    grounding and sections."""
-    if labeled is None:
-        return _fold(expr, product, len(expr.generator_names()) > 1)
-    if isinstance(expr, Generator):
+def _fold(expr: MonomialExpr, product: str, labeled: bool) -> TreeSum:
+    """The image of ``expr`` under ``product``, its vertices labeled by
+    generator name when ``labeled``.  Memoized: the basis monomials of a
+    degree share their sub-monomials, and the same monomial is folded
+    again for other products and labelings."""
+    if type(expr) is Generator:
         leaf_cls = PlanarTree if product_flavor(product) == "planar" else Tree
         return TreeSum.single(leaf_cls((), expr.name if labeled else None))
     return bilinear_extend(
@@ -155,30 +166,44 @@ def _fold(expr: MonomialExpr, product: str, labeled: bool | None) -> TreeSum:
 
 
 def lower_energy_term(m: MonomialExpr) -> Tree:
-    """The single tree obtained by binding the product to the Butcher fold."""
-    return _tree_of_text(evaluate(m, "butcher").texts[0][0])
+    """The single tree obtained by binding the product to the Butcher
+    product: the one term of ``evaluate(m, "butcher")``."""
+    return _magmatic_fold(m, Tree, len(m.generator_names()) > 1)
 
 
 def planar_lower_term(m: MonomialExpr) -> PlanarTree:
-    return _planar_of_text(evaluate(m, "left-butcher").texts[0][0])
+    """The one term of ``evaluate(m, "left-butcher")``."""
+    return _magmatic_fold(m, PlanarTree, len(m.generator_names()) > 1)
+
+
+@lru_cache(maxsize=None)
+def _magmatic_fold(expr: MonomialExpr, cls: type, labeled: bool) -> PlanarTree | Tree:
+    """The tree of ``expr`` with the product bound to the (left) Butcher
+    product of trees of class ``cls``: the left operand joins the right
+    one's root as a branch, leftmost or (for ``Tree``) in sorted place.
+    Memoized like :func:`_fold`, with no sum built."""
+    if type(expr) is Generator:
+        return cls((), expr.name if labeled else None)
+    right = _magmatic_fold(expr.right, cls, labeled)
+    return cls((_magmatic_fold(expr.left, cls, labeled),) + right.children, right.label)
 
 
 # ---------------------------------------------------------------------------
 # Agrachev-Gamkrelidze bases
 
 
-@dataclass(frozen=True)
-class GeneratorOrder:
+class GeneratorOrder(_Value):
     """Totally ordered generator alphabet, ascending."""
 
-    alphabet: tuple[str, ...] = ("g",)
+    __slots__ = _fields = ("alphabet",)
 
-    def __post_init__(self):
-        if len(set(self.alphabet)) != len(self.alphabet) or not self.alphabet:
+    def __init__(self, alphabet: tuple[str, ...] = ("g",)):
+        if len(set(alphabet)) != len(alphabet) or not alphabet:
             raise DomainError("alphabet must be non-empty without repeats")
-        for name in self.alphabet:
+        for name in alphabet:
             if not _LABEL_RE.fullmatch(name):
                 raise DomainError(f"generator name {name!r} is not a label [a-z0-9_]+")
+        _fill(self, alphabet)
 
 
 @lru_cache(maxsize=None)
@@ -218,10 +243,11 @@ def _ag_raw(n: int, alphabet: tuple[str, ...]) -> tuple[MonomialExpr, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class MonomialBasis:
-    degree: int
-    monomials: tuple[MonomialExpr, ...]
+class MonomialBasis(_Value):
+    __slots__ = _fields = ("degree", "monomials")
+
+    def __init__(self, degree: int, monomials: tuple[MonomialExpr, ...]):
+        _fill(self, degree, monomials)
 
     def lower_terms(self) -> tuple[Tree, ...]:
         return tuple(lower_energy_term(m) for m in self.monomials)

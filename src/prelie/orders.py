@@ -16,9 +16,7 @@ Vertices are identified by their root path (tuple of child indices).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .trees import DomainError, PlanarTree, Tree
+from .trees import DomainError, PlanarTree, Tree, _fill, _Value
 
 VertexId = tuple[int, ...]
 
@@ -63,12 +61,13 @@ def total_order_list(t: PlanarTree) -> list[VertexId]:
     return trunk_part + branch_part
 
 
-@dataclass(frozen=True)
-class VertexOrder:
+class VertexOrder(_Value):
     """Queryable pair relation over the vertices of one tree."""
 
-    kind: str
-    pairs: frozenset[tuple[VertexId, VertexId]]
+    __slots__ = _fields = ("kind", "pairs")
+
+    def __init__(self, kind: str, pairs: frozenset[tuple[VertexId, VertexId]]):
+        _fill(self, kind, pairs)
 
     def holds(self, v: VertexId, w: VertexId) -> bool:
         return (v, w) in self.pairs

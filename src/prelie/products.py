@@ -28,10 +28,8 @@ of t are memoized per pair of operand texts.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterable
 
 from .trees import (
@@ -42,6 +40,7 @@ from .trees import (
     Tree,
     _planar_of_text,
     _tree_of_text,
+    _Value,
     serial_key,
 )
 
@@ -49,20 +48,28 @@ PLANAR = "planar"
 NONPLANAR = "nonplanar"
 
 
-@dataclass(frozen=True)
-class TreeSum:
+class TreeSum(_Value):
     """A sum held as its (text, coefficient) pairs, zeros dropped, in
     :func:`_ranked` order.  There is one tree per text, so these pairs
     determine the sum; its trees are built the first time ``terms`` is
-    read."""
+    read, into the slot of that name."""
 
-    flavor: str
-    texts: tuple[tuple[str, int], ...]
+    __slots__ = ("flavor", "texts", "terms")
+    _fields = ("flavor", "texts")
 
-    @cached_property
-    def terms(self) -> tuple[tuple[PlanarTree | Tree, int], ...]:
+    def __init__(self, flavor: str, texts: tuple[tuple[str, int], ...]):
+        _set_flavor(self, flavor)
+        _set_texts(self, texts)
+
+    def __getattr__(self, name: str):
+        """The (tree, coefficient) pairs ``terms``, built on the first read
+        of the slot (a filled slot is read without this call)."""
+        if name != "terms":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         of_text = _planar_of_text if self.flavor == PLANAR else _tree_of_text
-        return tuple([(of_text(t), c) for t, c in self.texts])
+        terms = tuple([(of_text(t), c) for t, c in self.texts])
+        _set_terms(self, terms)
+        return terms
 
     @classmethod
     def make(cls, flavor: str, terms: Iterable[tuple[PlanarTree | Tree, int]]) -> "TreeSum":
@@ -134,7 +141,16 @@ class TreeSum:
         return [{"coeff": str(c), "tree": t.to_json()} for t, c in self.terms]
 
     def to_json_str(self) -> str:
+        import json
+
         return json.dumps(self.to_json())
+
+
+# The class is frozen, so construction writes the slots through their
+# descriptors.
+_set_flavor = TreeSum.flavor.__set__
+_set_texts = TreeSum.texts.__set__
+_set_terms = TreeSum.terms.__set__
 
 
 def _tree_class(flavor: str) -> type:

@@ -1,9 +1,9 @@
 """Rooted trees: planar, non-planar (canonical) and planar binary.
 
 All tree values are immutable and hashable.  There is one rooted tree
-per (class, text), compared and hashed by identity; its serialization and
-degree are computed once, when its text is first built, from its
-children's stored values.  The text grammar is
+per (class, text), compared and hashed by identity; its serialization,
+degree and potential energy are computed once, when its text is first
+built, from its children's stored values.  The text grammar is
 
     tree  := label? "(" tree* ")"
     label := [a-z0-9_]+
@@ -22,8 +22,8 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 ENUMERATION_CAP = 12  # Catalan(11) = 58786 planar trees at degree 12
 BRUTE_FORCE_CAP = 8
@@ -35,6 +35,64 @@ class DomainError(ValueError):
 
 class DegreeCapError(DomainError):
     """Requested degree exceeds the configured cap."""
+
+
+class FrozenInstanceError(AttributeError):
+    """An attempt to assign or delete a field of an immutable value."""
+
+
+class _Frozen:
+    """Immutable slotted object whose constructor takes its fields, named
+    in ``_fields``, in that order.  Assigning or deleting any attribute
+    raises :class:`FrozenInstanceError`; constructors write their slots
+    with :func:`_fill` or through the slot descriptors.  ``repr`` shows the
+    fields as a dataclass does, and ``pickle`` and ``copy`` rebuild the
+    value by calling its class on them."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, f) for f in self._fields])
+
+    def __repr__(self):
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Value(_Frozen):
+    """Immutable value: equal to an instance of the same class with equal
+    fields, never to an instance of another class, and hashed by its
+    fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # reads every field in one call: the field itself when there is one,
+        # else their tuple
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+
+def _fill(value: _Frozen, *fields) -> None:
+    """Write the fields of a new value, in ``_fields`` order."""
+    for name, field in zip(value._fields, fields):
+        object.__setattr__(value, name, field)
 
 
 # '(' must sort above ')' and above label characters so that deeper branches
@@ -54,31 +112,36 @@ _TOKEN_RE = re.compile(r"[a-z0-9_]+|[()]")
 _LABEL_RE = re.compile(r"[a-z0-9_]+")
 
 
-class _RootedTree:
+class _RootedTree(_Frozen):
     """Body shared by planar and non-planar trees.  The two stay distinct
     classes: trees of different classes never compare equal.
 
     There is one tree per (class, text), compared by identity: the
     constructor returns the tree of its text from its class's table, and
-    only a new text builds one, storing its serialization (interned) and
-    degree.  Children of another class are refused, so no table holds a
-    tree mixing the two."""
+    only a new text builds one, storing its serialization (interned),
+    degree and potential energy.  Children of another class are refused,
+    so no table holds a tree mixing the two."""
 
-    __slots__ = ("children", "label", "degree", "_text")
+    __slots__ = ("children", "label", "degree", "energy", "_text")
+    _fields = ("children", "label")
 
     def __new__(cls, children: tuple[_RootedTree, ...] = (), label: str | None = None):
         if label is not None and not _LABEL_RE.fullmatch(label):
             raise DomainError(f"bad label {label!r}")
         children = cls._arrange(tuple(children))
-        if any(type(c) is not cls for c in children):
+        texts = [c._text for c in children if type(c) is cls]
+        if len(texts) != len(children):
             raise DomainError(f"children of a {cls.__name__} must be {cls.__name__}s")
-        text = f"{label or ''}({''.join([c._text for c in children])})"
+        text = f"{label or ''}({''.join(texts)})"
         tree = cls._by_text.get(text)
         if tree is None:
             tree = object.__new__(cls)
             _set_children(tree, children)
             _set_label(tree, label)
-            _set_degree(tree, sum([c.degree for c in children], 1))
+            degree = sum([c.degree for c in children], 1)
+            _set_degree(tree, degree)
+            # each vertex below the root is one deeper than in its branch
+            _set_energy(tree, sum([c.energy for c in children], degree - 1))
             _set_text(tree, sys.intern(text))
             cls._by_text[tree._text] = tree
         return tree
@@ -86,18 +149,6 @@ class _RootedTree:
     @staticmethod
     def _arrange(children: tuple) -> tuple:
         return children
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), (self.children, self.label)
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(children={self.children!r}, label={self.label!r})"
 
     def serialize(self) -> str:
         return self._text
@@ -131,6 +182,7 @@ class _RootedTree:
 _set_children = _RootedTree.children.__set__
 _set_label = _RootedTree.label.__set__
 _set_degree = _RootedTree.degree.__set__
+_set_energy = _RootedTree.energy.__set__
 _set_text = _RootedTree._text.__set__
 
 
@@ -211,16 +263,15 @@ _planar_of_text = _text_builder(PlanarTree)
 _tree_of_text = _text_builder(Tree)
 
 
-@dataclass(frozen=True)
-class BinaryTree:
+class BinaryTree(_Value):
     """Planar binary tree: a leaf, or a node with exactly two subtrees."""
 
-    left: "BinaryTree | None" = None
-    right: "BinaryTree | None" = None
+    __slots__ = _fields = ("left", "right")
 
-    def __post_init__(self):
-        if (self.left is None) != (self.right is None):
+    def __init__(self, left: BinaryTree | None = None, right: BinaryTree | None = None):
+        if (left is None) != (right is None):
             raise DomainError("internal node needs both subtrees")
+        _fill(self, left, right)
 
     @property
     def is_leaf(self) -> bool:
@@ -291,15 +342,15 @@ def potential_energy(t: PlanarTree | Tree) -> int:
     """Sum of the depths of all vertices, the root having depth 0.
 
     Independent of the planar embedding, so projecting to the non-planar
-    tree preserves it.
+    tree preserves it.  Stored on the tree when it is built.
     """
-    return sum(potential_energy(c) + c.degree for c in t.children)
+    return t.energy
 
 
 def canonical_key(t: PlanarTree | Tree) -> tuple[int, bytes]:
     """Basis sort key: descending potential energy, ties by descending
     serialization.  Sort with ``reverse=True``."""
-    return (potential_energy(t), serial_key(t.serialize()))
+    return (t.energy, serial_key(t._text))
 
 
 def symmetry_factor(s: Tree) -> int:

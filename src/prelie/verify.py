@@ -18,7 +18,6 @@ columns against the public psi_bar and psi_tilde, psi o psi^-1 = id),
 
 from __future__ import annotations
 
-import json
 import random
 
 from . import monomials, projection, trees
@@ -245,6 +244,8 @@ def verify_oracle(max_degree: int, seed: int) -> list[dict]:
 
 
 def verify_tree_grounded(max_degree: int, seed: int) -> list[dict]:
+    import json  # for the witnesses
+
     checks = []
     for n in range(1, max_degree + 1):
         basis = monomials.ag_basis(n)

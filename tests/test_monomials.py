@@ -168,6 +168,29 @@ def test_lower_term_is_butcher_fold():
             assert forget_planarity(planar_lower_term(m)) == lower_energy_term(m)
 
 
+def _single_term(s: TreeSum):
+    ((tree, coeff),) = s.terms
+    assert coeff == 1
+    return tree
+
+
+def test_lower_terms_are_the_magmatic_evaluations():
+    # the direct tree folds against the one term of each magmatic sum fold
+    monomials._magmatic_fold.cache_clear()
+    family = [m for n in range(1, 9) for m in ag_basis(n).monomials]
+    order = GeneratorOrder(("a", "b"))
+    family += [m for n in range(1, 6) for m in ag_basis_multigen(n, order)]
+    for m in family:
+        lower, planar = lower_energy_term(m), planar_lower_term(m)
+        assert type(lower) is Tree and type(planar) is PlanarTree
+        assert lower is _single_term(evaluate(m, "butcher"))
+        assert planar is _single_term(evaluate(m, "left-butcher"))
+    # the mixed monomials fold to labeled trees, the one-letter ones do not
+    assert lower_energy_term(parse_monomial("[a,b]")).serialize() == "b(a())"
+    assert planar_lower_term(parse_monomial("[[a,b],a]")).serialize() == "a(b(a()))"
+    assert lower_energy_term(parse_monomial("[b,b]")).serialize() == "(())"
+
+
 # ---------------------------------------------------------------------------
 # one-generator bases
 

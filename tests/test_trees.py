@@ -469,6 +469,30 @@ def test_potential_energy_planarity_independent():
             assert potential_energy(sigma) == potential_energy(forget_planarity(sigma))
 
 
+def depth_sum_oracle(text: str) -> int:
+    """Sum of vertex depths read off a tree text: each ``(`` opens a vertex
+    as deep as the number of vertices still open before it."""
+    total = open_now = 0
+    for ch in text:
+        if ch == "(":
+            total += open_now
+            open_now += 1
+        elif ch == ")":
+            open_now -= 1
+    return total
+
+
+def test_stored_energy_is_the_depth_sum_through_degree_9():
+    for n in range(1, 10):
+        for t in enumerate_planar(n) + enumerate_nonplanar(n):
+            assert potential_energy(t) == t.energy == depth_sum_oracle(t.serialize())
+            assert canonical_key(t) == (depth_sum_oracle(t.serialize()), serial_key(t.serialize()))
+    # trees built from non-canonical or labeled texts store it too
+    for text in ("(()(()))", "a(b()c(d(e())))", "((()())(()))"):
+        for t in (parse_tree(text), parse_planar(text)):
+            assert t.energy == depth_sum_oracle(text)
+
+
 def test_symmetry_factor_examples():
     assert symmetry_factor(parse_tree("()")) == 1
     assert symmetry_factor(parse_tree("(()())")) == 2
