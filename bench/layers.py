@@ -6,12 +6,15 @@
 Each layer runs in a fresh Python process that imports ``prelie`` from a
 source tree: this checkout's ``src``, and with ``--parent`` also the tree
 of the git revision REF, unpacked with ``git archive`` under ``--workdir``
-(a new temporary directory by default).  The two sides alternate run by
-run, so that drift of the host's speed hits both alike.  For every layer
-the file records the median and each of the RUNS runs of the layer's own
-wall time (set-up excluded) and of the process's peak resident set
-(``VmHWM``, read at its end; set-up included), plus Python, ``nproc`` and
-the commits.  Without ``--out`` the file is ``BENCH.json`` at the root;
+(a new temporary directory by default).  The runs go in pairs, one run of
+each side, and the side that runs first alternates pair by pair, so that
+drift of the host's speed hits both alike.  For every layer the file
+records the median, the spread ((max - min) / median) and each of the RUNS
+runs of the layer's own wall time (set-up excluded) and of the process's
+peak resident set (``VmHWM``, read at its end; set-up included), plus
+Python, ``nproc`` and the commits.  With ``--parent`` it also records, per
+layer, the change's median over the parent's and how many of the pairs the
+change won (ties count for neither side).  Without ``--out`` the file is ``BENCH.json`` at the root;
 ``--layers`` runs only the named layers, in the order given.
 
 A layer's output is checked after it is timed: the entry sum of every psi
@@ -399,7 +402,8 @@ CLI_MIX = (
 def _cli_requests():
     """Seeded command lines through ``prelie.cli.main`` in one process,
     stdout captured, sharing the library's caches as a batch of requests
-    does.  The parser is built by the first request, inside the timing."""
+    does.  Every line is an ordinary request, which the grammar table
+    parses without building the argparse tree."""
 
     def setup(P):
         import prelie.cli
@@ -573,8 +577,21 @@ def summarize(runs: list[dict]) -> dict:
     if ok:
         for key in ("wall_s", "vmhwm_mib"):
             values = [r[key] for r in runs]
-            out[key] = round(statistics.median(values), 4)
+            median = statistics.median(values)
+            out[key] = round(median, 4)
+            out[f"{key}_spread"] = round((max(values) - min(values)) / median, 3)
             out[f"{key}_runs"] = [round(v, 4) for v in values]
+    return out
+
+
+def over_parent(change: dict, parent: dict) -> dict:
+    """The change's medians over the parent's, and the pairs (run k of each
+    side) in which the change read lower."""
+    out = {"pairs": RUNS}
+    for key in ("wall_s", "vmhwm_mib"):
+        out[key] = round(change[key] / parent[key], 3)
+        out[f"{key}_pairs_won"] = sum(
+            c < p for c, p in zip(change[f"{key}_runs"], parent[f"{key}_runs"]))
     return out
 
 
@@ -627,8 +644,9 @@ def main(argv=None) -> int:
     for name in names:
         runs = {side: [] for side in sides}
         for k in range(RUNS):
-            for side, (src, _, _) in sides.items():
-                r = run_once(src, name)
+            order = list(sides) if k % 2 == 0 else list(reversed(sides))
+            for side in order:
+                r = run_once(sides[side][0], name)
                 runs[side].append(r)
                 shown = f"{r['wall_s']:.3f} s, {r['vmhwm_mib']:.1f} MiB" if r["ok"] else "FAILED"
                 print(f"{name} {side} run {k + 1}: {shown} ({r['check']})", file=sys.stderr)
@@ -642,16 +660,15 @@ def main(argv=None) -> int:
         "runs": RUNS,
         "wall_s": "layer only, set-up excluded; median of runs",
         "vmhwm_mib": "peak resident set of the whole process (VmHWM); median of runs",
+        "spread": "(max - min) / median of a layer's runs on one side",
+        "pairs_won": "pairs (run k of each side, first side alternating) the change read lower",
     }
     for side, (_, commit, dirty) in sides.items():
         report[side] = {"commit": commit, "uncommitted_src_changes": dirty,
                         "layers": results[side]}
     if "parent" in sides:
         report["change_over_parent"] = {
-            name: {
-                key: round(results["change"][name][key] / results["parent"][name][key], 3)
-                for key in ("wall_s", "vmhwm_mib")
-            }
+            name: over_parent(results["change"][name], results["parent"][name])
             for name in names
             if results["change"][name]["ok"] and results["parent"][name]["ok"]
         }

@@ -9,17 +9,27 @@ deeply to process or a dense matrix above its cell budget, 4 dual-method
 disagreement, 141 output pipe closed by its reader (silent, as for
 ``prelie ... | head``).
 
-Each command line goes straight to the parser of its leaf subcommand
-(``enumerate``, ``verify``, ``section``, ``compute <op>``); help and usage
-errors still come from the full parser tree, byte for byte.
+The grammar is declared once, in ``GRAMMAR``: each leaf subcommand
+(``enumerate``, ``verify``, ``section``, ``compute <op>``) with its
+positionals and options.  A command line is parsed straight from that
+table when its positionals come right after the leaf words, then options
+by their exact strings, none repeated, each value a separate word that
+does not start with ``-``, ints that ``int()`` reads, values in their
+choices and every required option given.  Any other line goes to the
+argparse tree ``build_parser`` renders from the same table, which answers
+help (``-h``), usage errors, ``--opt=value``, abbreviated options, ``--``,
+values starting with ``-`` and repeated options exactly as argparse does.
+So ``argparse`` is imported only for those lines, never by an ordinary
+request.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from functools import lru_cache
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from . import monomials, projection, trees, verify
 from .products import (
@@ -37,6 +47,9 @@ from .psi import (
 )
 from .psi import psi as psi_map
 from .trees import DegreeCapError, DomainError
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -283,129 +296,206 @@ def cmd_section(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Arg:
+    """One argument of a leaf.  A name starting with ``--`` is an option,
+    any other name a positional (``optional`` ones may be absent); a
+    ``flag`` option takes no value and stores True."""
+
+    __slots__ = ("name", "dest", "type", "choices", "default", "required", "flag", "optional", "help")
+
+    def __init__(self, name, *, type=None, choices=None, default=None, required=False,
+                 flag=False, optional=False, help=None):
+        self.name = name
+        self.dest = name.lstrip("-").replace("-", "_")
+        self.type, self.choices, self.default = type, choices, default
+        self.required, self.flag, self.optional, self.help = required, flag, optional, help
+
+    def argparse_kwargs(self) -> dict:
+        if self.flag:
+            return {"action": "store_true"}
+        given = {"type": self.type, "choices": self.choices, "default": self.default,
+                 "required": self.required or None, "nargs": "?" if self.optional else None,
+                 "help": self.help}
+        return {k: v for k, v in given.items() if v is not None}
+
+
+class _Leaf:
+    """A leaf subcommand: its ``func``, its arguments in order and its help
+    line, with the lookups the table parser uses."""
+
+    __slots__ = ("func", "args", "help", "positionals", "options", "required", "defaults")
+
+    def __init__(self, func, *args: _Arg, help=None):
+        self.func, self.args, self.help = func, args, help
+        self.positionals = tuple(a for a in args if not a.name.startswith("-"))
+        self.options = {a.name: a for a in args if a.name.startswith("-")}
+        self.required = frozenset(a.dest for a in args if a.required)
+        self.defaults = {a.dest: False if a.flag else a.default for a in args}
+        self.defaults["func"] = func
+
+
+def _format(*extra):
+    return _Arg("--format", choices=("text", "json", *extra), default="text")
+
+
+_DEGREE = _Arg("--degree", type=int, required=True)
+_CAP = _Arg("--cap", type=int)
+_BRUTE_CAP = _Arg("--brute-cap", type=int, default=trees.BRUTE_FORCE_CAP)
+_TREE = _Arg("--tree", required=True)
+_TAU = _Arg("--tau", required=True)
+
+# The whole command line grammar: each leaf subcommand keyed by the words
+# that select it.  The table parser reads it directly, and ``build_parser``
+# renders it into argparse in this order.
+GRAMMAR = {
+    ("enumerate",): _Leaf(
+        cmd_enumerate,
+        _Arg("kind", choices=("planar", "nonplanar", "binary")), _DEGREE, _CAP, _format(),
+        help="list trees of one degree",
+    ),
+    ("compute", "product"): _Leaf(
+        cmd_compute_product,
+        _Arg("--product", choices=tuple(sorted(PRODUCTS)), required=True),
+        _Arg("--left", required=True), _Arg("--right", required=True), _format(),
+    ),
+    ("compute", "psi"): _Leaf(cmd_compute_psi, _TREE, _format()),
+    ("compute", "psi-inverse"): _Leaf(cmd_compute_psi_inverse, _TREE, _format()),
+    ("compute", "coeff"): _Leaf(
+        cmd_compute_coeff,
+        _Arg("--sigma", required=True), _TAU,
+        _Arg("--method", choices=("recursive", "bijections", "both"), default="recursive"),
+        _BRUTE_CAP, _format(),
+    ),
+    ("compute", "alpha"): _Leaf(
+        cmd_compute_alpha,
+        _Arg("--s", required=True), _TAU,
+        _Arg("--method", choices=("fiber", "bijections", "both"), default="fiber"),
+        _BRUTE_CAP, _format(),
+    ),
+    ("compute", "matrix"): _Leaf(cmd_compute_matrix, _DEGREE, _CAP, _format("csv")),
+    ("compute", "beta"): _Leaf(
+        cmd_compute_beta,
+        _DEGREE, _Arg("--section", help="section file; default section if omitted"), _CAP,
+        _format("csv"),
+    ),
+    ("compute", "expand"): _Leaf(
+        cmd_compute_expand, _Arg("--ag", flag=True), _DEGREE, _CAP, _format("csv")
+    ),
+    ("compute", "ag-multigen"): _Leaf(
+        cmd_compute_ag_multigen, _DEGREE, _Arg("--alphabet", default="a,b"), _CAP, _format()
+    ),
+    ("verify",): _Leaf(
+        cmd_verify,
+        _Arg("suite", choices=tuple(sorted(verify.SUITES))),
+        _Arg("--max-degree", type=int), _Arg("--seed", type=int, default=0), _format(),
+        help="run a verification suite",
+    ),
+    ("section",): _Leaf(
+        cmd_section,
+        _Arg("action", choices=("validate", "show")), _Arg("file", optional=True),
+        _Arg("--degree", type=int, default=4), _CAP, _format(),
+        help="validate or show a section file",
+    ),
+}
+# The help line of each word that only groups leaves.
+_GROUPS = {"compute": "run one library operation"}
+
+
+def _parse_line(words: list[str]) -> SimpleNamespace | None:
+    """The namespace of a command line the grammar table takes whole, equal
+    to the one the argparse tree gives it; None for any other line.
+
+    The table takes a line when, after the leaf words, the leaf's
+    positionals come first (each in its choices), then options given by
+    their exact strings, none twice, each but a flag followed by one value
+    that does not start with ``-``, every typed value converting with its
+    type (``int()``), every value in its choices, and every required
+    option present.  It never reports an error: every other line, help
+    and usage errors included, is left to argparse."""
+    for n in (1, 2):
+        leaf = GRAMMAR.get(tuple(words[:n]))
+        if leaf is not None:
+            break
+    else:
+        return None
+    values = dict(leaf.defaults, command=words[0])
+    if n == 2:
+        values["operation"] = words[1]
+    tokens = words[n:]
+    end = len(tokens)
+    i = 0
+    for arg in leaf.positionals:
+        if i < end and not tokens[i].startswith("-"):
+            if arg.choices is not None and tokens[i] not in arg.choices:
+                return None
+            values[arg.dest] = tokens[i]
+            i += 1
+        elif not arg.optional:
+            return None
+    seen = set()
+    options = leaf.options
+    while i < end:
+        arg = options.get(tokens[i])
+        if arg is None or arg.dest in seen:
+            return None
+        seen.add(arg.dest)
+        if arg.flag:
+            values[arg.dest] = True
+            i += 1
+            continue
+        if i + 1 == end or tokens[i + 1].startswith("-"):
+            return None
+        value = tokens[i + 1]
+        if arg.type is not None:
+            try:
+                value = arg.type(value)
+            except ValueError:
+                return None
+        if arg.choices is not None and value not in arg.choices:
+            return None
+        values[arg.dest] = value
+        i += 2
+    if not leaf.required <= seen:
+        return None
+    return SimpleNamespace(**values)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of ``GRAMMAR``: the reference parser, and the one
+    that answers help, usage errors and every line the table does not take."""
+    import argparse  # only help, usage errors and unusual forms load it
+
     parser = argparse.ArgumentParser(prog="prelie", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    # The parser of each leaf subcommand, keyed by the words that select it.
-    parser.leaves = {}
-
-    def leaf(subparsers, *words, **kwargs):
-        parser.leaves[words] = p = subparsers.add_parser(words[-1], **kwargs)
-        return p
-
-    def add_format(p, csv=False):
-        choices = ["text", "json"] + (["csv"] if csv else [])
-        p.add_argument("--format", choices=choices, default="text")
-
-    p = leaf(sub, "enumerate", help="list trees of one degree")
-    p.add_argument("kind", choices=["planar", "nonplanar", "binary"])
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None)
-    add_format(p)
-    p.set_defaults(func=cmd_enumerate)
-
-    comp = sub.add_parser("compute", help="run one library operation")
-    csub = comp.add_subparsers(dest="operation", required=True)
-
-    p = leaf(csub, "compute", "product")
-    p.add_argument("--product", choices=sorted(PRODUCTS), required=True)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_compute_product)
-
-    p = leaf(csub, "compute", "psi")
-    p.add_argument("--tree", required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_compute_psi)
-
-    p = leaf(csub, "compute", "psi-inverse")
-    p.add_argument("--tree", required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_compute_psi_inverse)
-
-    p = leaf(csub, "compute", "coeff")
-    p.add_argument("--sigma", required=True)
-    p.add_argument("--tau", required=True)
-    p.add_argument("--method", choices=["recursive", "bijections", "both"], default="recursive")
-    p.add_argument("--brute-cap", type=int, default=trees.BRUTE_FORCE_CAP)
-    add_format(p)
-    p.set_defaults(func=cmd_compute_coeff)
-
-    p = leaf(csub, "compute", "alpha")
-    p.add_argument("--s", required=True)
-    p.add_argument("--tau", required=True)
-    p.add_argument("--method", choices=["fiber", "bijections", "both"], default="fiber")
-    p.add_argument("--brute-cap", type=int, default=trees.BRUTE_FORCE_CAP)
-    add_format(p)
-    p.set_defaults(func=cmd_compute_alpha)
-
-    p = leaf(csub, "compute", "matrix")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None)
-    add_format(p, csv=True)
-    p.set_defaults(func=cmd_compute_matrix)
-
-    p = leaf(csub, "compute", "beta")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--section", default=None, help="section file; default section if omitted")
-    p.add_argument("--cap", type=int, default=None)
-    add_format(p, csv=True)
-    p.set_defaults(func=cmd_compute_beta)
-
-    p = leaf(csub, "compute", "expand")
-    p.add_argument("--ag", action="store_true")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None)
-    add_format(p, csv=True)
-    p.set_defaults(func=cmd_compute_expand)
-
-    p = leaf(csub, "compute", "ag-multigen")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--alphabet", default="a,b")
-    p.add_argument("--cap", type=int, default=None)
-    add_format(p)
-    p.set_defaults(func=cmd_compute_ag_multigen)
-
-    p = leaf(sub, "verify", help="run a verification suite")
-    p.add_argument("suite", choices=sorted(verify.SUITES))
-    p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    add_format(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = leaf(sub, "section", help="validate or show a section file")
-    p.add_argument("action", choices=["validate", "show"])
-    p.add_argument("file", nargs="?", default=None)
-    p.add_argument("--degree", type=int, default=4)
-    p.add_argument("--cap", type=int, default=None)
-    add_format(p)
-    p.set_defaults(func=cmd_section)
-
+    groups = {}
+    for words, leaf in GRAMMAR.items():
+        subparsers = sub
+        if len(words) == 2:
+            if words[0] not in groups:
+                group = sub.add_parser(words[0], help=_GROUPS[words[0]])
+                groups[words[0]] = group.add_subparsers(dest="operation", required=True)
+            subparsers = groups[words[0]]
+        p = subparsers.add_parser(words[-1], **({"help": leaf.help} if leaf.help else {}))
+        for arg in leaf.args:
+            p.add_argument(arg.name, **arg.argparse_kwargs())
+        p.set_defaults(func=leaf.func)
     return parser
 
 
 @lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` reuses: built on its first call, not at import."""
+    """The argparse tree ``main`` reuses: built on the first line the table
+    does not take, not at import."""
     return build_parser()
 
 
-def _parse_args(argv: list[str] | None) -> argparse.Namespace:
-    """Parse one command line with the parser of its leaf subcommand, the
-    same object the full tree would hand it to.  Anything the leaf alone
-    cannot take (no leaf named, or arguments left over) goes through the
-    full tree, so help, usage errors and exit codes are the tree's own."""
-    parser = _parser()
+def _parse_args(argv: list[str] | None):
+    """Parse one command line from the grammar table, or, when the table
+    does not take it, with the argparse tree, whose help, usage errors and
+    exit codes are then the answer."""
     words = sys.argv[1:] if argv is None else list(argv)
-    for n in (1, 2):
-        leaf = parser.leaves.get(tuple(words[:n]))
-        if leaf is not None:
-            args, rest = leaf.parse_known_args(words[n:])
-            if not rest:
-                return args
-            break
-    return parser.parse_args(argv)
+    args = _parse_line(words)
+    return args if args is not None else _parser().parse_args(words)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -8,6 +8,10 @@ import sys
 from itertools import product as iproduct
 from pathlib import Path
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 import prelie
 from prelie import cli, verify
 from prelie.cli import OP_REGISTRY, main
@@ -556,12 +560,12 @@ def test_registry_paths_reach_their_operation(capsys):
 
 
 # ---------------------------------------------------------------------------
-# leaf-first dispatch against the full parser tree
+# the grammar table parser against the argparse tree
 
 
 def reference_main(argv):
-    """``main`` as it was before leaf-first dispatch: the whole parser tree
-    parses every line, then the same exception mapping."""
+    """``main`` with the argparse tree alone: it parses every line, then
+    the same exception mapping."""
     args = cli.build_parser().parse_args(argv)
     try:
         return args.func(args)
@@ -626,6 +630,16 @@ EDGE_CASES = [
     ["compute", "alpha", "--ta", "(())", "--s", "(())"],
     ["compute", "psi-inverse", "--tree", ""],
     ["compute", "expand", "--ag", "--ag", "--degree", "2"],
+    *([*words, "-h"] for words in cli.GRAMMAR),
+    ["compute", "coeff", "--sigma", "()", "--tau", "()", "--brute-cap", "-3"],
+    ["compute", "psi", "--tree", "()", "--format=json"],
+    ["enumerate", "planar", "--degree", "1_0"],
+    ["enumerate", "planar", "--degree", " 3"],
+    ["compute", "coeff", "--sigma", "()", "--tau", "()", "--method", "BOTH"],
+    ["compute", "psi", "--tree", "-()"],
+    ["compute", "product", "--product", "graft", "--left", "()"],
+    ["section", "show", "--degree", "4", "extra"],
+    ["section", "show", "-()"],
 ]
 
 
@@ -682,17 +696,116 @@ def test_leaf_dispatch_matches_full_parser(capsys, monkeypatch, tmp_path):
             (tmp_path / target).write_text(want[1])
 
 
-def test_leaf_parsers_are_recorded_under_their_command_words():
-    parser = cli._parser()
-    assert set(parser.leaves) == {
+def test_leaf_parsers_are_recorded_under_their_command_words(capsys):
+    assert set(cli.GRAMMAR) == {
         ("enumerate",), ("verify",), ("section",),
         *(("compute", op) for op in (
             "product", "psi", "psi-inverse", "coeff", "alpha", "matrix", "beta",
             "expand", "ag-multigen",
         )),
     }
-    for words, leaf in parser.leaves.items():
-        assert leaf.prog == " ".join(("prelie", *words))
+    parser = cli.build_parser()
+    for words in cli.GRAMMAR:
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([*words, "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: {' '.join(('prelie', *words))} [-h]")
+
+
+OPTION_STRINGS = {name for leaf in cli.GRAMMAR.values() for name in leaf.options}
+
+
+def test_table_parser_takes_every_ordinary_line(monkeypatch):
+    """Every registry, sampled request and plain README line is parsed from
+    the table, without building the argparse tree, into the namespace the
+    tree gives it."""
+
+    def no_tree():
+        raise AssertionError("the argparse tree was built")
+
+    readme = [
+        argv for argv, _ in readme_command_lines()
+        if not any("=" in w or (w.startswith("-") and w not in OPTION_STRINGS) for w in argv)
+    ]
+    assert len(readme) >= 15
+    lines = [path.split() for path in OP_REGISTRY.values()] + readme + sampled_request_lines()
+    cli._parser.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_parser", no_tree)
+        parsed = [cli._parse_args(argv) for argv in lines]
+    assert cli._parser.cache_info().currsize == 0
+    tree = cli.build_parser()
+    for argv, args in zip(lines, parsed):
+        assert vars(args) == vars(tree.parse_args(argv)), argv
+
+
+# The words a command line may hold after its leaf words: the leaf's option
+# strings, with =, abbreviated and with their choices, small ints, malformed
+# ints, short tree texts (one not closed, one starting with -), -- and -h.
+# Degrees stay at most 6, so every accepted line is cheap.
+TEXTS = ("()", "(())", "(()())", "a(b())", "sec.txt")
+COMMON_WORDS = (*map(str, range(-2, 7)), "x", "1.5", "0_5", " 3", "+4", "", *TEXTS, "((", "-()", "--", "-h")
+
+
+def _leaf_words(words):
+    leaf = cli.GRAMMAR[words]
+    out = set(COMMON_WORDS)
+    for arg in leaf.args:
+        out.update(arg.choices or ())
+        if arg.name.startswith("--"):
+            out.update((arg.name, arg.name[:-1], f"{arg.name}=3", f"{arg.name}=()"))
+    return sorted(out)
+
+
+LEAF_WORDS = {words: _leaf_words(words) for words in cli.GRAMMAR}
+
+
+def _rarely(draw):
+    return draw(st.integers(0, 5)) == 0
+
+
+def _value(draw, arg):
+    """A value for an argument: a valid one, or rarely one that is not (a
+    choice in upper case or after a dash, a malformed int, a tree text
+    after a dash, -- or -h)."""
+    if arg.choices:
+        good, bad = arg.choices, (arg.choices[0].upper(), "-" + arg.choices[0])
+    elif arg.type is int:
+        good, bad = tuple(map(str, range(-2, 7))), ("x", "1.5", "0_5", " 3")
+    else:
+        good, bad = TEXTS, ("-()", "--", "-h")
+    return draw(st.sampled_from(bad if _rarely(draw) else good))
+
+
+@st.composite
+def command_lines(draw):
+    """A leaf's words, then either any words of its vocabulary or a line
+    shaped like a request: positionals, then options in any order, each
+    with a value drawn for it, a required option rarely left out, and
+    rarely one vocabulary word inserted."""
+    words = draw(st.sampled_from(sorted(cli.GRAMMAR)))
+    vocabulary = st.sampled_from(LEAF_WORDS[words])
+    if draw(st.booleans()):
+        return [*words, *draw(st.lists(vocabulary, max_size=8))]
+    leaf = cli.GRAMMAR[words]
+    tail = [_value(draw, arg) for arg in leaf.positionals]
+    for arg in draw(st.permutations(list(leaf.options.values()))):
+        if (arg.required and not _rarely(draw)) or draw(st.booleans()):
+            tail.append(arg.name)
+            if not arg.flag:
+                tail.append(_value(draw, arg))
+    if _rarely(draw):
+        tail.insert(draw(st.integers(0, len(tail))), draw(vocabulary))
+    return [*words, *tail]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=command_lines())
+def test_table_parser_matches_argparse_on_drawn_lines(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.delenv("PRELIE_MAX_DEGREE", raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sec.txt").write_text("(()) => (())\n")
+    assert outcome(capsys, main, argv) == outcome(capsys, reference_main, argv)
 
 
 def test_closed_output_pipe_exits_141_silently():

@@ -184,25 +184,35 @@ loaded = set(sys.modules) - before
 assert not loaded & {"dataclasses", "inspect", "fractions", "json"}, sorted(loaded)
 import prelie.cli
 loaded = set(sys.modules) - before
-assert not loaded & {"dataclasses", "inspect", "fractions"}, sorted(loaded)
+assert not loaded & {"dataclasses", "inspect", "fractions", "argparse", "gettext"}, sorted(loaded)
 assert prelie.psi_matrix(5).determinant() == 1
 m = prelie.CoeffMatrix(2, ("a", "b"), ("a", "b"), ((0, 1), (1, 0)))
 assert m.determinant() == -1
-sys.exit(prelie.cli.main(["compute", "psi", "--tree", "(()())", "--format", "json"]))
+assert prelie.cli.main(["compute", "psi", "--tree", "(()())", "--format", "json"]) == 0
+assert prelie.cli.main(["enumerate", "planar", "--degree", "3"]) == 0
+assert not {"argparse", "gettext"} & set(sys.modules)
+sys.stdout.write("---\\n")
+prelie.cli.main(["compute", "psi", "-h"])
 """
 
 
 def test_import_loads_no_heavy_module():
+    # Ordinary requests are parsed from the grammar table: neither argparse
+    # nor gettext is loaded until a help line needs them.
     src = str(Path(prelie.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_GUARD], capture_output=True, text=True, env=env, timeout=120
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    terms = json.loads(proc.stdout)
+    answers, _, help_text = proc.stdout.partition("---\n")
+    psi_json, *trees = answers.splitlines()
+    terms = json.loads(psi_json)
     assert sorted((t["coeff"], json.dumps(t["tree"])) for t in terms) == sorted(
         (t["coeff"], json.dumps(t["tree"])) for t in prelie.psi(parse_planar("(()())")).to_json()
     )
+    assert trees == ["((()))  energy=3", "(()())  energy=2", "count 2"]
+    assert help_text.startswith("usage: prelie compute psi [-h] --tree TREE")
 
 
 # ---------------------------------------------------------------------------
