@@ -1,4 +1,4 @@
-"""Per-layer wall time and peak memory of prelie at degrees 7 to 10.
+"""Per-layer wall time and peak memory of prelie at degrees 7 to 12.
 
     python3 bench/layers.py [--parent REF] [--workdir DIR] [--out BENCH.json]
                             [--layers NAME,NAME,...]
@@ -17,9 +17,10 @@ layer, the change's median over the parent's and how many of the pairs the
 change won (ties count for neither side).  Without ``--out`` the file is ``BENCH.json`` at the root;
 ``--layers`` runs only the named layers, in the order given.
 
-A layer's output is checked after it is timed: the entry sum of every psi
-and alpha matrix, and the coefficient total of psi over a whole degree,
-equal the A088716 term, and each matrix column sums to N(tau), the
+A layer's output is checked after it is timed: the degree-12 planar and
+non-planar bases hold 58786 and 4766 trees, none repeated; the entry
+sum of every psi and alpha matrix, and the coefficient total of psi over
+a whole degree, equal the A088716 term, and each matrix column sums to N(tau), the
 coefficient sum of psi(tau); the inverse satisfies
 sum_tau psi^-1(sigma)_tau N(tau) = 1 for every sigma (the coefficient sum
 of psi(psi^-1(sigma)) = sigma) and composes back to the identity on a
@@ -72,6 +73,23 @@ def a088716(n: int) -> int:
 
 # ---------------------------------------------------------------------------
 # layers: (set-up, timed work, check) run in the child process
+
+
+def _enumerate(n: int, planar: int, nonplanar: int):
+    """Both tree bases of degree n, built cold: each has its closed-form
+    size, and no text repeats."""
+
+    def work(P, _):
+        return P.enumerate_planar(n), P.enumerate_nonplanar(n)
+
+    def check(P, out):
+        for name, trees, want in zip(("planar", "non-planar"), out, (planar, nonplanar)):
+            distinct = len({t.serialize() for t in trees})
+            if len(trees) != want or distinct != want:
+                return False, f"{len(trees)} {name} trees, {distinct} distinct; want {want}"
+        return True, f"{planar} planar and {nonplanar} non-planar trees, none repeated"
+
+    return (lambda P: None), work, check
 
 
 def _psi_layer(n: int):
@@ -505,6 +523,7 @@ def _run_cli(argv: list[str]) -> tuple[int, str]:
 
 
 LAYERS = {
+    "enumerate_12": _enumerate(12, 58786, 4766),
     "psi_all_9": _psi_layer(9),
     "psi_all_10": _psi_layer(10),
     "psi_matrix_9": _psi_matrix(9),

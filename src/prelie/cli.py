@@ -460,12 +460,23 @@ def _parse_line(words: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
+_DESCRIPTION = (
+    "Exact integer computations in the free pre-Lie and free magmatic algebras "
+    "on rooted trees: enumerate tree bases, apply products, compute the base "
+    "change psi, its inverse and its projections, expand Agrachev-Gamkrelidze "
+    "bases and verify their properties. Exit codes: 0 success, 1 verification "
+    "failure, 2 bad arguments, 3 degree cap exceeded, a tree nested too deeply "
+    "or a dense matrix above its cell budget, 4 dual-method disagreement, 141 "
+    "output pipe closed by its reader."
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree of ``GRAMMAR``: the reference parser, and the one
     that answers help, usage errors and every line the table does not take."""
     import argparse  # only help, usage errors and unusual forms load it
 
-    parser = argparse.ArgumentParser(prog="prelie", description=__doc__)
+    parser = argparse.ArgumentParser(prog="prelie", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
     groups = {}
     for words, leaf in GRAMMAR.items():

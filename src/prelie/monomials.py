@@ -213,33 +213,22 @@ def _ag_raw(n: int, alphabet: tuple[str, ...]) -> tuple[MonomialExpr, ...]:
 
     Basis elements are ordered degree-major (higher degree first), then by
     construction index; words are emitted in descending lexicographic
-    order of that total order.
+    order of that total order.  A word u1 u2 ... uk applied to a generator
+    is the product of u1 with the rest of the word applied to it, a basis
+    monomial of lower degree, so each monomial is one new ``Product`` whose
+    right operand was already built.
     """
     if n == 1:
         return tuple(Generator(a) for a in alphabet)
     pool: list[MonomialExpr] = []
     for j in range(n - 1, 0, -1):
         pool.extend(reversed(_ag_raw(j, alphabet)))
-
-    words: list[tuple[MonomialExpr, ...]] = []
-
-    def extend(start: int, budget: int, chosen: tuple[MonomialExpr, ...]):
-        if budget == 0:
-            words.append(chosen)
-            return
-        for i in range(start, len(pool)):
-            if pool[i].degree <= budget:
-                extend(i, budget - pool[i].degree, chosen + (pool[i],))
-
-    extend(0, n - 1, ())
-
+    rank = {u: i for i, u in enumerate(pool)}
     out = []
-    for word in words:
-        for a in alphabet:
-            expr: MonomialExpr = Generator(a)
-            for u in reversed(word):
-                expr = Product(u, expr)
-            out.append(expr)
+    for i, u in enumerate(pool):
+        for m in _ag_raw(n - u.degree, alphabet):
+            if type(m) is Generator or rank[m.left] >= i:
+                out.append(Product(u, m))
     return tuple(out)
 
 

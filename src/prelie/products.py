@@ -7,12 +7,12 @@ precision, so "overflow" cannot occur silently).
 
 A sum is held as text: its (serialization, coefficient) pairs, zeros
 dropped, in descending ``serial_key`` order.  There is one tree per text,
-so the pairs are the sum, and its trees are built, through the
-text-to-tree map, only when its ``terms`` are first read.  Every sum is
-collected one way: its terms go into one dict keyed by tree text, which
-is sorted once.  A product of two sums is built in one pass: every term
-of every pair of operand texts goes into that dict, and ``+``, ``-``,
-``scale`` and ``to_text`` read and write texts alone.
+so the pairs are the sum; its trees are read from the text-to-tree map
+only when its ``terms`` are read, and never stored in the sum.  Every sum
+is collected one way: its terms go into one dict keyed by tree text,
+which is sorted once.  A product of two sums is built in one pass: every
+term of every pair of operand texts goes into that dict, and ``+``,
+``-``, ``scale`` and ``to_text`` read and write texts alone.
 
 The products of two sums work on serializations.  The Butcher products
 insert one text after the root's ``(`` of another (in sorted place among
@@ -51,25 +51,19 @@ NONPLANAR = "nonplanar"
 class TreeSum(_Value):
     """A sum held as its (text, coefficient) pairs, zeros dropped, in
     :func:`_ranked` order.  There is one tree per text, so these pairs
-    determine the sum; its trees are built the first time ``terms`` is
-    read, into the slot of that name."""
+    determine the sum; its (tree, coefficient) pairs ``terms`` are read
+    from the text-to-tree map on each read, and never stored."""
 
-    __slots__ = ("flavor", "texts", "terms")
-    _fields = ("flavor", "texts")
+    __slots__ = _fields = ("flavor", "texts")
 
     def __init__(self, flavor: str, texts: tuple[tuple[str, int], ...]):
         _set_flavor(self, flavor)
         _set_texts(self, texts)
 
-    def __getattr__(self, name: str):
-        """The (tree, coefficient) pairs ``terms``, built on the first read
-        of the slot (a filled slot is read without this call)."""
-        if name != "terms":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    @property
+    def terms(self) -> tuple[tuple[PlanarTree | Tree, int], ...]:
         of_text = _planar_of_text if self.flavor == PLANAR else _tree_of_text
-        terms = tuple([(of_text(t), c) for t, c in self.texts])
-        _set_terms(self, terms)
-        return terms
+        return tuple([(of_text(t), c) for t, c in self.texts])
 
     @classmethod
     def make(cls, flavor: str, terms: Iterable[tuple[PlanarTree | Tree, int]]) -> "TreeSum":
@@ -150,7 +144,6 @@ class TreeSum(_Value):
 # descriptors.
 _set_flavor = TreeSum.flavor.__set__
 _set_texts = TreeSum.texts.__set__
-_set_terms = TreeSum.terms.__set__
 
 
 def _tree_class(flavor: str) -> type:

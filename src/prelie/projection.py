@@ -24,7 +24,6 @@ from .trees import (
     PlanarTree,
     Tree,
     _check_degree,
-    _child_texts,
     _nonplanar_count,
     _planar_count,
     _planar_of_text,
@@ -37,8 +36,8 @@ from .trees import (
 
 def forget_planarity(sigma: PlanarTree) -> Tree:
     """Project a planar tree onto its canonical non-planar form: the tree
-    of its canonical text."""
-    return _tree_of_text(_canonical(sigma._text))
+    its text reads as."""
+    return _tree_of_text(sigma._text)
 
 
 @lru_cache(maxsize=None)
@@ -52,29 +51,16 @@ def planar_embeddings(s: Tree) -> tuple[PlanarTree, ...]:
     return tuple(sorted(out, key=lambda t: serial_key(t.serialize()), reverse=True))
 
 
-_canonical_texts: dict[str, str] = {}
-
-
-def _canonical(text: str) -> str:
-    """The canonical non-planar text of a planar tree text: children
-    canonicalized, then in descending serialization order.  Memoized in a
-    plain dict, at one recursive call per tree level."""
-    out = _canonical_texts.get(text)
-    if out is None:
-        kids = sorted(map(_canonical, _child_texts(text)), key=serial_key, reverse=True)
-        out = _canonical_texts[text] = f"{text[: text.index('(')]}({''.join(kids)})"
-    return out
-
-
 def _psi_bar(text: str) -> dict[str, int]:
     """The projected image of a planar tree text: the terms of its planar
-    image summed under the memoized text canonicalization, its memo read
-    inline so that a known text costs no call."""
+    image summed under their canonical texts.  Every text read as a
+    non-planar tree, canonical or not, is a key of ``Tree._by_text``, so a
+    known text costs one lookup and no call."""
     acc: dict[str, int] = {}
     get = acc.get
-    canonical = _canonical_texts.get
+    known = Tree._by_text.get
     for t, c in _psi(text).items():
-        s = canonical(t) or _canonical(t)
+        s = (known(t) or _tree_of_text(t))._text
         acc[s] = get(s, 0) + c
     return acc
 

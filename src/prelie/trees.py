@@ -383,26 +383,19 @@ def _check_degree(n: int, max_degree: int):
 
 
 @lru_cache(maxsize=None)
-def _planar_forests(n: int) -> tuple[tuple[PlanarTree, ...], ...]:
-    """All ordered forests with n vertices in total."""
-    if n == 0:
-        return ((),)
-    out = []
-    for first_size in range(1, n + 1):
-        for first in _planar_raw(first_size):
-            for rest in _planar_forests(n - first_size):
-                out.append((first,) + rest)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _planar_raw(n: int) -> tuple[PlanarTree, ...]:
-    return tuple(PlanarTree(forest) for forest in _planar_forests(n - 1))
-
-
-@lru_cache(maxsize=None)
 def _planar_basis(n: int) -> tuple[PlanarTree, ...]:
-    return tuple(sorted(_planar_raw(n), key=canonical_key, reverse=True))
+    """The degree-n planar trees, sorted.  A planar tree of degree n > 1 is
+    b o-> t, b grafted as the leftmost branch of t's root, for exactly one
+    pair of lower-degree trees (b, t): the free magma on one generator."""
+    if n == 1:
+        return (PlanarTree(),)
+    products = [
+        PlanarTree((b,) + t.children)
+        for k in range(1, n)
+        for b in _planar_basis(k)
+        for t in _planar_basis(n - k)
+    ]
+    return tuple(sorted(products, key=canonical_key, reverse=True))
 
 
 def enumerate_planar(n: int, max_degree: int = ENUMERATION_CAP) -> list[PlanarTree]:
@@ -418,31 +411,19 @@ def _planar_count(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _nonplanar_raw(n: int) -> tuple[Tree, ...]:
+def _nonplanar_basis(n: int) -> tuple[Tree, ...]:
+    """The degree-n non-planar trees, sorted.  Every one of degree n > 1 is
+    a Butcher product s o t, s joining t's root as a branch, in one way or
+    more (once per distinct branch of its root)."""
     if n == 1:
         return (Tree(),)
-    pool = []
-    for m in range(1, n):
-        pool.extend(_nonplanar_raw(m))
-    # children multisets drawn from the pool of strictly smaller trees
-    out = set()
-
-    def extend(start: int, budget: int, chosen: tuple[Tree, ...]):
-        if budget == 0:
-            out.add(Tree(chosen))
-            return
-        for i in range(start, len(pool)):
-            d = pool[i].degree
-            if d <= budget:
-                extend(i, budget - d, chosen + (pool[i],))
-
-    extend(0, n - 1, ())
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _nonplanar_basis(n: int) -> tuple[Tree, ...]:
-    return tuple(sorted(_nonplanar_raw(n), key=canonical_key, reverse=True))
+    products = {
+        Tree((s,) + t.children)
+        for k in range(1, n)
+        for s in _nonplanar_basis(k)
+        for t in _nonplanar_basis(n - k)
+    }
+    return tuple(sorted(products, key=canonical_key, reverse=True))
 
 
 def enumerate_nonplanar(n: int, max_degree: int = ENUMERATION_CAP) -> list[Tree]:

@@ -21,13 +21,13 @@ from __future__ import annotations
 import random
 
 from . import monomials, projection, trees
-from .products import PLANAR, TreeSum, _sum_of_texts, bilinear_extend, butcher, graft
+from .products import TreeSum, bilinear_extend, butcher, graft
 from .psi import (
+    _psi,
+    _psi_inv,
     coeff_c_bijections,
     coeff_c_recursive,
     n_statistic_total,
-    psi,
-    psi_inverse,
     psi_matrix,
 )
 from .trees import ENUMERATION_CAP, DegreeCapError, DomainError
@@ -200,11 +200,13 @@ def _columns_are(m, images) -> bool:
 
 
 def _compose_is_identity(sigma) -> bool:
+    """Whether psi(psi^-1(sigma)) = sigma, composed on the kernels' texts."""
     acc: dict[str, int] = {}
-    for tau, c in psi_inverse(sigma).terms:
-        for rho, d in psi(tau).texts:
-            acc[rho] = acc.get(rho, 0) + c * d
-    return _sum_of_texts(PLANAR, acc) == TreeSum.single(sigma)
+    get = acc.get
+    for tau, c in _psi_inv(sigma._text):
+        for rho, d in _psi(tau).items():
+            acc[rho] = get(rho, 0) + c * d
+    return {t: c for t, c in acc.items() if c} == {sigma._text: 1}
 
 
 def verify_oracle(max_degree: int, seed: int) -> list[dict]:

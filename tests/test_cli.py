@@ -527,15 +527,13 @@ def test_registry_paths_name_real_subcommands():
 
 def _clear_package_caches():
     """Empty every memo of the package: the ``lru_cache``s and the plain-dict
-    memos of the inverse kernel, of the canonical texts and of the pre-Lie
-    grafts."""
+    memos of the inverse kernel and of the pre-Lie grafts."""
     for name, module in list(sys.modules.items()):
         if name == "prelie" or name.startswith("prelie."):
             for obj in vars(module).values():
                 if hasattr(obj, "cache_clear"):
                     obj.cache_clear()
     sys.modules["prelie.psi"]._inverses.clear()
-    sys.modules["prelie.projection"]._canonical_texts.clear()
     sys.modules["prelie.products"]._grafts.clear()
 
 
@@ -843,7 +841,7 @@ def test_dense_matrix_above_cell_budget_exits_3_before_any_tree(capsys, monkeypa
     def no_trees(n):
         raise AssertionError(f"degree-{n} trees were enumerated above the cell budget")
 
-    monkeypatch.setattr(sys.modules["prelie.trees"], "_planar_raw", no_trees)
+    monkeypatch.setattr(sys.modules["prelie.trees"], "_planar_basis", no_trees)
     code = main(["compute", "matrix", "--degree", "13", "--cap", "20"])
     captured = capsys.readouterr()
     assert code == 3

@@ -1,3 +1,4 @@
+import functools
 from pathlib import Path
 
 import pytest
@@ -315,6 +316,48 @@ def test_multigen_counts():
     for k in (1, 2, 3):
         order = GeneratorOrder(tuple(f"x{i}" for i in range(k)))
         assert len(ag_basis_multigen(3, order)) == k**3 + k**2 * (k + 1) // 2
+
+
+@functools.lru_cache(maxsize=None)
+def _ag_words_reference(n, alphabet):
+    """The degree-n basis monomials built word by word: every word
+    u1 u2 ... uk of lower-degree basis monomials, weakly increasing in the
+    pool order (degree-major from the highest degree, each degree's list
+    reversed) and of total degree n - 1, in lexicographic order of pool
+    indices, applied right to left to each generator in turn."""
+    if n == 1:
+        return tuple(Generator(a) for a in alphabet)
+    pool = []
+    for j in range(n - 1, 0, -1):
+        pool.extend(reversed(_ag_words_reference(j, alphabet)))
+    words = []
+
+    def extend(start, budget, chosen):
+        if budget == 0:
+            words.append(chosen)
+            return
+        for i in range(start, len(pool)):
+            if pool[i].degree <= budget:
+                extend(i, budget - pool[i].degree, chosen + (pool[i],))
+
+    extend(0, n - 1, ())
+    out = []
+    for word in words:
+        for a in alphabet:
+            expr = Generator(a)
+            for u in reversed(word):
+                expr = Product(u, expr)
+            out.append(expr)
+    return tuple(out)
+
+
+def test_ag_monomials_match_the_word_construction():
+    cases = ((("g",), 8), (("a", "b"), 5), (("b", "a"), 5), (("a", "b", "c"), 5))
+    for alphabet, top in cases:
+        for n in range(1, top + 1):
+            want = [m.serialize() for m in _ag_words_reference(n, alphabet)]
+            got = ag_basis_multigen(n, GeneratorOrder(alphabet), cap=top)
+            assert [m.serialize() for m in got] == want
 
 
 def test_multigen_lower_terms_distinct():

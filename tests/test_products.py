@@ -533,7 +533,7 @@ def test_sums_build_no_tree_until_terms_are_read():
     assert [len(table) for table in tables] == before
     for x, of_text in sums:
         terms = x.terms
-        assert terms is x.terms
+        assert terms == x.terms
         for (tree, c), (text, d) in zip(terms, x.texts, strict=True):
             assert tree is of_text(text) and c == d
     assert all(len(table) > n for table, n in zip(tables, before))

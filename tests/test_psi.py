@@ -114,6 +114,25 @@ def test_psi_is_magmatic_homomorphism():
                     )
 
 
+def test_memoized_entry_points_report_hits_and_misses():
+    # perfbench's tracer reads cache_info() of these three functions, looked
+    # up by module and name, and turns its hits and misses into hit ratios
+    import importlib
+
+    tau, s = parse_planar("ci1(ci2()ci3(ci4()))"), parse_tree("ci5(ci6()ci6())")
+    calls = (("psi", "psi", (tau,)), ("psi", "coeff_c_recursive", (tau, tau)),
+             ("projection", "planar_embeddings", (s,)))
+    for module, name, args in calls:
+        fn = getattr(importlib.import_module(f"prelie.{module}"), name)
+        before = fn.cache_info()
+        fn(*args)
+        middle = fn.cache_info()
+        fn(*args)
+        after = fn.cache_info()
+        assert middle.misses > before.misses, name
+        assert after.hits > middle.hits and after.misses == middle.misses, name
+
+
 def test_psi_inverse_examples():
     assert psi_inverse(parse_planar("()")) == planar_sum(("()", 1))
     assert psi_inverse(parse_planar("(()())")) == planar_sum(
@@ -457,8 +476,8 @@ def test_dense_matrix_above_the_cell_budget_is_refused_before_any_tree(monkeypat
     def no_trees(n):
         raise AssertionError(f"degree-{n} trees were enumerated above the cell budget")
 
-    monkeypatch.setattr(trees, "_planar_raw", no_trees)
-    monkeypatch.setattr(trees, "_nonplanar_raw", no_trees)
+    monkeypatch.setattr(trees, "_planar_basis", no_trees)
+    monkeypatch.setattr(trees, "_nonplanar_basis", no_trees)
     with pytest.raises(DegreeCapError, match="degree 13: a dense 208012 x 208012 matrix"):
         psi_matrix(13, max_degree=20)
     with pytest.raises(DegreeCapError, match="degree 13: a dense 12486 x 208012 matrix"):

@@ -125,9 +125,9 @@ def test_repr_is_the_dataclass_repr(i):
 def test_tree_sum_repr_and_equality_ignore_built_terms():
     s = graft(parse_tree("()"), parse_tree("(())"))
     t = TreeSum(s.flavor, s.texts)
-    assert [c for _, c in s.terms] == [1, 1]  # s has built its trees, t has not
+    assert [c for _, c in s.terms] == [1, 1]  # the trees of s are read, those of t are not
     assert s == t and hash(s) == hash(t) and repr(s) == repr(t)
-    assert s.terms is s.terms  # built once, into the slot
+    assert s.terms == s.terms  # read again from the tables, not stored
     with pytest.raises(AttributeError):
         s.no_such_field
 
