@@ -81,11 +81,9 @@ OP_REGISTRY = {
     "n_statistic": "verify sequences --max-degree 3",
     "verify_a088716": "verify sequences --max-degree 3",
     "forget_planarity": "compute beta --degree 3",
-    "psi_bar": "verify matrices --max-degree 3",
     "count_tilde_b": "compute alpha --s (()()) --tau (()()) --method bijections",
     "alpha": "compute alpha --s (()()) --tau (()())",
     "default_section": "section show --degree 3",
-    "psi_tilde": "verify matrices --max-degree 3",
     "beta_matrix": "compute beta --degree 3",
     "evaluate": "compute expand --ag --degree 3",
     "ag_basis": "compute expand --ag --degree 3",

@@ -6,16 +6,26 @@ planar tree over non-planar trees with coefficients alpha(s, tau); those
 equal a bijection count divided by the symmetry factor of s.  Precomposing
 with a section (a choice of planar representative per tree) gives a square
 unipotent matrix per degree.
+
+Forgetting planarity carries left grafting to pre-Lie grafting,
+pi(x left-grafted onto y) = pi(x) -> pi(y), so the projected image obeys
+its own recursion on non-planar trees: with tau = b o-> t,
+
+    psi_bar(b o-> t) = psi_bar(b) -> psi_bar(t).
+
+The projected image is computed that way, on canonical texts, and never
+reads the planar image of psi: its work is at non-planar size.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations, product, repeat
+from types import MappingProxyType
 
 from .matrix import CoeffMatrix, _check_dense, _from_images
-from .psi import _count_bijections, _domain_table, _psi, coeff_c_recursive
-from .products import NONPLANAR, TreeSum, _sum_of_texts
+from .psi import _count_bijections, _domain_table, _split, coeff_c_recursive
+from .products import NONPLANAR, TreeSum, _graft_sum_texts, _sum_of_texts
 from .trees import (
     BRUTE_FORCE_CAP,
     ENUMERATION_CAP,
@@ -51,22 +61,25 @@ def planar_embeddings(s: Tree) -> tuple[PlanarTree, ...]:
     return tuple(sorted(out, key=lambda t: serial_key(t.serialize()), reverse=True))
 
 
-def _psi_bar(text: str) -> dict[str, int]:
-    """The projected image of a planar tree text: the terms of its planar
-    image summed under their canonical texts.  Every text read as a
-    non-planar tree, canonical or not, is a key of ``Tree._by_text``, so a
-    known text costs one lookup and no call."""
-    acc: dict[str, int] = {}
-    get = acc.get
-    known = Tree._by_text.get
-    for t, c in _psi(text).items():
-        s = (known(t) or _tree_of_text(t))._text
-        acc[s] = get(s, 0) + c
-    return acc
+@lru_cache(maxsize=None)
+def _psi_bar(text: str) -> MappingProxyType:
+    """The projected image of a planar tree text, as a read-only map from
+    canonical texts to coefficients, by the recursion of the module
+    docstring: a single vertex maps to itself, and b o-> t to the pre-Lie
+    graft of the projected image of b onto that of t.  Both are canonical,
+    so the grafts read the shared memo of :mod:`prelie.products`."""
+    parts = _split(text)
+    if parts is None:
+        return MappingProxyType({text: 1})
+    branch, trunk = parts
+    return MappingProxyType(
+        _graft_sum_texts({}, _psi_bar(branch).items(), _psi_bar(trunk).items())
+    )
 
 
 def psi_bar(tau: PlanarTree) -> TreeSum:
-    """Planar base change followed by termwise projection."""
+    """Planar base change followed by termwise projection, computed as the
+    pre-Lie grafting of the projected images of branch and trunk."""
     return _sum_of_texts(NONPLANAR, _psi_bar(tau.serialize()))
 
 

@@ -1,13 +1,17 @@
-"""Differential tests of the text kernel behind psi, psi_inverse, psi_bar
+"""Differential tests of the text kernels behind psi, psi_inverse, psi_bar
 and left grafting.
 
-The kernel computes on serializations.  It is checked here against the
+The kernels compute on serializations.  They are checked here against the
 branch/trunk recursion ``coeff_c_recursive``, and against references
 written in this file with tree objects: left grafting by path copies, psi
 by the branch/trunk split over that grafting, the unipotent recursion for
 the inverse, and projection by rebuilding each tree as a non-planar one.
 The left-Butcher inverse is also checked against the unipotent recursion
-on the text kernel, as the package computed the inverse before it.
+on the text kernel, as the package computed the inverse before it.  The
+projected image psi_bar is computed by pre-Lie grafting the projected
+images of branch and trunk, without the planar image; it is checked
+against the termwise projection of psi's planar image on every tree
+through degree 8, and on every tree labeled over {a, b} through degree 4.
 """
 
 import time
@@ -144,6 +148,22 @@ def test_psi_and_psi_bar_match_tree_reference(tau):
     assert psi(tau).to_text() == ref_psi(tau).to_text()
     assert psi(tau) == ref_psi(tau)
     assert psi_bar(tau) == ref_psi_bar(tau)
+
+
+def test_psi_bar_is_the_termwise_projection_of_psi():
+    trees = [tau for n in range(1, 9) for tau in enumerate_planar(n)]
+    assert len(trees) == 626
+    for tau in trees:
+        assert psi_bar(tau) == ref_psi_bar(tau), tau
+
+
+def test_psi_bar_is_the_termwise_projection_of_psi_labeled():
+    trees = [
+        tau for n in range(1, 5) for shape in enumerate_planar(n) for tau in _labelings(shape)
+    ]
+    assert len(trees) == 102
+    for tau in trees:
+        assert psi_bar(tau) == ref_psi_bar(tau), tau
 
 
 def test_psi_inverse_matches_tree_reference():

@@ -461,8 +461,9 @@ def test_dense_matrix_above_the_cell_budget_is_refused_before_any_image(monkeypa
         raise AssertionError("an image was computed above the cell budget")
 
     monkeypatch.setattr(sys.modules["prelie.psi"], "_psi", no_work)
-    monkeypatch.setattr(sys.modules["prelie.projection"], "_psi", no_work)
     monkeypatch.setattr(sys.modules["prelie.projection"], "_psi_bar", no_work)
+    monkeypatch.setattr(sys.modules["prelie.projection"], "_split", no_work)
+    monkeypatch.setattr(sys.modules["prelie.projection"], "_graft_sum_texts", no_work)
     with pytest.raises(DegreeCapError, match="16796 x 16796 matrix exceeds 24000000 cells"):
         psi_matrix(11)
     with pytest.raises(DegreeCapError, match="1842 x 16796 matrix"):
