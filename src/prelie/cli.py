@@ -241,8 +241,9 @@ def cmd_compute_beta(args) -> int:
 def cmd_compute_expand(args) -> int:
     if not args.ag:
         raise DomainError("only --ag bases are supported for expansion")
-    basis = monomials.ag_basis(args.degree)
-    _emit_matrix(monomials.expand_basis(basis, _max_degree(args)), args.format)
+    n, cap = args.degree, _max_degree(args)
+    monomials._check_expansion(n, cap)
+    _emit_matrix(monomials.expand_basis(monomials.ag_basis(n), cap), args.format)
     return EXIT_OK
 
 

@@ -272,12 +272,20 @@ def ag_basis_multigen(
     return list(_ag_raw(n, order.alphabet))
 
 
+def _check_expansion(n: int, max_degree: int, columns: int | None = None) -> None:
+    """Refuse a degree-n expansion matrix above the degree cap or the dense
+    cell budget, before any tree is built.  By default it has one column
+    per tree, as an AG basis has one monomial per tree."""
+    _check_degree(n, max_degree)
+    rows = _nonplanar_count(n)
+    _check_dense(n, rows, rows if columns is None else columns)
+
+
 def expand_basis(basis: MonomialBasis, max_degree: int = ENUMERATION_CAP) -> CoeffMatrix:
     """Tree expansions of a one-generator basis: one column per monomial,
     rows over the canonical non-planar basis."""
     n = basis.degree
-    _check_degree(n, max_degree)
-    _check_dense(n, _nonplanar_count(n), len(basis.monomials))
+    _check_expansion(n, max_degree, len(basis.monomials))
     rows = tuple([t._text for t in enumerate_nonplanar(n, max_degree)])
     for m in basis.monomials:
         if len(m.generator_names()) != 1:

@@ -14,11 +14,13 @@ which is sorted once.  A product of two sums is built in one pass: every
 term of every pair of operand texts goes into that dict, and ``+``,
 ``-``, ``scale`` and ``to_text`` read and write texts alone.
 
-The products of two sums work on serializations.  The Butcher products
-insert one text after the root's ``(`` of another (in sorted place among
-the root's children for the non-planar one).  In the grammar
-``label? "(" tree* ")"`` grafting sigma leftmost at a vertex of tau means
-inserting sigma's text right after that vertex's ``(``.  Pre-Lie
+One table maps each product's name to its flavor and its text kernel,
+which ``bilinear_extend`` applies.  The kernels work on serializations.
+The Butcher products insert one text after the root's ``(`` of another
+(in sorted place among the root's children for the non-planar one).  In
+the grammar ``label? "(" tree* ")"`` grafting sigma leftmost at a vertex
+of tau means inserting sigma's text right after that vertex's ``(``.
+Pre-Lie
 grafting keeps texts canonical (children in descending serialization
 order): s's text is inserted in sorted place among the children of the
 grafting vertex, and each vertex on the path up to the root takes its new
@@ -332,25 +334,19 @@ PRODUCTS: dict[str, Callable] = {
     "graft": graft,
 }
 
-_TEXT_KERNELS: dict[str, Callable] = {
-    "left-butcher": _left_butcher_texts,
-    "butcher": _butcher_texts,
-    "left-graft": _left_graft_texts,
-    "graft": _graft_sum_texts,
-}
-
-_PRODUCT_FLAVOR = {
-    "left-butcher": PLANAR,
-    "butcher": NONPLANAR,
-    "left-graft": PLANAR,
-    "graft": NONPLANAR,
+# Each product's flavor and the text kernel that distributes it over sums.
+_KERNELS: dict[str, tuple[str, Callable]] = {
+    "left-butcher": (PLANAR, _left_butcher_texts),
+    "butcher": (NONPLANAR, _butcher_texts),
+    "left-graft": (PLANAR, _left_graft_texts),
+    "graft": (NONPLANAR, _graft_sum_texts),
 }
 
 
 def product_flavor(name: str) -> str:
-    if name not in _PRODUCT_FLAVOR:
+    if name not in _KERNELS:
         raise DomainError(f"unknown product {name!r}")
-    return _PRODUCT_FLAVOR[name]
+    return _KERNELS[name][0]
 
 
 def apply_product(name: str, a, b) -> TreeSum:
@@ -369,4 +365,4 @@ def bilinear_extend(name: str, a: TreeSum, b: TreeSum) -> TreeSum:
     flavor = product_flavor(name)
     if a.flavor != flavor or b.flavor != flavor:
         raise DomainError(f"product {name!r} needs two {flavor} sums")
-    return _sum_of_texts(flavor, _TEXT_KERNELS[name]({}, a.texts, b.texts))
+    return _sum_of_texts(flavor, _KERNELS[name][1]({}, a.texts, b.texts))

@@ -3,7 +3,8 @@ non-planar base-change matrices.
 
 The composite of the planar base change with the projection expands a
 planar tree over non-planar trees with coefficients alpha(s, tau); those
-equal a bijection count divided by the symmetry factor of s.  Precomposing
+equal a bijection count divided by the symmetry factor of s, the count
+of :mod:`prelie.psi` run from the tree order of s.  Precomposing
 with a section (a choice of planar representative per tree) gives a square
 unipotent matrix per degree.
 
@@ -24,12 +25,11 @@ from itertools import permutations, product, repeat
 from types import MappingProxyType
 
 from .matrix import CoeffMatrix, _check_dense, _from_images
-from .psi import _count_bijections, _domain_table, _split, coeff_c_recursive
+from .psi import _count_bijections, _split, coeff_c_recursive
 from .products import NONPLANAR, TreeSum, _graft_sum_texts, _sum_of_texts
 from .trees import (
     BRUTE_FORCE_CAP,
     ENUMERATION_CAP,
-    DegreeCapError,
     DomainError,
     PlanarTree,
     Tree,
@@ -94,18 +94,7 @@ def alpha(s: Tree, tau: PlanarTree) -> int:
 def count_tilde_b(s: Tree, tau: PlanarTree, cap: int = BRUTE_FORCE_CAP) -> int:
     """Label-preserving bijections from V(s) to V(tau) increasing from the
     tree order into the total order, with tree-order increasing inverse."""
-    if s.degree != tau.degree:
-        raise DomainError("bijection count needs equal degrees")
-    if s.degree > cap:
-        raise DegreeCapError(f"degree {s.degree} exceeds brute-force cap {cap}")
-    return _count_bijections(_ancestor_table(s), tau)
-
-
-@lru_cache(maxsize=None)
-def _ancestor_table(s: Tree) -> tuple:
-    """The domain table of s under the tree order (see
-    :func:`prelie.psi._domain_table`)."""
-    return _domain_table(s, False)
+    return _count_bijections(s, tau, cap)
 
 
 def alpha_matrix(n: int, max_degree: int = ENUMERATION_CAP) -> CoeffMatrix:

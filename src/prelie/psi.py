@@ -6,7 +6,9 @@ fixing the single vertex and intertwining the two products is unipotent
 upper triangular per degree in the canonical basis order.  Its
 coefficients c(sigma, tau) are computed two independent ways: by the
 decomposition recursion, and by brute-force counting of order-compatible
-vertex bijections.
+vertex bijections.  The count is shared with the projected coefficients
+of :mod:`prelie.projection`: its domain order is fixed by the domain
+tree's class, ``<<`` on a planar tree and ``<`` on a non-planar one.
 
 The isomorphism is computed on serializations: psi(b o-> t) is the left
 graft of psi(b) onto psi(t), and a left graft inserts one text right
@@ -22,8 +24,9 @@ leftmost at the root of t is b o-> t, so
     psi^-1(b o-> t) = psi^-1(b) o-> psi^-1(t) - sum over v != root of psi^-1(b at v),
 
 where "b at v" is b grafted leftmost at the vertex v of t.  On texts,
-``x o-> y`` inserts x right after the root's ``(`` in y, and "b at v"
-inserts b after the other ``(``.  Every "b at v" has strictly higher
+``x o-> y`` is the left-Butcher kernel of :mod:`prelie.products`, which
+inserts x right after the root's ``(`` in y, and "b at v" inserts b
+after the other ``(``.  Every "b at v" has strictly higher
 potential energy than b o-> t, so the recursion ends.
 """
 
@@ -33,7 +36,15 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .matrix import CoeffMatrix, _check_dense, _from_images
-from .products import PLANAR, TreeSum, _left_graft_texts, _opens, _ranked, _sum_of_texts
+from .products import (
+    PLANAR,
+    TreeSum,
+    _left_butcher_texts,
+    _left_graft_texts,
+    _opens,
+    _ranked,
+    _sum_of_texts,
+)
 from .trees import (
     BRUTE_FORCE_CAP,
     ENUMERATION_CAP,
@@ -142,23 +153,27 @@ def _count_fields(n: int) -> tuple[tuple[int, ...], int]:
     return tuple(units), acc << (width - 1)
 
 
-def _domain_table(tree, refined: bool) -> tuple:
+@lru_cache(maxsize=None)
+def _domain_table(tree) -> tuple:
     """The per-tree masks a bijection count reads, as int bitmasks over the
-    preorder indices of ``tree``, the root being 0:
+    preorder indices of ``tree``, the root being 0.  The domain order is
+    fixed by the tree's class: the planar refinement ``<<`` on a
+    ``PlanarTree`` (see :mod:`prelie.orders`), the tree order ``<`` on a
+    ``Tree``.
 
     * per vertex, the vertices it unlocks: those whose cover predecessor it
       is.  Under the tree order every non-root vertex has its parent as its
-      one cover predecessor, so a vertex unlocks its children.  Under the
-      planar refinement ``<<`` (``refined``, see :mod:`prelie.orders`) the
-      cover predecessor is the right-adjacent sibling, or the parent when
-      there is none, so a vertex unlocks its rightmost child and its
-      left-adjacent sibling;
+      one cover predecessor, so a vertex unlocks its children.  Under
+      ``<<`` the cover predecessor is the right-adjacent sibling, or the
+      parent when there is none, so a vertex unlocks its rightmost child
+      and its left-adjacent sibling;
     * per vertex, its strict descendants, the indices right after it;
     * per (label, m), when not empty, the vertices carrying that label
       with at least m strict descendants;
     * the numbers of strict descendants, packed (:func:`_count_fields`).
     """
     n = tree.degree
+    refined = isinstance(tree, PlanarTree)
     unlock = [0] * n
     descendants = [0] * n
     exact = {}  # (label, strict descendants) -> vertices
@@ -189,12 +204,6 @@ def _domain_table(tree, refined: bool) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _refined_table(sigma: PlanarTree) -> tuple:
-    """The domain table of sigma under the planar refinement ``<<``."""
-    return _domain_table(sigma, True)
-
-
-@lru_cache(maxsize=None)
 def _total_order_table(tau: PlanarTree) -> tuple[tuple[int, ...], tuple, int, int]:
     """For each vertex in the total-order listing of tau: the position of
     its parent in that listing (-1 for the root, which comes first), and
@@ -219,13 +228,14 @@ def _total_order_table(tau: PlanarTree) -> tuple[tuple[int, ...], tuple, int, in
     return tuple(parents), tuple(keys), counts, guards
 
 
-def _count_bijections(table, tau: PlanarTree) -> int:
-    """Count the bijections from a domain tree onto V(tau) that respect
-    ``table``, by an exhaustive depth-first enumeration of the linear
-    extensions of the domain order.
+def _count_bijections(domain, tau: PlanarTree, cap: int) -> int:
+    """Count the bijections from the tree ``domain`` onto V(tau) that
+    respect its domain table (:func:`_domain_table`), by an exhaustive
+    depth-first enumeration of the linear extensions of the domain order.
+    Both public counts enter here, which refuses trees of unequal degrees
+    and a degree above ``cap``.
 
-    ``table`` is a domain table (:func:`_domain_table`) of a tree of tau's
-    degree; domain vertices are preorder indices, the root being 0.  The
+    Domain vertices are preorder indices, the root being 0.  The
     positions of tau's total-order listing are filled in turn, each with
     one domain vertex, so a filling is the inverse of a bijection.  A
     vertex i may fill a position only when
@@ -259,7 +269,11 @@ def _count_bijections(table, tau: PlanarTree) -> int:
     position a single domain vertex is left, and it is ready, so each
     candidate there counts as one bijection.
     """
-    unlock, descendants, masks, counts = table
+    if domain.degree != tau.degree:
+        raise DomainError("bijection count needs equal degrees")
+    if domain.degree > cap:
+        raise DegreeCapError(f"degree {domain.degree} exceeds brute-force cap {cap}")
+    unlock, descendants, masks, counts = _domain_table(domain)
     parents, keys, tau_counts, guards = _total_order_table(tau)
     if (counts | guards) - tau_counts & guards != guards:
         return 0
@@ -303,11 +317,7 @@ def coeff_c_bijections(
     """Same coefficient, counted as label-preserving bijections increasing
     from the planar refinement order on sigma to the total order on tau,
     with tree-order increasing inverse."""
-    if sigma.degree != tau.degree:
-        raise DomainError("bijection count needs equal degrees")
-    if sigma.degree > cap:
-        raise DegreeCapError(f"degree {sigma.degree} exceeds brute-force cap {cap}")
-    return _count_bijections(_refined_table(sigma), tau)
+    return _count_bijections(sigma, tau, cap)
 
 
 def psi_matrix(n: int, max_degree: int = ENUMERATION_CAP) -> CoeffMatrix:
@@ -335,14 +345,8 @@ def _psi_inv(text: str) -> tuple[tuple[str, int], ...]:
         out = ((text, 1),)
     else:
         branch, trunk = parts
-        acc: dict[str, int] = {}
+        acc = _left_butcher_texts({}, _psi_inv(branch), _psi_inv(trunk))
         get = acc.get
-        preimage = _psi_inv(branch)
-        for y, cy in _psi_inv(trunk):
-            p = y.index("(") + 1
-            head, tail = y[:p], y[p:]
-            for x, cx in preimage:  # x o-> y, distinct per pair (x, y)
-                acc[head + x + tail] = cx * cy
         for q in _opens(trunk)[1:]:  # b at v, for each vertex v but the root
             for t, c in _psi_inv(trunk[:q] + branch + trunk[q:]):
                 acc[t] = get(t, 0) - c

@@ -15,6 +15,10 @@ serializations are compared with ``(`` ranking above every other character
 embedding of a tree is also its "branches first" drawing, e.g. the
 canonical form of the 4-vertex tree with a 2-ladder branch and a leaf
 branch is ``((())())``.
+
+One builder makes the per-degree bases of both classes as products of
+lower-degree trees: the free magma under b o-> t for planar trees, the
+Butcher products for non-planar ones.
 """
 
 from __future__ import annotations
@@ -383,17 +387,22 @@ def _check_degree(n: int, max_degree: int):
 
 
 @lru_cache(maxsize=None)
-def _planar_basis(n: int) -> tuple[PlanarTree, ...]:
-    """The degree-n planar trees, sorted.  A planar tree of degree n > 1 is
-    b o-> t, b grafted as the leftmost branch of t's root, for exactly one
-    pair of lower-degree trees (b, t): the free magma on one generator."""
+def _basis(cls: type, n: int) -> tuple:
+    """The degree-n trees of class ``cls``, sorted.  A tree of degree n > 1
+    is a product of lower-degree trees, b joining t's root as a new branch:
+    leftmost for a planar tree, b o-> t for exactly one pair (b, t) (the
+    free magma on one generator); in sorted place for a non-planar tree,
+    the Butcher product b o t once per distinct branch of its root.  A
+    product is kept when b lands first among the root's children, which
+    holds for exactly one product per tree of either class."""
     if n == 1:
-        return (PlanarTree(),)
+        return (cls(),)
     products = [
-        PlanarTree((b,) + t.children)
+        tree
         for k in range(1, n)
-        for b in _planar_basis(k)
-        for t in _planar_basis(n - k)
+        for b in _basis(cls, k)
+        for t in _basis(cls, n - k)
+        if (tree := cls((b,) + t.children)).children[0] is b
     ]
     return tuple(sorted(products, key=canonical_key, reverse=True))
 
@@ -402,7 +411,7 @@ def enumerate_planar(n: int, max_degree: int = ENUMERATION_CAP) -> list[PlanarTr
     """All planar rooted trees with n vertices in canonical basis order, as
     a new list (the sorted basis is memoized per degree)."""
     _check_degree(n, max_degree)
-    return list(_planar_basis(n))
+    return list(_basis(PlanarTree, n))
 
 
 def _planar_count(n: int) -> int:
@@ -410,27 +419,11 @@ def _planar_count(n: int) -> int:
     return math.comb(2 * n - 2, n - 1) // n
 
 
-@lru_cache(maxsize=None)
-def _nonplanar_basis(n: int) -> tuple[Tree, ...]:
-    """The degree-n non-planar trees, sorted.  Every one of degree n > 1 is
-    a Butcher product s o t, s joining t's root as a branch, in one way or
-    more (once per distinct branch of its root)."""
-    if n == 1:
-        return (Tree(),)
-    products = {
-        Tree((s,) + t.children)
-        for k in range(1, n)
-        for s in _nonplanar_basis(k)
-        for t in _nonplanar_basis(n - k)
-    }
-    return tuple(sorted(products, key=canonical_key, reverse=True))
-
-
 def enumerate_nonplanar(n: int, max_degree: int = ENUMERATION_CAP) -> list[Tree]:
     """All non-planar rooted trees with n vertices in canonical basis order,
     as a new list (the sorted basis is memoized per degree)."""
     _check_degree(n, max_degree)
-    return list(_nonplanar_basis(n))
+    return list(_basis(Tree, n))
 
 
 def _nonplanar_count(n: int) -> int:

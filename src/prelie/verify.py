@@ -172,6 +172,10 @@ def verify_matrices(max_degree: int, seed: int) -> list[dict]:
             )
         )
         planar = trees.enumerate_planar(n)
+        # This check and beta-default-columns-are-psi-tilde keep their names,
+        # which are output bytes, though neither reads psi_bar or psi_tilde:
+        # both compare the matrix columns, built by the grafting kernel, with
+        # _projected, the termwise projection of psi's planar images.
         checks.append(
             check(
                 f"alpha-columns-are-psi-bar-n{n}",
@@ -184,6 +188,7 @@ def verify_matrices(max_degree: int, seed: int) -> list[dict]:
             check(f"beta-default-unipotent-n{n}", bm.is_unipotent_upper_triangular())
         )
         images = (_projected(section(t)._text) for t in trees.enumerate_nonplanar(n))
+        # named for psi_tilde, checked against _projected (see alpha above)
         checks.append(check(f"beta-default-columns-are-psi-tilde-n{n}", _columns_are(bm, images)))
         identity = all(_compose_is_identity(sigma) for sigma in planar)
         checks.append(check(f"psi-inverse-n{n}", identity))

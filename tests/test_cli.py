@@ -218,6 +218,14 @@ def test_psi_inverse_of_a_deep_chain_in_subprocess():
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", f"1 {chain}\n")
 
 
+def test_psi_of_a_deep_chain_in_subprocess():
+    # _psi is an lru_cache, so each tree level costs two levels of the
+    # recursion limit: a chain, its own image, is reached to about 490 deep.
+    chain = "(" * 450 + ")" * 450
+    proc = _cli_in_fresh_process("compute", "psi", "--tree", chain)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", f"1 {chain}\n")
+
+
 def test_left_graft_of_deep_chains_in_subprocess():
     # Both exit 3 when a tree level costs two levels of the recursion limit.
     # Grafting onto an n-deep chain sums n trees whose distinct subtrees hold
@@ -838,12 +846,27 @@ def test_dense_matrix_above_cell_budget_exits_3_before_any_image(capsys, monkeyp
 
 
 def test_dense_matrix_above_cell_budget_exits_3_before_any_tree(capsys, monkeypatch):
-    def no_trees(n):
+    def no_trees(cls, n):
         raise AssertionError(f"degree-{n} trees were enumerated above the cell budget")
 
-    monkeypatch.setattr(sys.modules["prelie.trees"], "_planar_basis", no_trees)
+    monkeypatch.setattr(sys.modules["prelie.trees"], "_basis", no_trees)
     code = main(["compute", "matrix", "--degree", "13", "--cap", "20"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert captured.err == "error: degree 13: a dense 208012 x 208012 matrix exceeds 24000000 cells\n"
+
+
+def test_ag_expansion_above_a_cap_exits_3_before_any_monomial(capsys, monkeypatch):
+    def no_monomials(*args):
+        raise AssertionError("AG monomials were built above a cap")
+
+    monkeypatch.setattr(sys.modules["prelie.monomials"], "_ag_raw", no_monomials)
+    for argv, err in (
+        (["--degree", "17"], "error: degree 17 exceeds cap 12\n"),
+        (["--degree", "13", "--cap", "20"],
+         "error: degree 13: a dense 12486 x 12486 matrix exceeds 24000000 cells\n"),
+    ):
+        code = main(["compute", "expand", "--ag", *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (3, "", err), argv

@@ -35,8 +35,7 @@ from prelie import (
 from prelie import matrix, trees
 from prelie.orders import left_refined_pairs, total_order_list, tree_less
 from prelie.products import PLANAR
-from prelie.projection import _ancestor_table
-from prelie.psi import _refined_table, _total_order_table
+from prelie.psi import _domain_table, _total_order_table
 
 
 def planar_sum(*pairs):
@@ -242,7 +241,7 @@ def test_bijection_tables_match_the_vertex_orders():
     for n in range(1, 8):
         for t in enumerate_planar(n):
             verts = t.vertices()
-            unlock, descendants = _refined_table(t)[:2]
+            unlock, descendants = _domain_table(t)[:2]
             assert unlock == _covers(verts, _refined_less(t))
             assert descendants == _masks(verts, tree_less)
             assert sorted(i for u in unlock for i in range(n) if u >> i & 1) == list(range(1, n))
@@ -253,7 +252,7 @@ def test_bijection_tables_match_the_vertex_orders():
             assert _total_order_table(t)[:2] == (parents, keys)
         for s in enumerate_nonplanar(n):
             verts = s.vertices()
-            unlock, descendants = _ancestor_table(s)[:2]
+            unlock, descendants = _domain_table(s)[:2]
             assert unlock == _covers(verts, tree_less)
             assert descendants == _masks(verts, tree_less)
             assert sorted(i for u in unlock for i in range(n) if u >> i & 1) == list(range(1, n))
@@ -329,9 +328,9 @@ def test_descendant_count_rejection_matches_reference_count():
     rejected = 0
     for n in range(1, 8):
         planar, nonplanar = enumerate_planar(n), enumerate_nonplanar(n)
-        domains = [(sigma, _refined_table(sigma), _predecessors(sigma, _refined_less(sigma)))
+        domains = [(sigma, _domain_table(sigma), _predecessors(sigma, _refined_less(sigma)))
                    for sigma in planar]
-        domains += [(s, _ancestor_table(s), _predecessors(s, tree_less)) for s in nonplanar]
+        domains += [(s, _domain_table(s), _predecessors(s, tree_less)) for s in nonplanar]
         for tau in planar:
             tau_counts = _descending_counts(tau)
             for tree, table, pred in domains:
@@ -348,11 +347,11 @@ def test_descendant_count_rejection_matches_reference_count():
         planar = [t for u in enumerate_planar(n) for t in _labeled(u)]
         nonplanar = [t for u in enumerate_nonplanar(n) for t in _labeled(u)]
         for sigma in planar:
-            table, pred = _refined_table(sigma), _predecessors(sigma, _refined_less(sigma))
+            table, pred = _domain_table(sigma), _predecessors(sigma, _refined_less(sigma))
             for tau in planar:
                 assert coeff_c_bijections(sigma, tau) == reference_count_bijections(pred, table, tau)
         for s in nonplanar:
-            table, pred = _ancestor_table(s), _predecessors(s, tree_less)
+            table, pred = _domain_table(s), _predecessors(s, tree_less)
             for tau in planar:
                 assert count_tilde_b(s, tau) == reference_count_bijections(pred, table, tau)
 
@@ -368,8 +367,8 @@ def _fields(packed, n):
 def test_domain_and_listing_tables_hold_descending_descendant_counts():
     for n in range(1, 9):
         width = n.bit_length() + 1
-        trees = [(t, _refined_table(t)[3]) for t in enumerate_planar(n)]
-        trees += [(s, _ancestor_table(s)[3]) for s in enumerate_nonplanar(n)]
+        trees = [(t, _domain_table(t)[3]) for t in enumerate_planar(n)]
+        trees += [(s, _domain_table(s)[3]) for s in enumerate_nonplanar(n)]
         for t, packed in trees:
             sizes = [t.subtree(v).degree - 1 for v in t.vertices()]
             want = [sum(1 for d in sizes if d >= m) for m in range(n)]
@@ -474,11 +473,10 @@ def test_dense_matrix_above_the_cell_budget_is_refused_before_any_image(monkeypa
 
 
 def test_dense_matrix_above_the_cell_budget_is_refused_before_any_tree(monkeypatch):
-    def no_trees(n):
+    def no_trees(cls, n):
         raise AssertionError(f"degree-{n} trees were enumerated above the cell budget")
 
-    monkeypatch.setattr(trees, "_planar_basis", no_trees)
-    monkeypatch.setattr(trees, "_nonplanar_basis", no_trees)
+    monkeypatch.setattr(trees, "_basis", no_trees)
     with pytest.raises(DegreeCapError, match="degree 13: a dense 208012 x 208012 matrix"):
         psi_matrix(13, max_degree=20)
     with pytest.raises(DegreeCapError, match="degree 13: a dense 12486 x 208012 matrix"):
