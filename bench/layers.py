@@ -9,12 +9,16 @@ of the git revision REF, unpacked with ``git archive`` under ``--workdir``
 (a new temporary directory by default).  The runs go in pairs, one run of
 each side, and the side that runs first alternates pair by pair, so that
 drift of the host's speed hits both alike.  For every layer the file
-records the median, the spread ((max - min) / median) and each of the RUNS
-runs of the layer's own wall time (set-up excluded) and of the process's
-peak resident set (``VmHWM``, read at its end; set-up included), plus
-Python, ``nproc`` and the commits.  With ``--parent`` it also records, per
-layer, the change's median over the parent's and how many of the pairs the
-change won (ties count for neither side).  Without ``--out`` the file is ``BENCH.json`` at the root;
+records the median, the spread ((max - min) / median) and each run of the
+layer's own wall time (set-up excluded) and of the process's peak
+resident set (``VmHWM``, read at its end; set-up included), plus Python,
+``nproc`` and the commits.  A layer runs RUNS pairs, or FAST_RUNS pairs
+when the first run of the parent (of this checkout without ``--parent``)
+takes under FAST_S seconds: such short layers read bimodally from run to
+run, so they need more pairs to tell a change from noise.  With
+``--parent`` it also records, per layer, the change's median over the
+parent's and how many of the pairs the change won (ties count for neither
+side).  Without ``--out`` the file is ``BENCH.json`` at the root;
 ``--layers`` runs only the named layers, in the order given.
 
 A layer's output is checked after it is timed: the degree-12 planar and
@@ -31,7 +35,8 @@ sums N(tau); on seeded degree-10 pairs they agree with the coefficient in
 psi(tau).  The degree-10 AG expansion is 719 x 719 and each column sums
 to S(m), where S(g) = 1 and S([x,y]) = S(x) S(y) deg(y).  At degree 8 the beta matrix of the AG
 section has, for each basis monomial, the monomial's expansion column as
-the column of its lower-energy term.  The pre-Lie and NAP identities hold
+the column of its lower-energy term.  ``verify tree-grounded`` through
+degree 12 passes all of its 23 checks.  The pre-Lie and NAP identities hold
 on all 1353 triples of total degree 10 and on 336 seeded triples of total
 degree at most 9, and each graft(s, t) has coefficient sum |t|.  The
 2000 seeded ``prelie.cli.main`` requests of ``cli_requests_2000`` all exit
@@ -60,7 +65,9 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-RUNS = 3  # per layer and side
+RUNS = 3  # pairs of runs per layer
+FAST_RUNS = 9  # pairs for a layer whose first run takes under FAST_S
+FAST_S = 0.1
 TIMEOUT_S = 900.0  # per run; the parent's psi over degree 10 takes about 40 s
 
 
@@ -382,6 +389,24 @@ def _ag_pipeline(n: int):
     return (lambda P: None), work, check
 
 
+def _tree_grounded(n: int):
+    """The tree-grounded suite through degree n: every AG basis is
+    tree-grounded, and the beta columns of each degree's AG section equal
+    the planar left-graft images projected termwise."""
+
+    def work(P, _):
+        return P.verify.run("tree-grounded", n)
+
+    def check(P, report):
+        checks, want = report["checks"], 2 * n - 1
+        failed = [c["name"] for c in checks if c["status"] != "pass"]
+        if report["status"] != "pass" or failed or len(checks) != want:
+            return False, f"{len(checks)} checks (want {want}), failed: {failed}"
+        return True, f"all {want} checks pass"
+
+    return (lambda P: None), work, check
+
+
 def _random_planar(rng: random.Random, n: int) -> str:
     """Uniform planar rooted tree with n vertices, by the cyclic lemma: of
     the rotations of a shuffled word of n - 1 steps up and n steps down,
@@ -558,6 +583,7 @@ LAYERS = {
     "graft_identities_10": _graft_identities(_all_triples(10), 1353),
     "identities_9": _graft_identities(_seeded_triples(9, 4), 336),
     "ag_pipeline_8": _ag_pipeline(8),
+    "tree_grounded_12": _tree_grounded(12),
     "cli_requests_2000": _cli_requests(),
     "cli_oneshot_50": _cli_oneshot(50),
 }
@@ -625,7 +651,7 @@ def summarize(runs: list[dict]) -> dict:
 def over_parent(change: dict, parent: dict) -> dict:
     """The change's medians over the parent's, and the pairs (run k of each
     side) in which the change read lower."""
-    out = {"pairs": RUNS}
+    out = {"pairs": len(change["wall_s_runs"])}
     for key in ("wall_s", "vmhwm_mib"):
         out[key] = round(change[key] / parent[key], 3)
         out[f"{key}_pairs_won"] = sum(
@@ -681,13 +707,19 @@ def main(argv=None) -> int:
     results = {side: {} for side in sides}
     for name in names:
         runs = {side: [] for side in sides}
-        for k in range(RUNS):
+        pairs, k = RUNS, 0
+        while k < pairs:
             order = list(sides) if k % 2 == 0 else list(reversed(sides))
             for side in order:
                 r = run_once(sides[side][0], name)
                 runs[side].append(r)
                 shown = f"{r['wall_s']:.3f} s, {r['vmhwm_mib']:.1f} MiB" if r["ok"] else "FAILED"
                 print(f"{name} {side} run {k + 1}: {shown} ({r['check']})", file=sys.stderr)
+            if k == 0:
+                first = runs["parent" if "parent" in sides else "change"][0]
+                if first["ok"] and first["wall_s"] < FAST_S:
+                    pairs = FAST_RUNS
+            k += 1
         for side in sides:
             results[side][name] = summarize(runs[side])
 
@@ -696,6 +728,7 @@ def main(argv=None) -> int:
         "nproc": os.cpu_count(),
         "machine": platform.machine(),
         "runs": RUNS,
+        "fast_runs": f"{FAST_RUNS} a side for a layer whose first parent run took under {FAST_S} s",
         "wall_s": "layer only, set-up excluded; median of runs",
         "vmhwm_mib": "peak resident set of the whole process (VmHWM); median of runs",
         "spread": "(max - min) / median of a layer's runs on one side",

@@ -71,7 +71,7 @@ OP_REGISTRY = {
     "butcher": "compute product --product butcher --left () --right (())",
     "left_graft": "compute product --product left-graft --left () --right (())",
     "graft": "compute product --product graft --left () --right (())",
-    "bilinear_extend": "compute expand --ag --degree 3",
+    "bilinear_extend": "verify identities --max-degree 3",
     "decompose": "verify sequences --max-degree 3",
     "psi": "compute psi --tree (()())",
     "psi_inverse": "compute psi-inverse --tree (()())",
@@ -85,7 +85,6 @@ OP_REGISTRY = {
     "alpha": "compute alpha --s (()()) --tau (()())",
     "default_section": "section show --degree 3",
     "beta_matrix": "compute beta --degree 3",
-    "evaluate": "compute expand --ag --degree 3",
     "ag_basis": "compute expand --ag --degree 3",
     "expand_basis": "compute expand --ag --degree 3",
     "lower_energy_term": "verify tree-grounded --max-degree 4",
@@ -230,11 +229,10 @@ def _read_section(path: str) -> projection.Section:
 
 
 def cmd_compute_beta(args) -> int:
-    if args.section:
-        section = _read_section(args.section)
-    else:
-        section = projection.default_section(args.degree, _max_degree(args))
-    _emit_matrix(projection.beta_matrix(section, args.degree, _max_degree(args)), args.format)
+    n, cap = args.degree, _max_degree(args)
+    monomials._check_expansion(n, cap)
+    section = _read_section(args.section) if args.section else projection.default_section(n, cap)
+    _emit_matrix(projection.beta_matrix(section, n, cap), args.format)
     return EXIT_OK
 
 

@@ -8,6 +8,13 @@ Butcher, left grafting) is only bound at evaluation.  Serialization is
 Evaluating a monomial over a single generator uses unlabeled vertices, so
 results are directly comparable with the plain tree bases; multi-generator
 monomials evaluate to vertex-labeled trees.
+
+The magmatic folds are computed here, one tree per sub-monomial.  psi
+fixes the generators and carries the left Butcher product to left
+grafting, and forgetting planarity carries left grafting to pre-Lie
+grafting.  So the grafting folds of a monomial are psi and psi_bar of its
+left-Butcher fold, which evaluation and the expansion matrices read; no
+sum is kept per sub-monomial.
 """
 
 from __future__ import annotations
@@ -16,8 +23,9 @@ import re
 from functools import lru_cache
 
 from .matrix import CoeffMatrix, _check_dense, _from_images
-from .products import TreeSum, bilinear_extend, product_flavor
-from .projection import Section
+from .products import PLANAR, TreeSum, _sum_of_texts, product_flavor
+from .projection import Section, _psi_bar
+from .psi import _psi
 from .trees import (
     ENUMERATION_CAP,
     DegreeCapError,
@@ -144,25 +152,18 @@ def evaluate(m: MonomialExpr, product: str, labeled: bool | None = None) -> Tree
 
     The magmatic products give single-tree sums; the grafting products
     give genuine sums.  With ``labeled=None`` vertices stay unlabeled when
-    the expression uses a single generator symbol.
+    the expression uses a single generator symbol.  The grafting products
+    read psi and psi_bar of the left-Butcher fold.
     """
+    flavor = product_flavor(product)
     if labeled is None:
         labeled = len(m.generator_names()) > 1
-    return _fold(m, product, bool(labeled))
-
-
-@lru_cache(maxsize=None)
-def _fold(expr: MonomialExpr, product: str, labeled: bool) -> TreeSum:
-    """The image of ``expr`` under ``product``, its vertices labeled by
-    generator name when ``labeled``.  Memoized: the basis monomials of a
-    degree share their sub-monomials, and the same monomial is folded
-    again for other products and labelings."""
-    if type(expr) is Generator:
-        leaf_cls = PlanarTree if product_flavor(product) == "planar" else Tree
-        return TreeSum.single(leaf_cls((), expr.name if labeled else None))
-    return bilinear_extend(
-        product, _fold(expr.left, product, labeled), _fold(expr.right, product, labeled)
-    )
+    if product == "butcher":
+        return TreeSum.single(_magmatic_fold(m, Tree, bool(labeled)))
+    planar = _magmatic_fold(m, PlanarTree, bool(labeled))
+    if product == "left-butcher":
+        return TreeSum.single(planar)
+    return _sum_of_texts(flavor, (_psi if flavor == PLANAR else _psi_bar)(planar._text))
 
 
 def lower_energy_term(m: MonomialExpr) -> Tree:
@@ -181,7 +182,8 @@ def _magmatic_fold(expr: MonomialExpr, cls: type, labeled: bool) -> PlanarTree |
     """The tree of ``expr`` with the product bound to the (left) Butcher
     product of trees of class ``cls``: the left operand joins the right
     one's root as a branch, leftmost or (for ``Tree``) in sorted place.
-    Memoized like :func:`_fold`, with no sum built."""
+    Memoized: the basis monomials of a degree share their sub-monomials,
+    and the same monomial is folded again for other products."""
     if type(expr) is Generator:
         return cls((), expr.name if labeled else None)
     right = _magmatic_fold(expr.right, cls, labeled)
@@ -274,8 +276,8 @@ def ag_basis_multigen(
 
 def _check_expansion(n: int, max_degree: int, columns: int | None = None) -> None:
     """Refuse a degree-n expansion matrix above the degree cap or the dense
-    cell budget, before any tree is built.  By default it has one column
-    per tree, as an AG basis has one monomial per tree."""
+    cell budget, before any tree is built.  By default it is square, one
+    column per tree, as an AG expansion and a beta matrix are."""
     _check_degree(n, max_degree)
     rows = _nonplanar_count(n)
     _check_dense(n, rows, rows if columns is None else columns)
@@ -291,7 +293,7 @@ def expand_basis(basis: MonomialBasis, max_degree: int = ENUMERATION_CAP) -> Coe
         if len(m.generator_names()) != 1:
             raise DomainError("expansion matrices are single-generator only")
     cols = tuple([m.serialize() for m in basis.monomials])
-    images = (evaluate(m, "graft").texts for m in basis.monomials)
+    images = (_psi_bar(planar_lower_term(m)._text).items() for m in basis.monomials)
     return _from_images(n, rows, cols, images)
 
 

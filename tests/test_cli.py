@@ -443,6 +443,34 @@ def test_verify_tree_grounded(capsys):
     assert "section-round-trip-n6" not in out
 
 
+def test_tree_grounded_round_trip_catches_graft_kernel_faults(capsys, monkeypatch):
+    # The round trip compares the AG-section beta, built by the pre-Lie
+    # graft kernel, with the planar left-graft images projected termwise,
+    # so a fault in the graft kernel alone must fail it.
+    products = sys.modules["prelie.products"]
+    graft_texts = products._graft_texts
+
+    def root_graft_twice(memo, s, t):
+        out = graft_texts(memo, s, t)
+        if s != "()" and len(products._children(t)[1]) >= 2:
+            out = memo[t] = out[:1] + out
+        return out
+
+    def child_joins_last(label, kids, keys, x):
+        return f"{label}({''.join(kids)}{x})"
+
+    for name, fault in (("_graft_texts", root_graft_twice), ("_joined", child_joins_last)):
+        _clear_package_caches()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(products, name, fault)
+                code, out = run(capsys, "verify", "tree-grounded", "--max-degree", "7")
+        finally:
+            _clear_package_caches()
+        assert code == 1, name
+        assert "[FAIL] section-round-trip-n" in out, name
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setitem(
         verify.SUITES, "sequences", (lambda max_degree, seed: [verify.check("forced", False)], 5)
@@ -868,5 +896,22 @@ def test_ag_expansion_above_a_cap_exits_3_before_any_monomial(capsys, monkeypatc
          "error: degree 13: a dense 12486 x 12486 matrix exceeds 24000000 cells\n"),
     ):
         code = main(["compute", "expand", "--ag", *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (3, "", err), argv
+
+
+def test_beta_above_a_cap_exits_3_before_reading_the_section(capsys, monkeypatch, tmp_path):
+    def no_trees(text):
+        raise AssertionError("a section file was parsed above a cap")
+
+    path = tmp_path / "sec.txt"
+    path.write_text(prelie.default_section(3).to_text())
+    monkeypatch.setattr(sys.modules["prelie.trees"], "parse_tree", no_trees)
+    for argv, err in (
+        (["--degree", "17"], "error: degree 17 exceeds cap 12\n"),
+        (["--degree", "13", "--cap", "13"],
+         "error: degree 13: a dense 12486 x 12486 matrix exceeds 24000000 cells\n"),
+    ):
+        code = main(["compute", "beta", *argv, "--section", str(path)])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (3, "", err), argv
