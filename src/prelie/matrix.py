@@ -1,4 +1,5 @@
-"""Exact integer coefficient matrices over tree bases."""
+"""Exact integer coefficient matrices over tree bases, held as the columns
+the kernels compute; the dense grid is built only to be read or printed."""
 
 from __future__ import annotations
 
@@ -9,56 +10,77 @@ from .trees import DegreeCapError, _fill, _Value
 
 
 class CoeffMatrix(_Value):
-    """Integer matrix indexed by row/column tree serializations.
+    """Integer matrix indexed by row/column tree serializations: ``columns[j]``
+    maps row texts to the nonzero coefficients of column ``col_basis[j]``.
 
     For the planar base change the matrix is square, upper triangular and
     unipotent in the canonical (descending potential energy) basis order;
     the planar-to-non-planar matrix is rectangular.
     """
 
-    __slots__ = _fields = ("degree", "row_basis", "col_basis", "entries")
+    __slots__ = _fields = ("degree", "row_basis", "col_basis", "columns")
 
     def __init__(
         self,
         degree: int,
         row_basis: tuple[str, ...],
         col_basis: tuple[str, ...],
-        entries: tuple[tuple[int, ...], ...],
+        columns: tuple[dict[str, int], ...],
     ):
-        _fill(self, degree, row_basis, col_basis, entries)
+        _fill(self, degree, row_basis, col_basis, columns)
+
+    def __hash__(self):
+        return hash((self.degree, self.row_basis, self.col_basis))
 
     def entry(self, row: str, col: str) -> int:
-        return self.entries[self.row_basis.index(row)][self.col_basis.index(col)]
+        return self.column(col)[self.row_basis.index(row)]
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.row_basis), len(self.col_basis))
 
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self._rows(0, int)))
+
+    def _rows(self, zero, cell) -> list[list]:
+        """The dense grid as rows: ``cell(c)`` at each nonzero c, else ``zero``."""
+        index = {r: i for i, r in enumerate(self.row_basis)}
+        rows = [[zero] * len(self.col_basis) for _ in self.row_basis]
+        for j, column in enumerate(self.columns):
+            for r, c in column.items():
+                rows[index[r]][j] = cell(c)
+        return rows
+
     def entry_sum(self) -> int:
-        return sum(sum(row) for row in self.entries)
+        return sum(self.column_sums())
 
     def column(self, col: str) -> tuple[int, ...]:
-        j = self.col_basis.index(col)
-        return tuple(row[j] for row in self.entries)
+        get = self.columns[self.col_basis.index(col)].get
+        return tuple([get(r, 0) for r in self.row_basis])
 
     def column_sums(self) -> tuple[int, ...]:
-        return tuple(sum(col) for col in zip(*self.entries))
+        return tuple([sum(column.values()) for column in self.columns])
 
     def entry_multiset(self) -> dict[int, int]:
         counts: dict[int, int] = {}
-        for row in self.entries:
-            for e in row:
-                counts[e] = counts.get(e, 0) + 1
+        for column in self.columns:
+            for c in column.values():
+                counts[c] = counts.get(c, 0) + 1
+        zeros = math.prod(self.shape) - sum(counts.values())
+        if zeros:
+            counts[0] = zeros
         return counts
 
     def is_upper_triangular(self) -> bool:
-        return not any(any(row[:i]) for i, row in enumerate(self.entries))
+        index = {r: i for i, r in enumerate(self.row_basis)}
+        return all(index[r] <= j for j, column in enumerate(self.columns) for r in column)
 
     def is_unipotent_upper_triangular(self) -> bool:
         n, m = self.shape
         if n != m or not self.is_upper_triangular():
             return False
-        return all(self.entries[i][i] == 1 for i in range(n))
+        return all(c.get(r) == 1 for r, c in zip(self.row_basis, self.columns))
 
     def determinant(self) -> Fraction:
         """Exact determinant: the product of the diagonal when the matrix is
@@ -70,8 +92,8 @@ class CoeffMatrix(_Value):
         if n != m:
             raise ValueError("determinant of a non-square matrix")
         if self.is_upper_triangular():
-            return Fraction(math.prod([self.entries[i][i] for i in range(n)]))
-        a = [[Fraction(e) for e in row] for row in self.entries]
+            return Fraction(math.prod([c.get(r, 0) for r, c in zip(self.row_basis, self.columns)]))
+        a = self._rows(Fraction(0), Fraction)
         det = Fraction(1)
         for col in range(n):
             pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
@@ -91,8 +113,8 @@ class CoeffMatrix(_Value):
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("," + ",".join(self.col_basis) + "\n")
-        for name, row in zip(self.row_basis, self.entries):
-            buf.write(name + "," + ",".join([str(e) for e in row]) + "\n")
+        for name, row in zip(self.row_basis, self._rows("0", str)):
+            buf.write(name + "," + ",".join(row) + "\n")
         return buf.getvalue()
 
     def to_json(self) -> dict:
@@ -100,7 +122,7 @@ class CoeffMatrix(_Value):
             "degree": self.degree,
             "row_basis": list(self.row_basis),
             "col_basis": list(self.col_basis),
-            "entries": [list(row) for row in self.entries],
+            "entries": self._rows(0, int),
         }
 
     def to_json_str(self) -> str:
@@ -109,9 +131,9 @@ class CoeffMatrix(_Value):
         return json.dumps(self.to_json())
 
 
-# Most cells one dense matrix may have.  psi_matrix(10) (4862^2 = 23.6M cells)
-# and the degree-12 AG expansion and beta (4766^2 = 22.7M) fit; the next
-# planar degree (16796^2 = 282M cells) cannot be held in memory.
+# Most cells of the dense view that printing a matrix builds; every builder
+# refuses a larger shape up front.  psi_matrix(10) (4862^2 = 23.6M cells) and
+# the degree-12 AG expansion and beta (4766^2 = 22.7M) fit; 16796^2 cannot.
 MAX_DENSE_CELLS = 24_000_000
 
 
@@ -126,24 +148,10 @@ def _check_dense(degree: int, rows: int, cols: int) -> None:
 
 
 def _from_images(degree: int, row_basis: tuple, col_basis: tuple, images) -> CoeffMatrix:
-    """Matrix with one column per text of ``col_basis``: the coefficients of
-    the matching image in the iterable ``images``, each an iterable of
-    (text, coefficient) pairs, over the texts ``row_basis``.  Each row text
-    is indexed once and only the nonzero cells are written; the caller has
-    checked the shape with :func:`_check_dense`."""
-    # Every image is drawn before the rows exist: the collector, which runs
-    # while images are built, would otherwise walk each row cell each time.
-    images = list(images)
-    index = {r: i for i, r in enumerate(row_basis)}
-    cells = [[0] * len(col_basis) for _ in row_basis]
-    for j, image in enumerate(images):
-        for t, c in image:
-            i = index.get(t)
-            if i is not None:
-                cells[i][j] = c
-    return CoeffMatrix(
-        degree=degree,
-        row_basis=row_basis,
-        col_basis=col_basis,
-        entries=tuple(map(tuple, cells)),
-    )
+    """Matrix with one column per text of ``col_basis``: the nonzero
+    coefficients of the matching image in the iterable ``images``, each an
+    iterable of (text, coefficient) pairs, at the texts of ``row_basis``.
+    The caller has checked the shape with :func:`_check_dense`."""
+    rows = frozenset(row_basis)
+    columns = tuple([{t: c for t, c in image if c and t in rows} for image in images])
+    return CoeffMatrix(degree, row_basis, col_basis, columns)

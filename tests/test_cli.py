@@ -446,7 +446,9 @@ def test_verify_tree_grounded(capsys):
 def test_tree_grounded_round_trip_catches_graft_kernel_faults(capsys, monkeypatch):
     # The round trip compares the AG-section beta, built by the pre-Lie
     # graft kernel, with the planar left-graft images projected termwise,
-    # so a fault in the graft kernel alone must fail it.
+    # so a fault in the graft kernel alone must fail it.  The alpha column
+    # sums of verify matrices catch both faults too: a matrix drops any
+    # text outside its row basis rather than failing on it.
     products = sys.modules["prelie.products"]
     graft_texts = products._graft_texts
 
@@ -459,16 +461,23 @@ def test_tree_grounded_round_trip_catches_graft_kernel_faults(capsys, monkeypatc
     def child_joins_last(label, kids, keys, x):
         return f"{label}({''.join(kids)}{x})"
 
-    for name, fault in (("_graft_texts", root_graft_twice), ("_joined", child_joins_last)):
+    faults = (
+        ("_graft_texts", root_graft_twice, "n5"),
+        ("_joined", child_joins_last, "n4"),
+    )
+    for name, fault, first_sum in faults:
         _clear_package_caches()
         try:
             with monkeypatch.context() as patch:
                 patch.setattr(products, name, fault)
                 code, out = run(capsys, "verify", "tree-grounded", "--max-degree", "7")
+                sums_code, sums_out = run(capsys, "verify", "matrices", "--max-degree", "6")
         finally:
             _clear_package_caches()
         assert code == 1, name
         assert "[FAIL] section-round-trip-n" in out, name
+        assert sums_code == 1, name
+        assert f"[FAIL] alpha-column-sums-{first_sum}" in sums_out, name
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

@@ -500,6 +500,19 @@ def test_psi_matrix_degree4_statistics():
     assert m.entry_multiset()[2] == 1
 
 
+def test_matrix_views_count_zeros_and_reject_unknown_texts():
+    # zeros are counted only when there are zero cells
+    assert psi_matrix(1).entry_multiset() == {1: 1}
+    m = psi_matrix(4)
+    assert m.entry_multiset() == {1: 12, 0: 12, 2: 1}
+    first, last = m.row_basis[0], m.row_basis[-1]
+    assert m.entry(first, last) == 1 and m.entry(last, first) == 0
+    with pytest.raises(ValueError):
+        m.entry("(()()()())", last)
+    with pytest.raises(ValueError):
+        m.entry(first, "(()()()())")
+
+
 def test_psi_matrix_degree4_published_entries():
     # identity basis permutation: see tests/fixtures/m4_basis_permutation.md
     m = psi_matrix(4)

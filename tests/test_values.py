@@ -52,8 +52,8 @@ def _samples():
         ),
         (
             psi_matrix(2),
-            CoeffMatrix(degree=2, row_basis=("(())",), col_basis=("(())",), entries=((1,),)),
-            "CoeffMatrix(degree=2, row_basis=('(())',), col_basis=('(())',), entries=((1,),))",
+            CoeffMatrix(degree=2, row_basis=("(())",), col_basis=("(())",), columns=({"(())": 1},)),
+            "CoeffMatrix(degree=2, row_basis=('(())',), col_basis=('(())',), columns=({'(())': 1},))",
         ),
         (
             vertex_order(parse_planar("(())"), "<"),
@@ -186,7 +186,7 @@ import prelie.cli
 loaded = set(sys.modules) - before
 assert not loaded & {"dataclasses", "inspect", "fractions", "argparse", "gettext"}, sorted(loaded)
 assert prelie.psi_matrix(5).determinant() == 1
-m = prelie.CoeffMatrix(2, ("a", "b"), ("a", "b"), ((0, 1), (1, 0)))
+m = prelie.CoeffMatrix(2, ("a", "b"), ("a", "b"), ({"b": 1}, {"a": 1}))
 assert m.determinant() == -1
 assert prelie.cli.main(["compute", "psi", "--tree", "(()())", "--format", "json"]) == 0
 assert prelie.cli.main(["enumerate", "planar", "--degree", "3"]) == 0
@@ -224,7 +224,8 @@ def test_determinant_of_a_triangular_matrix_is_its_diagonal_product():
     assert m.is_unipotent_upper_triangular()
     det = m.determinant()
     assert det == 1 and isinstance(det, Fraction)
-    t = CoeffMatrix(3, ("a", "b", "c"), ("a", "b", "c"), ((2, 5, 7), (0, 3, 1), (0, 0, -4)))
+    names = ("a", "b", "c")
+    t = CoeffMatrix(3, names, names, ({"a": 2}, {"a": 5, "b": 3}, {"a": 7, "b": 1, "c": -4}))
     assert t.determinant() == -24 and isinstance(t.determinant(), Fraction)
 
 
@@ -232,13 +233,13 @@ def test_determinant_of_a_general_matrix_by_elimination():
     names = ("a", "b", "c")
     # expanded along the first row: 0*(1*2 - 0*0) - 2*(1*2 - 0*3) + 1*(1*0 - 1*3) = -7;
     # the zero corner needs a row swap
-    m = CoeffMatrix(3, names, names, ((0, 2, 1), (1, 1, 0), (3, 0, 2)))
+    m = CoeffMatrix(3, names, names, ({"b": 1, "c": 3}, {"a": 2, "b": 1}, {"a": 1, "c": 2}))
     assert not m.is_upper_triangular()
     assert m.determinant() == -7 and isinstance(m.determinant(), Fraction)
     # 2*4 - 1*3 = 5, through the fraction 3/2
-    assert CoeffMatrix(2, names[:2], names[:2], ((2, 1), (3, 4))).determinant() == 5
+    assert CoeffMatrix(2, names[:2], names[:2], ({"a": 2, "b": 3}, {"a": 1, "b": 4})).determinant() == 5
     # lower triangular, not upper: still the diagonal product, by elimination
-    assert CoeffMatrix(2, names[:2], names[:2], ((1, 0), (5, 2))).determinant() == 2
-    assert CoeffMatrix(2, names[:2], names[:2], ((1, 2), (2, 4))).determinant() == 0
+    assert CoeffMatrix(2, names[:2], names[:2], ({"a": 1, "b": 5}, {"b": 2})).determinant() == 2
+    assert CoeffMatrix(2, names[:2], names[:2], ({"a": 1, "b": 2}, {"a": 2, "b": 4})).determinant() == 0
     with pytest.raises(ValueError):
-        CoeffMatrix(2, names[:2], names, ((1, 0, 0), (0, 1, 0))).determinant()
+        CoeffMatrix(2, names[:2], names, ({"a": 1}, {"b": 1}, {})).determinant()
