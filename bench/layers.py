@@ -559,6 +559,8 @@ def _run_cli(argv: list[str]) -> tuple[int, str]:
 
 LAYERS = {
     "enumerate_12": _enumerate(12, 58786, 4766),
+    # degree 8 is the degree of perfbench's costliest psi queries
+    "psi_all_8": _psi_layer(8),
     "psi_all_9": _psi_layer(9),
     "psi_all_10": _psi_layer(10),
     "psi_matrix_9": _psi_matrix(9),

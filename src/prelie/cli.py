@@ -115,7 +115,10 @@ def _emit_json(obj):
 
 
 def _emit_matrix(m, fmt: str):
-    _emit(m.to_json_str() if fmt == "json" else m.to_csv())
+    if fmt == "json":
+        _emit(m.to_json_str())
+    else:  # one line at a time, so the whole CSV text is never held
+        sys.stdout.writelines(m._csv_lines())
 
 
 def _emit_sum(s, fmt: str):

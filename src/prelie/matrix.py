@@ -1,10 +1,11 @@
 """Exact integer coefficient matrices over tree bases, held as the columns
-the kernels compute; the dense grid is built only to be read or printed."""
+the kernels compute; the dense grid is built only to be read or printed as
+JSON, and CSV is printed a band of rows at a time."""
 
 from __future__ import annotations
 
-import io
 import math
+from typing import Iterator
 
 from .trees import DegreeCapError, _fill, _Value
 
@@ -111,11 +112,28 @@ class CoeffMatrix(_Value):
         return det
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("," + ",".join(self.col_basis) + "\n")
-        for name, row in zip(self.row_basis, self._rows("0", str)):
-            buf.write(name + "," + ",".join(row) + "\n")
-        return buf.getvalue()
+        return "".join(self._csv_lines())
+
+    def _csv_lines(self) -> Iterator[str]:
+        """The CSV form line by line: the header, then the rows, filled in
+        bands of at most ``_CSV_BAND_CELLS`` cells, one pass over the
+        columns per band.  A cell of a row outside the band goes to a spare
+        line that is never printed, so a matrix that fits in one band is
+        filled exactly as a dense grid."""
+        yield "," + ",".join(self.col_basis) + "\n"
+        n = len(self.col_basis)
+        step = max(1, _CSV_BAND_CELLS // max(n, 1))
+        text = str  # read as a local in the loop below
+        for lo in range(0, len(self.row_basis), step):
+            names = self.row_basis[lo : lo + step]
+            at = dict.fromkeys(self.row_basis, len(names))  # the spare line
+            at.update(zip(names, range(len(names))))
+            band = [["0"] * n for _ in range(len(names) + 1)]
+            for j, column in enumerate(self.columns):
+                for r, c in column.items():
+                    band[at[r]][j] = text(c)
+            for name, row in zip(names, band):
+                yield f"{name},{','.join(row)}\n"
 
     def to_json(self) -> dict:
         return {
@@ -131,9 +149,14 @@ class CoeffMatrix(_Value):
         return json.dumps(self.to_json())
 
 
-# Most cells of the dense view that printing a matrix builds; every builder
-# refuses a larger shape up front.  psi_matrix(10) (4862^2 = 23.6M cells) and
-# the degree-12 AG expansion and beta (4766^2 = 22.7M) fit; 16796^2 cannot.
+# Most cells of one band of rows that printing a matrix as CSV fills at once
+# (32 MiB of cell pointers); psi_matrix(9) (1430^2 cells) fits in one band.
+_CSV_BAND_CELLS = 1 << 22
+
+# Most cells of the dense view that reading a matrix's entries or printing it
+# as JSON builds; every builder refuses a larger shape up front.
+# psi_matrix(10) (4862^2 = 23.6M cells) and the degree-12 AG expansion and
+# beta (4766^2 = 22.7M) fit; 16796^2 cannot.
 MAX_DENSE_CELLS = 24_000_000
 
 

@@ -14,13 +14,26 @@ which is sorted once.  A product of two sums is built in one pass: every
 term of every pair of operand texts goes into that dict, and ``+``,
 ``-``, ``scale`` and ``to_text`` read and write texts alone.
 
+Plain text order.  ``serial_key`` maps ``(`` above ``)``, so a sum whose
+texts carry no label is ranked by plain ``str`` order, ascending, with no
+key built: two distinct complete unlabeled tree texts first differ where
+one has ``(`` and the other ``)`` (neither is a prefix of the other, as
+each ends where its root closes), and ``(`` < ``)`` as characters while
+its key is the greater.  A labeled sum keeps the key sort.  So ``+`` and
+``-`` of two unlabeled sums merge their two ranked runs in one pass.
+``to_text`` is one join: every term printed as ``"{c} {t}"``, joined by
+``" + "``, then each ``" + -"`` turned into ``" - "``; a tree text holds
+no space, so that pattern only ever joins a negative term.
+
 One table maps each product's name to its flavor and its text kernel,
 which ``bilinear_extend`` applies.  The kernels work on serializations.
 The Butcher products insert one text after the root's ``(`` of another
 (in sorted place among the root's children for the non-planar one).  In
 the grammar ``label? "(" tree* ")"`` grafting sigma leftmost at a vertex
-of tau means inserting sigma's text right after that vertex's ``(``.
-Pre-Lie
+of tau means inserting sigma's text right after that vertex's ``(``: at
+the vertex's cut point.  The cut points of a text, each the (head, tail)
+pair it splits into there, are memoized per text, so each graft is built
+as one string, ``f"{head}{sigma}{tail}"``.  Pre-Lie
 grafting keeps texts canonical (children in descending serialization
 order): s's text is inserted in sorted place among the children of the
 grafting vertex, and each vertex on the path up to the root takes its new
@@ -97,14 +110,37 @@ class TreeSum(_Value):
         return sum([c for _, c in self.texts])
 
     def _merged(self, other: "TreeSum", sign: int) -> "TreeSum":
-        """This sum plus ``sign`` times ``other``, collected on texts."""
+        """This sum plus ``sign`` times ``other``.  When neither has a
+        label, both hold their pairs in ascending text order, which one
+        pass merges; otherwise the terms are collected on texts."""
         if self.flavor != other.flavor:
             raise DomainError("cannot add sums of different flavors")
-        acc = dict(self.texts)
-        get = acc.get
-        for t, c in other.texts:
-            acc[t] = get(t, 0) + sign * c
-        return _sum_of_texts(self.flavor, acc)
+        a, b = self.texts, other.texts
+        if _has_label([t for t, _ in a + b]):
+            acc = dict(a)
+            get = acc.get
+            for t, c in b:
+                acc[t] = get(t, 0) + sign * c
+            return _sum_of_texts(self.flavor, acc)
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (s, c), (t, d) = a[i], b[j]
+            if s < t:
+                out.append(a[i])
+                i += 1
+            elif t < s:
+                out.append((t, sign * d))
+                j += 1
+            else:
+                c += sign * d
+                if c:
+                    out.append((s, c))
+                i += 1
+                j += 1
+        out += a[i:]
+        out += [(t, sign * d) for t, d in b[j:]]
+        return TreeSum(self.flavor, tuple(out))
 
     def __add__(self, other: "TreeSum") -> "TreeSum":
         return self._merged(other, 1)
@@ -123,15 +159,8 @@ class TreeSum(_Value):
     def to_text(self) -> str:
         if not self.texts:
             return "0"
-        parts = []
-        for i, (t, c) in enumerate(self.texts):
-            sign = "-" if c < 0 else "+"
-            chunk = f"{abs(c)} {t}"
-            if i == 0:
-                parts.append(chunk if c > 0 else f"-{chunk}")
-            else:
-                parts.append(f"{sign} {chunk}")
-        return " ".join(parts)
+        # No text holds a space, so " + -" only ever joins a negative term.
+        return " + ".join([f"{c} {t}" for t, c in self.texts]).replace(" + -", " - ")
 
     def to_json(self) -> list[dict]:
         return [{"coeff": str(c), "tree": t.to_json()} for t, c in self.terms]
@@ -157,19 +186,27 @@ def _tree_class(flavor: str) -> type:
     raise DomainError(f"unknown flavor {flavor!r}")
 
 
-def _ranked(acc: dict[str, int]) -> list[tuple[bytes, str, int]]:
-    """The (``serial_key``, text, coefficient) triples of a dict from
-    serializations to coefficients, zeros dropped, sorted once, descending:
-    the order of every sum's terms."""
-    return sorted(
-        [(t.encode().translate(_KEY_TABLE), t, c) for t, c in acc.items() if c], reverse=True
-    )
+def _has_label(texts: Iterable[str]) -> bool:
+    """Whether any of the tree texts ``texts`` has a label character."""
+    return bool("".join(texts).encode().translate(None, b"()"))
+
+
+def _ranked(acc: dict[str, int]) -> list[tuple[str, int]]:
+    """The (text, coefficient) pairs of a dict from serializations to
+    coefficients, zeros dropped, sorted once in descending ``serial_key``
+    order: the order of every sum's terms.  When no text has a label, that
+    is ascending ``str`` order (see the module docstring), so only labeled
+    sums compute keys."""
+    if _has_label(acc):
+        keyed = [(t.encode().translate(_KEY_TABLE), t, c) for t, c in acc.items() if c]
+        return [(t, c) for _, t, c in sorted(keyed, reverse=True)]
+    return [(t, c) for t in sorted(acc) if (c := acc[t])]
 
 
 def _sum_of_texts(flavor: str, acc: dict[str, int]) -> TreeSum:
     """The sum of a dict from serializations to coefficients, its texts in
     :func:`_ranked` order.  No tree is built."""
-    return TreeSum(flavor, tuple([(t, c) for _, t, c in _ranked(acc)]))
+    return TreeSum(flavor, tuple(_ranked(acc)))
 
 
 # ---------------------------------------------------------------------------
@@ -205,23 +242,24 @@ def butcher(s: Tree, t: Tree) -> Tree:
 
 
 @lru_cache(maxsize=None)
-def _opens(text: str) -> tuple[int, ...]:
-    """The insertion point of each vertex of a tree text, in preorder: the
-    index just after its ``(``."""
-    return tuple(i + 1 for i, ch in enumerate(text) if ch == "(")
+def _cuts(text: str) -> tuple[tuple[str, str], ...]:
+    """The cut point of each vertex of a tree text, in preorder: the text
+    split just after the vertex's ``(``, as its (head, tail) pair."""
+    return tuple([(text[: i + 1], text[i + 1 :]) for i, ch in enumerate(text) if ch == "("])
 
 
 def _left_graft_texts(acc: dict, a, b) -> dict:
     """Add to ``acc`` every left graft of a term of ``a`` onto a term of
-    ``b``, both iterables of (text, coefficient) pairs: the text of the
-    ``a`` term inserted after each ``(`` of the ``b`` term, weighted by the
-    product of the coefficients."""
+    ``b``, both iterables of (text, coefficient) pairs (``a`` read once
+    per term of ``b``): the text of the ``a`` term put in at each cut
+    point of the ``b`` term, weighted by the product of the coefficients."""
     get = acc.get
-    for sa, ca in a:
-        for sb, cb in b:
+    for sb, cb in b:
+        cuts = _cuts(sb)
+        for sa, ca in a:
             c = ca * cb
-            for q in _opens(sb):
-                t = sb[:q] + sa + sb[q:]
+            for head, tail in cuts:
+                t = f"{head}{sa}{tail}"
                 acc[t] = get(t, 0) + c
     return acc
 

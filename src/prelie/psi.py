@@ -12,10 +12,11 @@ tree's class, ``<<`` on a planar tree and ``<`` on a non-planar one.
 
 The isomorphism is computed on serializations: psi(b o-> t) is the left
 graft of psi(b) onto psi(t), and a left graft inserts one text right
-after a ``(`` of another (see :mod:`prelie.products`).  Images are
-memoized per text as read-only maps from texts to coefficients.  The
-public sums hold those texts and build a tree only when their ``terms``
-are read, and the matrices read the texts directly.
+after a ``(`` of another, at a memoized cut point (see
+:mod:`prelie.products`).  Images are memoized per text as read-only maps
+from texts to coefficients.  The public sums hold those texts and build a
+tree only when their ``terms`` are read, and the matrices read the texts
+directly.
 
 The inverse is its own text kernel, by the left-Butcher recursion: psi^-1
 carries left grafting back to the left Butcher product, and b grafted
@@ -25,9 +26,9 @@ leftmost at the root of t is b o-> t, so
 
 where "b at v" is b grafted leftmost at the vertex v of t.  On texts,
 ``x o-> y`` is the left-Butcher kernel of :mod:`prelie.products`, which
-inserts x right after the root's ``(`` in y, and "b at v" inserts b
-after the other ``(``.  Every "b at v" has strictly higher
-potential energy than b o-> t, so the recursion ends.
+inserts x right after the root's ``(`` in y, and "b at v" puts b in at
+the cut point of v in t, one string per vertex v.  Every "b at v" has
+strictly higher potential energy than b o-> t, so the recursion ends.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .products import (
     TreeSum,
     _left_butcher_texts,
     _left_graft_texts,
-    _opens,
+    _cuts,
     _ranked,
     _sum_of_texts,
 )
@@ -347,10 +348,10 @@ def _psi_inv(text: str) -> tuple[tuple[str, int], ...]:
         branch, trunk = parts
         acc = _left_butcher_texts({}, _psi_inv(branch), _psi_inv(trunk))
         get = acc.get
-        for q in _opens(trunk)[1:]:  # b at v, for each vertex v but the root
-            for t, c in _psi_inv(trunk[:q] + branch + trunk[q:]):
+        for head, tail in _cuts(trunk)[1:]:  # b at v, for each vertex v but the root
+            for t, c in _psi_inv(f"{head}{branch}{tail}"):
                 acc[t] = get(t, 0) - c
-        out = tuple([(t, c) for _, t, c in _ranked(acc)])
+        out = tuple(_ranked(acc))
     _inverses[text] = out
     return out
 

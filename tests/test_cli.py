@@ -285,6 +285,29 @@ def test_compute_matrix_csv(capsys):
     assert "1,1" in out and "0,1" in out
 
 
+def dense_csv(m):
+    """The CSV text of a matrix built from its dense entries."""
+    lines = ["," + ",".join(m.col_basis)]
+    lines += [name + "," + ",".join(map(str, row)) for name, row in zip(m.row_basis, m.entries)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("band", [1, 50, 133, 10**9])
+def test_csv_is_the_dense_grid_in_any_band(capsys, monkeypatch, band):
+    """Every band size, down to one cell, prints the dense grid's CSV, both
+    from ``to_csv`` and line by line from the CLI."""
+    monkeypatch.setattr(prelie.matrix, "_CSV_BAND_CELLS", band)
+    for m, argv in [
+        (prelie.psi_matrix(6), ["matrix", "--degree", "6"]),
+        (prelie.alpha_matrix(6), None),
+        (prelie.beta_matrix(prelie.default_section(6), 6), ["beta", "--degree", "6"]),
+    ]:
+        assert m.to_csv() == dense_csv(m)
+        if argv:
+            code, out = run(capsys, "compute", *argv, "--format", "csv")
+            assert code == 0 and out == dense_csv(m)
+
+
 def test_compute_beta_default(capsys):
     code, out = run(capsys, "compute", "beta", "--degree", "4", "--format", "json")
     assert code == 0
@@ -866,6 +889,24 @@ def test_closed_output_pipe_exits_141_silently():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 141
     assert first == b"((((((((((()))))))))))  energy=55\n"
+    assert err == b""
+
+
+def test_closed_output_pipe_during_matrix_csv_exits_141_silently():
+    # the degree-9 matrix prints about 4 MB, written line by line, so the
+    # reader's close shows at the next write
+    src = str(Path(prelie.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "prelie.cli", "compute", "matrix", "--degree", "9", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.read(1)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert first == b","
     assert err == b""
 
 

@@ -24,7 +24,7 @@ from prelie import (
     psi_inverse,
     rotation,
 )
-from prelie.products import NONPLANAR, PLANAR, product_flavor
+from prelie.products import NONPLANAR, PLANAR, _cuts, _ranked, product_flavor
 from prelie.trees import (
     LEAF,
     BinaryTree,
@@ -555,3 +555,100 @@ def test_prelie_identity_labeled():
             "graft", one(t), graft(s, u)
         )
         assert left == right, (s, t, u)
+
+
+# ---------------------------------------------------------------------------
+# ranking, printing and cut points against their definitions
+
+
+def reference_ranked(acc):
+    """The nonzero (text, coefficient) pairs of ``acc`` in descending
+    ``serial_key`` order."""
+    kept = [(t, c) for t, c in acc.items() if c]
+    return sorted(kept, key=lambda tc: serial_key(tc[0]), reverse=True)
+
+
+COEFFS = [0, 0, -1, 1, 2, -3, 10**20, -(10**21)]
+
+
+@pytest.mark.parametrize("flavor", [PLANAR, NONPLANAR])
+def test_ranked_unlabeled_is_descending_serial_key(flavor):
+    enum = enumerate_planar if flavor == PLANAR else enumerate_nonplanar
+    texts = [t.serialize() for n in range(1, 9) for t in enum(n)]
+    rng = random.Random(f"ranked:{flavor}")
+    for _ in range(20):
+        rng.shuffle(texts)
+        acc = {t: rng.choice(COEFFS) for t in texts[: rng.randint(0, len(texts))]}
+        assert _ranked(acc) == reference_ranked(acc)
+
+
+@pytest.mark.parametrize("flavor", [PLANAR, NONPLANAR])
+def test_ranked_labeled_takes_the_key_order(flavor):
+    rng = random.Random(f"ranked-labeled:{flavor}")
+    enum = enumerate_planar if flavor == PLANAR else enumerate_nonplanar
+    labeled = [t.serialize() for n in range(1, 5) for t in labeled_trees(flavor, n)]
+    plain = [t.serialize() for n in range(1, 7) for t in enum(n)]
+    # multi-generator texts: labels of several characters, digits and "_"
+    several = ["x1(y_2()z())", "x1(z()y_2())", "y_2(x1())", "x1()", "z(x1()y_2(z()))"]
+    for _ in range(30):
+        texts = rng.sample(labeled, 12) + rng.sample(plain, 12) + several
+        rng.shuffle(texts)
+        acc = {t: rng.choice(COEFFS) for t in texts}
+        assert _ranked(acc) == reference_ranked(acc)
+    # one labeled text among unlabeled ones sends the whole sum down the key path
+    acc = {t: 1 for t in plain}
+    acc["a()"] = 1
+    assert _ranked(acc) == reference_ranked(acc)
+
+
+def reference_to_text(s):
+    """The text of a sum built term by term: the first term signed only
+    when negative, every later one joined by its sign."""
+    if not s.texts:
+        return "0"
+    parts = []
+    for i, (t, c) in enumerate(s.texts):
+        if i == 0:
+            parts.append(f"{c} {t}")
+        else:
+            parts.append(f"{'-' if c < 0 else '+'} {abs(c)} {t}")
+    return " ".join(parts)
+
+
+def test_to_text_matches_the_termwise_format():
+    cases = [
+        TreeSum.zero(PLANAR),
+        planar_sum(("((()))", -1)),
+        planar_sum(("((()))", 1)),
+        planar_sum(("((()))", -1), ("(()())", -2)),
+        planar_sum(("((()))", 3), ("(()())", -(10**20)), ("(()()())", 10**21)),
+        planar_sum(("((()))", -(10**25)), ("(()())", 10**20), ("(()()())", -1)),
+        tree_sum(("a(b()c())", -7), ("a(b(c()))", 1), ("c()", -1)),
+    ]
+    for s in cases:
+        assert s.to_text() == reference_to_text(s), s
+    assert TreeSum.zero(NONPLANAR).to_text() == "0"
+    assert planar_sum(("(())", -(10**20)), ("(()())", -5)).to_text() == (
+        "-5 (()()) - 100000000000000000000 (())"
+    )
+    rng = random.Random("to-text")
+    for flavor in (PLANAR, NONPLANAR):
+        for labeled in (False, True):
+            for _ in range(50):
+                s = random_sum(rng, flavor, labeled=labeled).scale(rng.choice([1, -1, 10**20]))
+                assert s.to_text() == reference_to_text(s)
+
+
+def test_labeled_left_graft_at_cut_points():
+    sigma, tau = parse_planar("a(b())"), parse_planar("c(d()e())")
+    assert [h + t for h, t in _cuts(tau.serialize())] == [tau.serialize()] * 3
+    assert [h for h, _ in _cuts(tau.serialize())] == ["c(", "c(d(", "c(d()e("]
+    got = left_graft(sigma, tau)
+    assert got == reference_graft(sigma, tau)
+    assert got == planar_sum(
+        ("c(a(b())d()e())", 1), ("c(d(a(b()))e())", 1), ("c(d()e(a(b())))", 1)
+    )
+    # and through the sum kernel, operands with several terms
+    a = planar_sum(("a(b())", 2), ("b()", -1))
+    b = planar_sum(("c(d()e())", 1), ("d(c())", 3))
+    assert bilinear_extend("left-graft", a, b) == reference_bilinear_extend("left-graft", a, b)
