@@ -203,6 +203,15 @@ def _ranked(acc: dict[str, int]) -> list[tuple[str, int]]:
     return [(t, c) for t in sorted(acc) if (c := acc[t])]
 
 
+def _rank_pairs(pairs: tuple[tuple[str, int], ...]) -> tuple[tuple[str, int], ...]:
+    """Nonzero (text, coefficient) pairs with distinct texts, put in
+    :func:`_ranked` order without building a dict."""
+    if _has_label([t for t, _ in pairs]):
+        key = _KEY_TABLE
+        return tuple(sorted(pairs, key=lambda p: p[0].encode().translate(key), reverse=True))
+    return tuple(sorted(pairs))
+
+
 def _sum_of_texts(flavor: str, acc: dict[str, int]) -> TreeSum:
     """The sum of a dict from serializations to coefficients, its texts in
     :func:`_ranked` order.  No tree is built."""

@@ -43,6 +43,8 @@ from .products import (
     _left_butcher_texts,
     _left_graft_texts,
     _cuts,
+    _has_label,
+    _rank_pairs,
     _ranked,
     _sum_of_texts,
 )
@@ -335,9 +337,13 @@ _inverses: dict[str, tuple[tuple[str, int], ...]] = {}
 
 def _psi_inv(text: str) -> tuple[tuple[str, int], ...]:
     """The preimage of a tree text, as (text, coefficient) pairs without
-    zeros in descending ``serial_key`` order, by the left-Butcher recursion
-    of the module docstring.  Memoized in a plain dict, at one interpreter
-    level per recursive call."""
+    zeros, by the left-Butcher recursion of the module docstring.  Every
+    term has the labels of ``text``.  An unlabeled text's pairs are in
+    :func:`_ranked` order, a plain text sort.  A labeled text's pairs are
+    left unranked: the recursion only adds them up, and their keyed sort
+    would cost more than it does, so :func:`psi_inverse` ranks only the sum
+    it returns.  Memoized in a plain dict, at one interpreter level per
+    recursive call."""
     out = _inverses.get(text)
     if out is not None:
         return out
@@ -348,18 +354,35 @@ def _psi_inv(text: str) -> tuple[tuple[str, int], ...]:
         branch, trunk = parts
         acc = _left_butcher_texts({}, _psi_inv(branch), _psi_inv(trunk))
         get = acc.get
+        known = _inverses.get  # most "b at v" are memoized: skip the call
         for head, tail in _cuts(trunk)[1:]:  # b at v, for each vertex v but the root
-            for t, c in _psi_inv(f"{head}{branch}{tail}"):
+            s = f"{head}{branch}{tail}"
+            for t, c in known(s) or _psi_inv(s):
                 acc[t] = get(t, 0) - c
-        out = tuple(_ranked(acc))
+        if _has_label([text]):
+            out = tuple([(t, c) for t, c in acc.items() if c])
+        else:
+            out = tuple(_ranked(acc))
     _inverses[text] = out
     return out
 
 
 def psi_inverse(sigma: PlanarTree) -> TreeSum:
-    """Preimage of a planar tree: the sum holding its memoized kernel
-    preimage, whose pairs are already in sum order."""
-    return TreeSum(PLANAR, _psi_inv(sigma.serialize()))
+    """Preimage of a planar tree: the sum holding its ranked kernel
+    preimage."""
+    text = sigma.serialize()
+    if len(text) == 2 * sigma.degree:  # no label: the kernel's pairs are ranked
+        return TreeSum(PLANAR, _psi_inv(text))
+    return TreeSum(PLANAR, _ranked_inverse(text))
+
+
+@lru_cache(maxsize=None)
+def _ranked_inverse(text: str) -> tuple[tuple[str, int], ...]:
+    """The pairs of :func:`_psi_inv` for a labeled text in sum order, ranked
+    once per text.  The ranked pairs also replace the kernel's memo entry,
+    so the two share one tuple."""
+    out = _inverses[text] = _rank_pairs(_psi_inv(text))
+    return out
 
 
 @lru_cache(maxsize=None)

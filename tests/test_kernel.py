@@ -26,6 +26,7 @@ from prelie import (
     Tree,
     TreeSum,
     coeff_c_recursive,
+    decompose,
     enumerate_planar,
     left_graft,
     n_statistic,
@@ -206,6 +207,17 @@ def test_psi_inverse_of_labeled_corolla_matches_unipotent_recursion_fast():
     assert len(fast.terms) == 4680
     assert _same_as_unipotent(sigma)
     assert elapsed < 1.0, f"{elapsed:.2f} s of CPU"
+
+
+def test_psi_inverse_of_labeled_parts_met_inside_the_recursion_is_ranked():
+    # A labeled preimage is first memoized unranked, by the recursion of a
+    # larger tree; asked for itself, it comes back in sum order.
+    sigma = parse_planar("(a(b())b()a(b()()))")
+    psi_inverse(sigma)
+    while sigma.children:
+        branch, sigma = decompose(sigma)
+        assert _same_as_unipotent(branch), branch
+        assert _same_as_unipotent(sigma), sigma
 
 
 def test_psi_inverse_n_weighted_sum_is_one():

@@ -24,7 +24,7 @@ from prelie import (
     psi_inverse,
     rotation,
 )
-from prelie.products import NONPLANAR, PLANAR, _cuts, _ranked, product_flavor
+from prelie.products import NONPLANAR, PLANAR, _cuts, _rank_pairs, _ranked, product_flavor
 from prelie.trees import (
     LEAF,
     BinaryTree,
@@ -599,6 +599,17 @@ def test_ranked_labeled_takes_the_key_order(flavor):
     acc = {t: 1 for t in plain}
     acc["a()"] = 1
     assert _ranked(acc) == reference_ranked(acc)
+
+
+def test_rank_pairs_takes_the_ranked_order():
+    rng = random.Random("rank-pairs")
+    labeled = [t.serialize() for n in range(1, 5) for t in labeled_trees(PLANAR, n)]
+    plain = [t.serialize() for n in range(1, 7) for t in enumerate_planar(n)]
+    for pool in (plain, labeled + plain):
+        for _ in range(20):
+            texts = rng.sample(pool, rng.randint(0, 24))
+            acc = {t: rng.choice(COEFFS[2:]) for t in texts}
+            assert list(_rank_pairs(tuple(acc.items()))) == reference_ranked(acc)
 
 
 def reference_to_text(s):
