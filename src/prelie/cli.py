@@ -104,8 +104,20 @@ def _max_degree(args) -> int:
     return trees.ENUMERATION_CAP if getattr(args, "cap", None) is None else args.cap
 
 
+# Most characters of one write.  A single write of a long text to a pipe whose
+# reader is gone can end without an error; the next write raises
+# BrokenPipeError, so a long output goes out in pieces.
+_WRITE_CHARS = 1 << 16
+
+
 def _emit(text: str):
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    if not text.endswith("\n"):
+        text += "\n"
+    if len(text) <= _WRITE_CHARS:
+        sys.stdout.write(text)
+        return
+    for i in range(0, len(text), _WRITE_CHARS):
+        sys.stdout.write(text[i : i + _WRITE_CHARS])
 
 
 def _emit_json(obj):
@@ -115,9 +127,11 @@ def _emit_json(obj):
 
 
 def _emit_matrix(m, fmt: str):
+    # a row at a time, so neither the dense grid nor the whole text is held
     if fmt == "json":
-        _emit(m.to_json_str())
-    else:  # one line at a time, so the whole CSV text is never held
+        sys.stdout.writelines(m._json_chunks())
+        sys.stdout.write("\n")
+    else:
         sys.stdout.writelines(m._csv_lines())
 
 

@@ -1,6 +1,6 @@
 """Exact integer coefficient matrices over tree bases, held as the columns
-the kernels compute; the dense grid is built only to be read or printed as
-JSON, and CSV is printed a band of rows at a time."""
+the kernels compute; the dense grid is built only to be read, and CSV and
+JSON are printed a band of rows at a time."""
 
 from __future__ import annotations
 
@@ -115,12 +115,17 @@ class CoeffMatrix(_Value):
         return "".join(self._csv_lines())
 
     def _csv_lines(self) -> Iterator[str]:
-        """The CSV form line by line: the header, then the rows, filled in
-        bands of at most ``_CSV_BAND_CELLS`` cells, one pass over the
-        columns per band.  A cell of a row outside the band goes to a spare
-        line that is never printed, so a matrix that fits in one band is
-        filled exactly as a dense grid."""
+        """The CSV form line by line: the header, then the rows."""
         yield "," + ",".join(self.col_basis) + "\n"
+        for name, row in self._printed_rows():
+            yield f"{name},{','.join(row)}\n"
+
+    def _printed_rows(self) -> Iterator[tuple[str, list[str]]]:
+        """Each row's name and its cells as printed (``str`` of the int),
+        filled in bands of at most ``_CSV_BAND_CELLS`` cells, one pass over
+        the columns per band.  A cell of a row outside the band goes to a
+        spare line that is never printed, so a matrix that fits in one band
+        is filled exactly as a dense grid."""
         n = len(self.col_basis)
         step = max(1, _CSV_BAND_CELLS // max(n, 1))
         text = str  # read as a local in the loop below
@@ -132,8 +137,7 @@ class CoeffMatrix(_Value):
             for j, column in enumerate(self.columns):
                 for r, c in column.items():
                     band[at[r]][j] = text(c)
-            for name, row in zip(names, band):
-                yield f"{name},{','.join(row)}\n"
+            yield from zip(names, band)
 
     def to_json(self) -> dict:
         return {
@@ -144,17 +148,32 @@ class CoeffMatrix(_Value):
         }
 
     def to_json_str(self) -> str:
+        return "".join(self._json_chunks())
+
+    def _json_chunks(self) -> Iterator[str]:
+        """The text of ``json.dumps(self.to_json())`` a row of entries at a
+        time: an int prints the same in JSON as by ``str``."""
         import json
 
-        return json.dumps(self.to_json())
+        head = {
+            "degree": self.degree,
+            "row_basis": list(self.row_basis),
+            "col_basis": list(self.col_basis),
+        }
+        yield json.dumps(head)[:-1] + ', "entries": ['
+        sep = ""
+        for _, row in self._printed_rows():
+            yield f"{sep}[{', '.join(row)}]"
+            sep = ", "
+        yield "]}"
 
 
-# Most cells of one band of rows that printing a matrix as CSV fills at once
-# (32 MiB of cell pointers); psi_matrix(9) (1430^2 cells) fits in one band.
+# Most cells of one band of rows that printing a matrix as CSV or JSON fills
+# at once (32 MiB of cell pointers); psi_matrix(9) (1430^2 cells) fits in one band.
 _CSV_BAND_CELLS = 1 << 22
 
-# Most cells of the dense view that reading a matrix's entries or printing it
-# as JSON builds; every builder refuses a larger shape up front.
+# Most cells of a matrix: of the dense view that reading its entries builds,
+# and of what printing it writes; every builder refuses a larger shape up front.
 # psi_matrix(10) (4862^2 = 23.6M cells) and the degree-12 AG expansion and
 # beta (4766^2 = 22.7M) fit; 16796^2 cannot.
 MAX_DENSE_CELLS = 24_000_000

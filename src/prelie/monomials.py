@@ -23,7 +23,7 @@ import re
 from functools import lru_cache
 
 from .matrix import CoeffMatrix, _check_dense, _from_images
-from .products import PLANAR, TreeSum, _sum_of_texts, product_flavor
+from .products import PLANAR, TreeSum, _labeled, _sum_of_texts, product_flavor
 from .projection import Section, _psi_bar
 from .psi import _psi
 from .trees import (
@@ -163,7 +163,8 @@ def evaluate(m: MonomialExpr, product: str, labeled: bool | None = None) -> Tree
     planar = _magmatic_fold(m, PlanarTree, bool(labeled))
     if product == "left-butcher":
         return TreeSum.single(planar)
-    return _sum_of_texts(flavor, (_psi if flavor == PLANAR else _psi_bar)(planar._text))
+    image = (_psi if flavor == PLANAR else _psi_bar)(planar._text)
+    return _sum_of_texts(flavor, image, _labeled(planar))
 
 
 def lower_energy_term(m: MonomialExpr) -> Tree:

@@ -20,7 +20,16 @@ key built: two distinct complete unlabeled tree texts first differ where
 one has ``(`` and the other ``)`` (neither is a prefix of the other, as
 each ends where its root closes), and ``(`` < ``)`` as characters while
 its key is the greater.  A labeled sum keeps the key sort.  So ``+`` and
-``-`` of two unlabeled sums merge their two ranked runs in one pass.
+``-`` of two unlabeled sums merge their two ranked runs in one pass.  The
+same holds for sorted insertion: an unlabeled canonical text's children
+are in ascending ``str`` order, so an unlabeled text joins them at its
+``bisect`` place among the texts themselves, and only a labeled one needs
+keys (``(a())`` is above ``()`` in key order and below it in ``str``
+order).  A result has a label only where an operand has one, so whether
+a sum is ranked by keys is read from the operands, never from the
+result: a tree is unlabeled exactly when its text is twice its degree
+long, and a product of sums scans its operands' texts.  Only
+``TreeSum.make``, whose terms come from anywhere, scans its own.
 ``to_text`` is one join: every term printed as ``"{c} {t}"``, joined by
 ``" + "``, then each ``" + -"`` turned into ``" - "``; a tree text holds
 no space, so that pattern only ever joins a negative term.
@@ -28,7 +37,8 @@ no space, so that pattern only ever joins a negative term.
 One table maps each product's name to its flavor and its text kernel,
 which ``bilinear_extend`` applies.  The kernels work on serializations.
 The Butcher products insert one text after the root's ``(`` of another
-(in sorted place among the root's children for the non-planar one).  In
+(in sorted place among the root's children for the non-planar one, whose
+single-tree form reads a tree already built from the text-to-tree map).  In
 the grammar ``label? "(" tree* ")"`` grafting sigma leftmost at a vertex
 of tau means inserting sigma's text right after that vertex's ``(``: at
 the vertex's cut point.  The cut points of a text, each the (head, tail)
@@ -43,7 +53,7 @@ of t are memoized per pair of operand texts.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from typing import Callable, Iterable
 
@@ -88,11 +98,14 @@ class TreeSum(_Value):
             if not isinstance(tree, want):
                 raise DomainError(f"{flavor} sum cannot hold {type(tree).__name__}")
             acc[tree._text] = acc.get(tree._text, 0) + coeff
-        return _sum_of_texts(flavor, acc)
+        return _sum_of_texts(flavor, acc, _has_label(acc))
 
     @classmethod
     def single(cls, tree: PlanarTree | Tree, coeff: int = 1) -> "TreeSum":
         flavor = PLANAR if isinstance(tree, PlanarTree) else NONPLANAR
+        if type(tree) is _tree_class(flavor):  # one term is ranked as it is
+            coeff += 0  # as ``make`` adds it to 0: ``True`` becomes 1
+            return cls(flavor, ((tree._text, coeff),) if coeff else ())
         return cls.make(flavor, [(tree, coeff)])
 
     @classmethod
@@ -121,7 +134,7 @@ class TreeSum(_Value):
             get = acc.get
             for t, c in b:
                 acc[t] = get(t, 0) + sign * c
-            return _sum_of_texts(self.flavor, acc)
+            return _sum_of_texts(self.flavor, acc, True)
         out = []
         i = j = 0
         while i < len(a) and j < len(b):
@@ -191,31 +204,36 @@ def _has_label(texts: Iterable[str]) -> bool:
     return bool("".join(texts).encode().translate(None, b"()"))
 
 
-def _ranked(acc: dict[str, int]) -> list[tuple[str, int]]:
+def _labeled(tree: PlanarTree | Tree) -> bool:
+    """Whether a tree has a label: each vertex adds one ``(`` and one ``)``
+    to its text, and only labels add more."""
+    return len(tree._text) != 2 * tree.degree
+
+
+def _ranked(acc: dict[str, int], labeled: bool) -> list[tuple[str, int]]:
     """The (text, coefficient) pairs of a dict from serializations to
     coefficients, zeros dropped, sorted once in descending ``serial_key``
     order: the order of every sum's terms.  When no text has a label, that
-    is ascending ``str`` order (see the module docstring), so only labeled
-    sums compute keys."""
-    if _has_label(acc):
+    is ascending ``str`` order (see the module docstring), so only a sum
+    the caller says may be ``labeled`` computes keys; the caller knows it
+    from the operands, which carry every label of the result."""
+    if labeled:
         keyed = [(t.encode().translate(_KEY_TABLE), t, c) for t, c in acc.items() if c]
         return [(t, c) for _, t, c in sorted(keyed, reverse=True)]
     return [(t, c) for t in sorted(acc) if (c := acc[t])]
 
 
 def _rank_pairs(pairs: tuple[tuple[str, int], ...]) -> tuple[tuple[str, int], ...]:
-    """Nonzero (text, coefficient) pairs with distinct texts, put in
-    :func:`_ranked` order without building a dict."""
-    if _has_label([t for t, _ in pairs]):
-        key = _KEY_TABLE
-        return tuple(sorted(pairs, key=lambda p: p[0].encode().translate(key), reverse=True))
-    return tuple(sorted(pairs))
+    """Nonzero (text, coefficient) pairs with distinct texts, some labeled,
+    put in :func:`_ranked` order by their keys without building a dict."""
+    key = _KEY_TABLE
+    return tuple(sorted(pairs, key=lambda p: p[0].encode().translate(key), reverse=True))
 
 
-def _sum_of_texts(flavor: str, acc: dict[str, int]) -> TreeSum:
+def _sum_of_texts(flavor: str, acc: dict[str, int], labeled: bool) -> TreeSum:
     """The sum of a dict from serializations to coefficients, its texts in
-    :func:`_ranked` order.  No tree is built."""
-    return TreeSum(flavor, tuple(_ranked(acc)))
+    :func:`_ranked` order (``labeled`` as there).  No tree is built."""
+    return TreeSum(flavor, tuple(_ranked(acc, labeled)))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +260,13 @@ def left_butcher(sigma: PlanarTree, tau: PlanarTree) -> PlanarTree:
 
 
 def butcher(s: Tree, t: Tree) -> Tree:
-    """Butcher product: graft the root of s onto the root of t (non-planar)."""
+    """Butcher product: graft the root of s onto the root of t (non-planar).
+    The product's canonical text is s's text joined to t's children, so a
+    tree already built is read from the text-to-tree map."""
+    if isinstance(s, Tree) and isinstance(t, Tree):
+        tree = Tree._by_text.get(_joined(*_children(t._text), s._text))
+        if tree is not None:
+            return tree
     return Tree((s,) + t.children, t.label)
 
 
@@ -277,17 +301,25 @@ def _left_graft_texts(acc: dict, a, b) -> dict:
 def _children(text: str) -> tuple[str, tuple[str, ...], tuple[bytes, ...]]:
     """The label of a canonical tree text, its children's texts left to
     right (descending serialization order) and their keys in ascending
-    order."""
+    order; no keys when the text has no label, as its children are then
+    in ascending ``str`` order."""
     kids = tuple(_child_texts(text))
-    return text[: text.index("(")], kids, tuple(map(serial_key, reversed(kids)))
+    keys = () if len(text) == 2 * text.count("(") else tuple(map(serial_key, reversed(kids)))
+    return text[: text.index("(")], kids, keys
 
 
 def _joined(label: str, kids: tuple[str, ...], keys: tuple[bytes, ...], x: str) -> str:
     """The canonical text of a vertex labeled ``label`` whose children are
-    the canonical texts ``kids`` (their keys ``keys`` ascending) and ``x``:
-    ``x`` goes right after the children of higher key, where
-    ``Tree._arrange`` would sort it."""
-    i = len(keys) - bisect_right(keys, serial_key(x))
+    the canonical texts ``kids`` (their keys ``keys`` ascending, or none
+    when no child has a label) and ``x``: ``x`` goes right after the
+    children of higher key, where ``Tree._arrange`` would sort it.  With no
+    label on either side, those are the children before ``x`` in ``str``
+    order; a labeled ``x`` is placed by the keys."""
+    if not keys and len(x) == 2 * x.count("("):
+        i = bisect_left(kids, x)
+    else:
+        keys = keys or tuple(map(serial_key, reversed(kids)))
+        i = len(keys) - bisect_right(keys, serial_key(x))
     return f"{label}({''.join(kids[:i])}{x}{''.join(kids[i:])})"
 
 
@@ -303,6 +335,9 @@ def _graft_texts(memo: dict, s: str, t: str) -> tuple[str, ...]:
     plain dict ``_grafts[s]`` keyed by ``t``, which every caller reads
     first, at one recursive call per tree level."""
     label, kids, keys = _children(t)
+    if not keys and len(s) != 2 * s.count("("):
+        # every graft of a labeled s is placed by keys: build them once here
+        keys = tuple(map(serial_key, reversed(kids)))
     out = [_joined(label, kids, keys, s)]
     n = len(kids)
     for i, c in enumerate(kids):
@@ -362,7 +397,7 @@ def left_graft(sigma: PlanarTree, tau: PlanarTree) -> TreeSum:
     if not isinstance(sigma, PlanarTree) or not isinstance(tau, PlanarTree):
         raise DomainError("left grafting needs two planar trees")
     acc = _left_graft_texts({}, ((sigma.serialize(), 1),), ((tau.serialize(), 1),))
-    return _sum_of_texts(PLANAR, acc)
+    return _sum_of_texts(PLANAR, acc, _labeled(sigma) or _labeled(tau))
 
 
 def graft(s: Tree, t: Tree) -> TreeSum:
@@ -371,7 +406,8 @@ def graft(s: Tree, t: Tree) -> TreeSum:
     along the path to v, memoized per pair of operand texts."""
     if not isinstance(s, Tree) or not isinstance(t, Tree):
         raise DomainError("pre-Lie grafting needs two non-planar trees")
-    return _sum_of_texts(NONPLANAR, _graft_sum_texts({}, ((s._text, 1),), ((t._text, 1),)))
+    acc = _graft_sum_texts({}, ((s._text, 1),), ((t._text, 1),))
+    return _sum_of_texts(NONPLANAR, acc, _labeled(s) or _labeled(t))
 
 
 PRODUCTS: dict[str, Callable] = {
@@ -408,8 +444,11 @@ def bilinear_extend(name: str, a: TreeSum, b: TreeSum) -> TreeSum:
     """Distribute a named product over two sums with coefficient products.
 
     Every product term of every pair of texts goes into one dict, sorted
-    once; no tree is built."""
+    once; no tree is built.  The product has a label only when an operand
+    has one, so the operands' texts are scanned for labels, not the
+    product's."""
     flavor = product_flavor(name)
     if a.flavor != flavor or b.flavor != flavor:
         raise DomainError(f"product {name!r} needs two {flavor} sums")
-    return _sum_of_texts(flavor, _KERNELS[name][1]({}, a.texts, b.texts))
+    labeled = _has_label([t for t, _ in a.texts + b.texts])
+    return _sum_of_texts(flavor, _KERNELS[name][1]({}, a.texts, b.texts), labeled)

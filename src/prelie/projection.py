@@ -26,7 +26,7 @@ from types import MappingProxyType
 
 from .matrix import CoeffMatrix, _check_dense, _from_images
 from .psi import _count_bijections, _split, coeff_c_recursive
-from .products import NONPLANAR, TreeSum, _graft_sum_texts, _sum_of_texts
+from .products import NONPLANAR, TreeSum, _graft_sum_texts, _labeled, _sum_of_texts
 from .trees import (
     BRUTE_FORCE_CAP,
     ENUMERATION_CAP,
@@ -80,7 +80,7 @@ def _psi_bar(text: str) -> MappingProxyType:
 def psi_bar(tau: PlanarTree) -> TreeSum:
     """Planar base change followed by termwise projection, computed as the
     pre-Lie grafting of the projected images of branch and trunk."""
-    return _sum_of_texts(NONPLANAR, _psi_bar(tau.serialize()))
+    return _sum_of_texts(NONPLANAR, _psi_bar(tau.serialize()), _labeled(tau))
 
 
 def alpha(s: Tree, tau: PlanarTree) -> int:

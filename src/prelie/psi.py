@@ -44,6 +44,7 @@ from .products import (
     _left_graft_texts,
     _cuts,
     _has_label,
+    _labeled,
     _rank_pairs,
     _ranked,
     _sum_of_texts,
@@ -95,7 +96,7 @@ def _psi(text: str) -> MappingProxyType:
 def psi(tau: PlanarTree) -> TreeSum:
     """Image of a planar tree under the magmatic isomorphism: a new sum of
     the memoized kernel image, which is the one copy kept."""
-    return _sum_of_texts(PLANAR, _psi(tau.serialize()))
+    return _sum_of_texts(PLANAR, _psi(tau.serialize()), _labeled(tau))
 
 
 # psi memoizes through its kernel, so the kernel's counts are its counts
@@ -362,7 +363,7 @@ def _psi_inv(text: str) -> tuple[tuple[str, int], ...]:
         if _has_label([text]):
             out = tuple([(t, c) for t, c in acc.items() if c])
         else:
-            out = tuple(_ranked(acc))
+            out = tuple(_ranked(acc, False))
     _inverses[text] = out
     return out
 

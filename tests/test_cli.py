@@ -910,6 +910,50 @@ def test_closed_output_pipe_during_matrix_csv_exits_141_silently():
     assert err == b""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "matrix", "--degree", "9"],
+        ["compute", "expand", "--ag", "--degree", "9"],
+        ["enumerate", "planar", "--degree", "11"],
+    ],
+)
+def test_closed_output_pipe_during_json_exits_141_silently(argv):
+    # each prints megabytes of JSON, more than a pipe holds, written a piece
+    # at a time, so the reader's close shows at the next write rather than
+    # cutting one long write short without an error
+    src = str(Path(prelie.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "prelie.cli", *argv, "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.read(1)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert first == b"{"
+    assert err == b""
+
+
+@pytest.mark.parametrize("band", [1, 50, 10**9])
+def test_matrix_json_is_json_dumps_of_the_dense_grid_in_any_band(capsys, monkeypatch, band):
+    monkeypatch.setattr(prelie.matrix, "_CSV_BAND_CELLS", band)
+    for m, argv in [
+        (prelie.psi_matrix(1), ["matrix", "--degree", "1"]),
+        (prelie.psi_matrix(6), ["matrix", "--degree", "6"]),
+        (prelie.alpha_matrix(5), None),
+        (prelie.beta_matrix(prelie.default_section(6), 6), ["beta", "--degree", "6"]),
+        (prelie.expand_basis(prelie.ag_basis(6)), ["expand", "--ag", "--degree", "6"]),
+    ]:
+        want = json.dumps(m.to_json())
+        assert m.to_json_str() == want
+        if argv:
+            code, out = run(capsys, "compute", *argv, "--format", "json")
+            assert code == 0 and out == want + "\n"
+
+
 def test_dense_matrix_above_cell_budget_exits_3_before_any_image(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("an image was computed above the cell budget")

@@ -118,7 +118,7 @@ def unipotent_psi_inverse(text: str) -> dict:
 
 
 def _same_as_unipotent(sigma: PlanarTree) -> bool:
-    reference = _sum_of_texts(PLANAR, unipotent_psi_inverse(sigma.serialize()))
+    reference = _sum_of_texts(PLANAR, unipotent_psi_inverse(sigma.serialize()), True)
     return psi_inverse(sigma).to_text() == reference.to_text()
 
 

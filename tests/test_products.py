@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import product as iproduct
 
@@ -24,7 +25,16 @@ from prelie import (
     psi_inverse,
     rotation,
 )
-from prelie.products import NONPLANAR, PLANAR, _cuts, _rank_pairs, _ranked, product_flavor
+from prelie.products import (
+    NONPLANAR,
+    PLANAR,
+    _children,
+    _cuts,
+    _joined,
+    _rank_pairs,
+    _ranked,
+    product_flavor,
+)
 from prelie.trees import (
     LEAF,
     BinaryTree,
@@ -579,7 +589,7 @@ def test_ranked_unlabeled_is_descending_serial_key(flavor):
     for _ in range(20):
         rng.shuffle(texts)
         acc = {t: rng.choice(COEFFS) for t in texts[: rng.randint(0, len(texts))]}
-        assert _ranked(acc) == reference_ranked(acc)
+        assert _ranked(acc, False) == reference_ranked(acc)
 
 
 @pytest.mark.parametrize("flavor", [PLANAR, NONPLANAR])
@@ -594,11 +604,11 @@ def test_ranked_labeled_takes_the_key_order(flavor):
         texts = rng.sample(labeled, 12) + rng.sample(plain, 12) + several
         rng.shuffle(texts)
         acc = {t: rng.choice(COEFFS) for t in texts}
-        assert _ranked(acc) == reference_ranked(acc)
+        assert _ranked(acc, True) == reference_ranked(acc)
     # one labeled text among unlabeled ones sends the whole sum down the key path
     acc = {t: 1 for t in plain}
     acc["a()"] = 1
-    assert _ranked(acc) == reference_ranked(acc)
+    assert _ranked(acc, True) == reference_ranked(acc)
 
 
 def test_rank_pairs_takes_the_ranked_order():
@@ -663,3 +673,88 @@ def test_labeled_left_graft_at_cut_points():
     a = planar_sum(("a(b())", 2), ("b()", -1))
     b = planar_sum(("c(d()e())", 1), ("d(c())", 3))
     assert bilinear_extend("left-graft", a, b) == reference_bilinear_extend("left-graft", a, b)
+
+
+# ---------------------------------------------------------------------------
+# the unlabeled fast paths against the key paths they replace
+
+
+def key_placed(label, kids, x):
+    """The text of ``_joined`` placing ``x`` among ``kids`` by their keys."""
+    return _joined(label, kids, tuple(map(serial_key, reversed(kids))), x)
+
+
+def test_joined_plain_order_is_key_order_on_unlabeled_texts():
+    parents = [t.serialize() for n in range(1, 8) for t in enumerate_nonplanar(n)]
+    xs = [t.serialize() for n in range(1, 5) for t in enumerate_nonplanar(n)]
+    for p in parents:
+        label, kids, keys = _children(p)
+        assert keys == ()  # an unlabeled parent carries no keys
+        for x in xs:
+            got = _joined(label, kids, keys, x)
+            assert got == key_placed(label, kids, x), (p, x)
+            assert got == butcher(parse_tree(x), parse_tree(p)).serialize(), (p, x)
+
+
+def test_joined_places_a_labeled_x_by_keys_under_an_unlabeled_parent():
+    # "(a())" is above "()" in key order but below it in str order
+    assert _joined(*_children("(())"), "(a())") == "((a())())"
+    parents = [t.serialize() for n in range(1, 6) for t in enumerate_nonplanar(n)]
+    xs = [t.serialize() for n in range(1, 4) for t in labeled_trees(NONPLANAR, n)]
+    xs += [parse_tree(x).serialize() for x in ("(a())", "(a()())", "((a()))", "x1(y_2())")]
+    plain_differs = 0
+    for p in parents:
+        label, kids, keys = _children(p)
+        for x in xs:
+            got = _joined(label, kids, keys, x)
+            assert got == key_placed(label, kids, x), (p, x)
+            assert got == Tree((parse_tree(x),) + parse_tree(p).children).serialize(), (p, x)
+            i = bisect_left(kids, x)
+            plain_differs += got != f"{label}({''.join(kids[:i])}{x}{''.join(kids[i:])})"
+    assert plain_differs  # the case is met: plain order would misplace x
+
+
+def test_butcher_is_the_constructed_tree():
+    def pairs():
+        trees = [t for n in range(1, 6) for t in enumerate_nonplanar(n)]
+        yield from iproduct(trees, trees)
+        labeled = [t for n in range(1, 4) for t in labeled_trees(NONPLANAR, n)]
+        plain = [t for n in range(1, 4) for t in enumerate_nonplanar(n)]
+        yield from iproduct(labeled, labeled + plain)
+        yield from iproduct(plain, labeled)
+
+    for s, t in pairs():
+        assert butcher(s, t) is Tree((s,) + t.children, t.label), (s, t)
+    # a product never built before is built on the miss
+    s, t = parse_tree("z(y())"), parse_tree("x(w()v(u()))")
+    fresh = "x(z(y())w()v(u()))"
+    assert fresh not in Tree._by_text
+    assert butcher(s, t).serialize() == fresh
+    assert butcher(s, t) is parse_tree(fresh)
+    # a planar operand is refused as before
+    planar_operands = [
+        (parse_planar("(())"), parse_tree("(())")),
+        (parse_tree("()"), parse_planar("(())")),
+    ]
+    for s, t in planar_operands:
+        with pytest.raises(DomainError):
+            butcher(s, t)
+
+
+def test_single_is_make_of_one_term():
+    trees = [parse_tree("(()(()))"), parse_tree("a(b()a())")]
+    trees += [parse_planar("((())())"), parse_planar("a(()b())")]
+    for tree in trees:
+        flavor = PLANAR if isinstance(tree, PlanarTree) else NONPLANAR
+        for coeff in (1, 0, -3, 10**20, True, False):
+            got, want = TreeSum.single(tree, coeff), TreeSum.make(flavor, [(tree, coeff)])
+            assert got == want, (tree, coeff)
+            assert got.texts == want.texts and got.flavor == want.flavor
+            assert got.to_text() == want.to_text()
+    assert TreeSum.single(trees[0], 0).texts == ()
+    for other in ("(())", LEAF, None):
+        with pytest.raises(DomainError) as single_error:
+            TreeSum.single(other)
+        with pytest.raises(DomainError) as make_error:
+            TreeSum.make(NONPLANAR, [(other, 1)])
+        assert str(single_error.value) == str(make_error.value)
