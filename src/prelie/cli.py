@@ -247,7 +247,7 @@ def _read_section(path: str) -> projection.Section:
 
 def cmd_compute_beta(args) -> int:
     n, cap = args.degree, _max_degree(args)
-    monomials._check_expansion(n, cap)
+    projection._check_expansion(n, cap)
     section = _read_section(args.section) if args.section else projection.default_section(n, cap)
     _emit_matrix(projection.beta_matrix(section, n, cap), args.format)
     return EXIT_OK
@@ -257,7 +257,7 @@ def cmd_compute_expand(args) -> int:
     if not args.ag:
         raise DomainError("only --ag bases are supported for expansion")
     n, cap = args.degree, _max_degree(args)
-    monomials._check_expansion(n, cap)
+    projection._check_expansion(n, cap)
     _emit_matrix(monomials.expand_basis(monomials.ag_basis(n), cap), args.format)
     return EXIT_OK
 

@@ -193,7 +193,10 @@ def _from_images(degree: int, row_basis: tuple, col_basis: tuple, images) -> Coe
     """Matrix with one column per text of ``col_basis``: the nonzero
     coefficients of the matching image in the iterable ``images``, each an
     iterable of (text, coefficient) pairs, at the texts of ``row_basis``.
-    The caller has checked the shape with :func:`_check_dense`."""
+    A text outside the row basis, which only a faulty kernel produces, is
+    dropped, so that the column-sum and column checks of ``verify`` report
+    the fault as a failed check rather than a traceback.  The caller has
+    checked the shape with :func:`_check_dense`."""
     rows = frozenset(row_basis)
     columns = tuple([{t: c for t, c in image if c and t in rows} for image in images])
     return CoeffMatrix(degree, row_basis, col_basis, columns)

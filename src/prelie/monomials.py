@@ -9,11 +9,13 @@ Evaluating a monomial over a single generator uses unlabeled vertices, so
 results are directly comparable with the plain tree bases; multi-generator
 monomials evaluate to vertex-labeled trees.
 
-The magmatic folds are computed here, one tree per sub-monomial.  psi
-fixes the generators and carries the left Butcher product to left
-grafting, and forgetting planarity carries left grafting to pre-Lie
-grafting.  So the grafting folds of a monomial are psi and psi_bar of its
-left-Butcher fold, which evaluation and the expansion matrices read; no
+One fold is computed here, the left-Butcher one, one planar tree per
+sub-monomial.  The other three are its images: psi fixes the generators
+and carries the left Butcher product to left grafting, and forgetting
+planarity carries the left Butcher product to the Butcher product and
+left grafting to pre-Lie grafting.  So the Butcher fold of a monomial is
+the projection of its left-Butcher fold, and its grafting folds are psi
+and psi_bar of it, which evaluation and the expansion matrices read; no
 sum is kept per sub-monomial.
 """
 
@@ -22,9 +24,9 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from .matrix import CoeffMatrix, _check_dense, _from_images
+from .matrix import CoeffMatrix, _from_images
 from .products import PLANAR, TreeSum, _labeled, _sum_of_texts, product_flavor
-from .projection import Section, _psi_bar
+from .projection import Section, _check_expansion, _psi_bar
 from .psi import _psi
 from .trees import (
     ENUMERATION_CAP,
@@ -33,9 +35,8 @@ from .trees import (
     PlanarTree,
     Tree,
     _LABEL_RE,
-    _check_degree,
-    _nonplanar_count,
     _fill,
+    _tree_of_text,
     _Value,
     canonical_key,
     enumerate_nonplanar,
@@ -64,14 +65,6 @@ class Generator(_Value):
 
     def generator_names(self) -> frozenset[str]:
         return _singleton(self.name)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not Generator:
-            return NotImplemented
-        return self.name == other.name
-
-    def __hash__(self) -> int:
-        return hash(self.name)
 
 
 class Product(_Value):
@@ -152,43 +145,45 @@ def evaluate(m: MonomialExpr, product: str, labeled: bool | None = None) -> Tree
 
     The magmatic products give single-tree sums; the grafting products
     give genuine sums.  With ``labeled=None`` vertices stay unlabeled when
-    the expression uses a single generator symbol.  The grafting products
-    read psi and psi_bar of the left-Butcher fold.
+    the expression uses a single generator symbol.  The Butcher product
+    gives the projection of the left-Butcher fold, and the grafting
+    products read psi and psi_bar of it.
     """
     flavor = product_flavor(product)
     if labeled is None:
         labeled = len(m.generator_names()) > 1
-    if product == "butcher":
-        return TreeSum.single(_magmatic_fold(m, Tree, bool(labeled)))
-    planar = _magmatic_fold(m, PlanarTree, bool(labeled))
+    planar = _magmatic_fold(m, bool(labeled))
     if product == "left-butcher":
         return TreeSum.single(planar)
+    if product == "butcher":
+        return TreeSum.single(_tree_of_text(planar._text))
     image = (_psi if flavor == PLANAR else _psi_bar)(planar._text)
     return _sum_of_texts(flavor, image, _labeled(planar))
 
 
 def lower_energy_term(m: MonomialExpr) -> Tree:
     """The single tree obtained by binding the product to the Butcher
-    product: the one term of ``evaluate(m, "butcher")``."""
-    return _magmatic_fold(m, Tree, len(m.generator_names()) > 1)
+    product: the one term of ``evaluate(m, "butcher")``, the projection of
+    the left-Butcher fold."""
+    return _tree_of_text(_magmatic_fold(m, len(m.generator_names()) > 1)._text)
 
 
 def planar_lower_term(m: MonomialExpr) -> PlanarTree:
     """The one term of ``evaluate(m, "left-butcher")``."""
-    return _magmatic_fold(m, PlanarTree, len(m.generator_names()) > 1)
+    return _magmatic_fold(m, len(m.generator_names()) > 1)
 
 
 @lru_cache(maxsize=None)
-def _magmatic_fold(expr: MonomialExpr, cls: type, labeled: bool) -> PlanarTree | Tree:
-    """The tree of ``expr`` with the product bound to the (left) Butcher
-    product of trees of class ``cls``: the left operand joins the right
-    one's root as a branch, leftmost or (for ``Tree``) in sorted place.
-    Memoized: the basis monomials of a degree share their sub-monomials,
-    and the same monomial is folded again for other products."""
+def _magmatic_fold(expr: MonomialExpr, labeled: bool) -> PlanarTree:
+    """The planar tree of ``expr`` with the product bound to the left
+    Butcher product: the left operand becomes the leftmost branch at the
+    right one's root.  Memoized: the basis monomials of a degree share
+    their sub-monomials, and the same monomial is folded again for other
+    products."""
     if type(expr) is Generator:
-        return cls((), expr.name if labeled else None)
-    right = _magmatic_fold(expr.right, cls, labeled)
-    return cls((_magmatic_fold(expr.left, cls, labeled),) + right.children, right.label)
+        return PlanarTree((), expr.name if labeled else None)
+    right = _magmatic_fold(expr.right, labeled)
+    return PlanarTree((_magmatic_fold(expr.left, labeled),) + right.children, right.label)
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +268,6 @@ def ag_basis_multigen(
     if n > cap:
         raise DegreeCapError(f"degree {n} exceeds multi-generator cap {cap}")
     return list(_ag_raw(n, order.alphabet))
-
-
-def _check_expansion(n: int, max_degree: int, columns: int | None = None) -> None:
-    """Refuse a degree-n expansion matrix above the degree cap or the dense
-    cell budget, before any tree is built.  By default it is square, one
-    column per tree, as an AG expansion and a beta matrix are."""
-    _check_degree(n, max_degree)
-    rows = _nonplanar_count(n)
-    _check_dense(n, rows, rows if columns is None else columns)
 
 
 def expand_basis(basis: MonomialBasis, max_degree: int = ENUMERATION_CAP) -> CoeffMatrix:

@@ -223,13 +223,6 @@ def _ranked(acc: dict[str, int], labeled: bool) -> list[tuple[str, int]]:
     return [(t, c) for t in sorted(acc) if (c := acc[t])]
 
 
-def _rank_pairs(pairs: tuple[tuple[str, int], ...]) -> tuple[tuple[str, int], ...]:
-    """Nonzero (text, coefficient) pairs with distinct texts, some labeled,
-    put in :func:`_ranked` order by their keys without building a dict."""
-    key = _KEY_TABLE
-    return tuple(sorted(pairs, key=lambda p: p[0].encode().translate(key), reverse=True))
-
-
 def _sum_of_texts(flavor: str, acc: dict[str, int], labeled: bool) -> TreeSum:
     """The sum of a dict from serializations to coefficients, its texts in
     :func:`_ranked` order (``labeled`` as there).  No tree is built."""
@@ -256,6 +249,8 @@ def rotation(t) -> PlanarTree:
 
 def left_butcher(sigma: PlanarTree, tau: PlanarTree) -> PlanarTree:
     """sigma becomes the leftmost branch at the root of tau."""
+    if not isinstance(sigma, PlanarTree) or not isinstance(tau, PlanarTree):
+        raise DomainError("the left Butcher product needs two planar trees")
     return PlanarTree((sigma,) + tau.children, tau.label)
 
 
@@ -263,11 +258,12 @@ def butcher(s: Tree, t: Tree) -> Tree:
     """Butcher product: graft the root of s onto the root of t (non-planar).
     The product's canonical text is s's text joined to t's children, so a
     tree already built is read from the text-to-tree map."""
-    if isinstance(s, Tree) and isinstance(t, Tree):
-        tree = Tree._by_text.get(_joined(*_children(t._text), s._text))
-        if tree is not None:
-            return tree
-    return Tree((s,) + t.children, t.label)
+    if not isinstance(s, Tree) or not isinstance(t, Tree):
+        raise DomainError("the Butcher product needs two non-planar trees")
+    tree = Tree._by_text.get(_joined(*_children(t._text), s._text))
+    if tree is None:
+        tree = Tree((s,) + t.children, t.label)
+    return tree
 
 
 # ---------------------------------------------------------------------------

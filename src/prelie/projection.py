@@ -193,11 +193,19 @@ def psi_tilde(section: Section, t: Tree) -> TreeSum:
     return psi_bar(section(t))
 
 
+def _check_expansion(n: int, max_degree: int, columns: int | None = None) -> None:
+    """Refuse a degree-n expansion matrix above the degree cap or the dense
+    cell budget, before any tree is built.  By default it is square, one
+    column per tree, as an AG expansion and a beta matrix are."""
+    _check_degree(n, max_degree)
+    rows = _nonplanar_count(n)
+    _check_dense(n, rows, rows if columns is None else columns)
+
+
 def beta_matrix(section: Section, n: int, max_degree: int = ENUMERATION_CAP) -> CoeffMatrix:
     """Square matrix of the non-planar expansions through ``section``, over
     the canonical non-planar basis."""
-    _check_degree(n, max_degree)
-    _check_dense(n, _nonplanar_count(n), _nonplanar_count(n))
+    _check_expansion(n, max_degree)
     basis = enumerate_nonplanar(n, max_degree)
     for t in basis:
         if not section.covers(t):

@@ -45,7 +45,6 @@ from .products import (
     _cuts,
     _has_label,
     _labeled,
-    _rank_pairs,
     _ranked,
     _sum_of_texts,
 )
@@ -369,21 +368,12 @@ def _psi_inv(text: str) -> tuple[tuple[str, int], ...]:
 
 
 def psi_inverse(sigma: PlanarTree) -> TreeSum:
-    """Preimage of a planar tree: the sum holding its ranked kernel
-    preimage."""
+    """Preimage of a planar tree: the sum holding its kernel preimage,
+    ranked here when the tree has a label."""
     text = sigma.serialize()
     if len(text) == 2 * sigma.degree:  # no label: the kernel's pairs are ranked
         return TreeSum(PLANAR, _psi_inv(text))
-    return TreeSum(PLANAR, _ranked_inverse(text))
-
-
-@lru_cache(maxsize=None)
-def _ranked_inverse(text: str) -> tuple[tuple[str, int], ...]:
-    """The pairs of :func:`_psi_inv` for a labeled text in sum order, ranked
-    once per text.  The ranked pairs also replace the kernel's memo entry,
-    so the two share one tuple."""
-    out = _inverses[text] = _rank_pairs(_psi_inv(text))
-    return out
+    return _sum_of_texts(PLANAR, dict(_psi_inv(text)), True)
 
 
 @lru_cache(maxsize=None)

@@ -163,10 +163,23 @@ def test_evaluate_labeled_and_unlabeled_in_either_order():
         assert results == {False: plain, True: named}
 
 
+def tree_fold(m, labeled):
+    """The Butcher fold built through the ``Tree`` constructor, which sorts
+    the left operand in among the right one's root children."""
+    if isinstance(m, Generator):
+        return Tree((), m.name if labeled else None)
+    right = tree_fold(m.right, labeled)
+    return Tree((tree_fold(m.left, labeled),) + right.children, right.label)
+
+
 def test_lower_term_is_butcher_fold():
-    for n in range(1, 7):
-        for m in ag_basis(n).monomials:
-            assert forget_planarity(planar_lower_term(m)) == lower_energy_term(m)
+    family = [m for n in range(1, 9) for m in ag_basis(n).monomials]
+    order = GeneratorOrder(("a", "b"))
+    family += [m for n in range(1, 6) for m in ag_basis_multigen(n, order)]
+    for m in family:
+        want = tree_fold(m, len(m.generator_names()) > 1)
+        assert lower_energy_term(m) is want, m.serialize()
+        assert forget_planarity(planar_lower_term(m)) is want, m.serialize()
 
 
 def _single_term(s: TreeSum):

@@ -31,7 +31,6 @@ from prelie.products import (
     _children,
     _cuts,
     _joined,
-    _rank_pairs,
     _ranked,
     product_flavor,
 )
@@ -239,6 +238,36 @@ def test_graft_rejects_planar_operands():
     for a, b in ((planar_sum_, tree_sum_), (tree_sum_, planar_sum_), (planar_sum_, planar_sum_)):
         with pytest.raises(DomainError, match="needs two nonplanar sums"):
             bilinear_extend("graft", a, b)
+
+
+def test_butcher_products_reject_an_operand_of_the_other_class():
+    # a single vertex of the other class has no child to refuse, so the
+    # class of each operand is checked itself
+    cases = [
+        (butcher, "butcher", [
+            (parse_tree("(())"), parse_planar("()")),
+            (parse_planar("(())"), parse_tree("(())")),
+            (parse_tree("()"), parse_planar("(())")),
+            (parse_planar("()"), parse_tree("()")),
+            (parse_planar("(())"), parse_planar("()")),
+            (parse_tree("a()"), parse_planar("b()")),
+        ]),
+        (left_butcher, "left-butcher", [
+            (parse_planar("(())"), parse_tree("()")),
+            (parse_tree("()"), parse_planar("()")),
+            (parse_tree("(())"), parse_tree("()")),
+            (parse_planar("a()"), parse_tree("b()")),
+        ]),
+    ]
+    for product, name, pairs in cases:
+        for s, t in pairs:
+            with pytest.raises(DomainError, match="needs two"):
+                product(s, t)
+            with pytest.raises(DomainError, match="needs two"):
+                apply_product(name, s, t)
+    # operands of the right class still give the product
+    assert butcher(parse_tree("(())"), parse_tree("()")).serialize() == "((()))"
+    assert left_butcher(parse_planar("(())"), parse_planar("()")).serialize() == "((()))"
 
 
 def test_flavor_mismatch_raises():
@@ -611,17 +640,6 @@ def test_ranked_labeled_takes_the_key_order(flavor):
     assert _ranked(acc, True) == reference_ranked(acc)
 
 
-def test_rank_pairs_takes_the_ranked_order():
-    rng = random.Random("rank-pairs")
-    labeled = [t.serialize() for n in range(1, 5) for t in labeled_trees(PLANAR, n)]
-    plain = [t.serialize() for n in range(1, 7) for t in enumerate_planar(n)]
-    for pool in (plain, labeled + plain):
-        for _ in range(20):
-            texts = rng.sample(pool, rng.randint(0, 24))
-            acc = {t: rng.choice(COEFFS[2:]) for t in texts}
-            assert list(_rank_pairs(tuple(acc.items()))) == reference_ranked(acc)
-
-
 def reference_to_text(s):
     """The text of a sum built term by term: the first term signed only
     when negative, every later one joined by its sign."""
@@ -731,14 +749,6 @@ def test_butcher_is_the_constructed_tree():
     assert fresh not in Tree._by_text
     assert butcher(s, t).serialize() == fresh
     assert butcher(s, t) is parse_tree(fresh)
-    # a planar operand is refused as before
-    planar_operands = [
-        (parse_planar("(())"), parse_tree("(())")),
-        (parse_tree("()"), parse_planar("(())")),
-    ]
-    for s, t in planar_operands:
-        with pytest.raises(DomainError):
-            butcher(s, t)
 
 
 def test_single_is_make_of_one_term():
