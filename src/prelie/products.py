@@ -344,6 +344,9 @@ def _graft_texts(memo: dict, s: str, t: str) -> tuple[str, ...]:
     return out
 
 
+_graft_texts.cache_clear = _grafts.clear
+
+
 def _graft_sum_texts(acc: dict, a, b) -> dict:
     """Add to ``acc`` every pre-Lie graft of a term of ``a`` onto a term of
     ``b``, both iterables of (canonical text, coefficient) pairs, weighted

@@ -33,7 +33,7 @@ strictly higher potential energy than b o-> t, so the recursion ends.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import _CacheInfo, lru_cache
 from types import MappingProxyType
 
 from .matrix import CoeffMatrix, _check_dense, _from_images
@@ -81,15 +81,45 @@ def _split(text: str) -> tuple[str, str] | None:
     return text[p + 1 : end], text[: p + 1] + text[end:]
 
 
-@lru_cache(maxsize=None)
+def _count_memo(fn, memo: dict, calls: list, size=len) -> None:
+    """Give ``fn``, memoized in the plain dict ``memo`` with its hits and
+    misses counted in ``calls``, the ``cache_info`` and ``cache_clear`` of
+    an ``lru_cache`` (the perfbench tracer reads ``cache_info``), with
+    ``size(memo)`` entries held.  ``cache_info`` returns the type an
+    ``lru_cache`` does, which costs no class built at import."""
+
+    def cache_clear() -> None:
+        memo.clear()
+        calls[:] = [0, 0]
+
+    fn.cache_info = lambda: _CacheInfo(calls[0], calls[1], None, size(memo))
+    fn.cache_clear = cache_clear
+
+
+_images: dict[str, MappingProxyType] = {}
+_image_calls = [0, 0]  # hits, misses
+
+
 def _psi(text: str) -> MappingProxyType:
     """The image of a tree text, as a read-only map from texts to
-    coefficients (every caller shares the memoized map)."""
+    coefficients (every caller shares the memoized map).  Memoized in a
+    plain dict, at one interpreter level per recursive call."""
+    out = _images.get(text)
+    if out is not None:
+        _image_calls[0] += 1
+        return out
+    _image_calls[1] += 1
     parts = _split(text)
     if parts is None:
-        return MappingProxyType({text: 1})
-    branch, trunk = parts
-    return MappingProxyType(_left_graft_texts({}, _psi(branch).items(), _psi(trunk).items()))
+        out = MappingProxyType({text: 1})
+    else:
+        branch, trunk = parts
+        out = MappingProxyType(_left_graft_texts({}, _psi(branch).items(), _psi(trunk).items()))
+    _images[text] = out
+    return out
+
+
+_count_memo(_psi, _images, _image_calls)
 
 
 def psi(tau: PlanarTree) -> TreeSum:
@@ -98,9 +128,8 @@ def psi(tau: PlanarTree) -> TreeSum:
     return _sum_of_texts(PLANAR, _psi(tau.serialize()), _labeled(tau))
 
 
-# psi memoizes through its kernel, so the kernel's counts are its counts
-# (perfbench reads psi.cache_info()).
-psi.cache_info = _psi.cache_info
+# psi memoizes through its kernel, so the kernel's counts are its counts.
+psi.cache_info, psi.cache_clear = _psi.cache_info, _psi.cache_clear
 
 
 @lru_cache(maxsize=None)
@@ -120,23 +149,42 @@ def _splits(sigma: PlanarTree, d: int) -> tuple[tuple[PlanarTree, PlanarTree], .
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+_coeffs: dict[PlanarTree, dict[PlanarTree, int]] = {}  # tau -> sigma -> c(sigma, tau)
+_coeff_calls = [0, 0]  # hits, misses
+
+
 def coeff_c_recursive(sigma: PlanarTree, tau: PlanarTree) -> int:
     """Coefficient of sigma in the image of tau, by the branch/trunk recursion:
     with tau = tau1 o-> tau2, sum c(branch, tau1) c(trunk, tau2) over the
     splittings of sigma into a branch of tau1's degree grafted leftmost onto
-    a trunk.  A single vertex maps to itself, label included."""
+    a trunk.  A single vertex maps to itself, label included.  Memoized in
+    one plain dict per tau, keyed by sigma: trees hash by identity, so a
+    cell costs one dict slot and a hit allocates nothing."""
+    memo = _coeffs.get(tau)
+    if memo is None:
+        memo = _coeffs[tau] = {}
+    else:
+        total = memo.get(sigma)
+        if total is not None:
+            _coeff_calls[0] += 1
+            return total
+    _coeff_calls[1] += 1
     if sigma.degree != tau.degree:
         raise DomainError("coefficient needs equal degrees")
     if not tau.children:
-        return int(sigma.label == tau.label)
-    tau1, tau2 = decompose(tau)
-    total = 0
-    for branch, trunk in _splits(sigma, tau1.degree):
-        c = coeff_c_recursive(branch, tau1)
-        if c:
-            total += c * coeff_c_recursive(trunk, tau2)
+        total = int(sigma.label == tau.label)
+    else:
+        tau1, tau2 = decompose(tau)
+        total = 0
+        for branch, trunk in _splits(sigma, tau1.degree):
+            c = coeff_c_recursive(branch, tau1)
+            if c:
+                total += c * coeff_c_recursive(trunk, tau2)
+    memo[sigma] = total
     return total
+
+
+_count_memo(coeff_c_recursive, _coeffs, _coeff_calls, lambda memo: sum(map(len, memo.values())))
 
 
 @lru_cache(maxsize=None)
@@ -365,6 +413,9 @@ def _psi_inv(text: str) -> tuple[tuple[str, int], ...]:
             out = tuple(_ranked(acc, False))
     _inverses[text] = out
     return out
+
+
+_psi_inv.cache_clear = _inverses.clear
 
 
 def psi_inverse(sigma: PlanarTree) -> TreeSum:

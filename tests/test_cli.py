@@ -219,9 +219,9 @@ def test_psi_inverse_of_a_deep_chain_in_subprocess():
 
 
 def test_psi_of_a_deep_chain_in_subprocess():
-    # _psi is an lru_cache, so each tree level costs two levels of the
-    # recursion limit: a chain, its own image, is reached to about 490 deep.
-    chain = "(" * 450 + ")" * 450
+    # _psi's memo is a plain dict, so each tree level costs one level of the
+    # recursion limit: a chain, its own image, is reached to about 980 deep.
+    chain = "(" * 900 + ")" * 900
     proc = _cli_in_fresh_process("compute", "psi", "--tree", chain)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", f"1 {chain}\n")
 
@@ -594,15 +594,35 @@ def test_registry_paths_name_real_subcommands():
 
 
 def _clear_package_caches():
-    """Empty every memo of the package: the ``lru_cache``s and the plain-dict
-    memos of the inverse kernel and of the pre-Lie grafts."""
+    """Empty every memo of the package: each memoized function, whether an
+    ``lru_cache`` or a plain-dict memo, has a ``cache_clear``."""
     for name, module in list(sys.modules.items()):
         if name == "prelie" or name.startswith("prelie."):
             for obj in vars(module).values():
                 if hasattr(obj, "cache_clear"):
                     obj.cache_clear()
-    sys.modules["prelie.psi"]._inverses.clear()
-    sys.modules["prelie.products"]._grafts.clear()
+
+
+def test_clearing_package_caches_empties_the_plain_dict_memos(capsys):
+    psi_module, products = sys.modules["prelie.psi"], sys.modules["prelie.products"]
+    requests = (
+        ["verify", "oracle", "--max-degree", "4"],
+        ["compute", "psi", "--tree", "(()(()))"],
+        ["compute", "psi-inverse", "--tree", "(()(()))"],
+        ["compute", "product", "--product", "graft", "--left", "(())", "--right", "(()())"],
+    )
+    for argv in requests:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    memos = {
+        "coeff_c_recursive": lambda: psi_module.coeff_c_recursive.cache_info().currsize,
+        "psi": lambda: psi_module.psi.cache_info().currsize,
+        "_inverses": lambda: len(psi_module._inverses),
+        "_grafts": lambda: len(products._grafts),
+    }
+    assert all(size() for size in memos.values()), {name: size() for name, size in memos.items()}
+    _clear_package_caches()
+    assert {name: size() for name, size in memos.items()} == dict.fromkeys(memos, 0)
 
 
 def test_registry_paths_reach_their_operation(capsys):

@@ -129,7 +129,11 @@ def test_memoized_entry_points_report_hits_and_misses():
         fn(*args)
         after = fn.cache_info()
         assert middle.misses > before.misses, name
+        assert middle.currsize > before.currsize, name
         assert after.hits > middle.hits and after.misses == middle.misses, name
+        assert after.currsize == middle.currsize, name
+        fn.cache_clear()
+        assert fn.cache_info() == (0, 0, None, 0), name
 
 
 def test_psi_inverse_examples():
