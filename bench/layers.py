@@ -1,4 +1,4 @@
-"""Per-layer wall time and peak memory of prelie at degrees 7 to 12.
+"""Per-layer wall time and peak memory of prelie at degrees 7 to 13.
 
     python3 bench/layers.py [--parent REF] [--workdir DIR] [--out BENCH.json]
                             [--layers NAME,NAME,...]
@@ -43,7 +43,10 @@ degree at most 9, and each graft(s, t) has coefficient sum |t|.  The
 0, each psi answer sums to N(tau), each product answer to the size of its
 right operand, and every ``--method both`` answer prints ``match``; the
 50 fresh-process requests of ``cli_oneshot_50`` exit 0 with the same
-psi and product sums.  A failed check fails the run and the script exits 1.  Only the standard
+psi and product sums.  ``alpha_matrix_11`` (1842 x 16796) and
+``beta_matrix_default_section_13`` (12486 x 12486) are above the dense cell
+budget: only their columns are built, and a tree that refuses such a
+matrix up front fails both.  A failed check fails the run and the script exits 1.  Only the standard
 library is used.
 """
 
@@ -175,12 +178,12 @@ def _psi_inverse(n: int):
 
 
 def _beta_default(n: int):
-    """Beta of the default section, cold.  The default section embeds each
-    tree as the planar tree of its text, so a column named by a tree text
-    sums to N of that text."""
+    """Beta of the default section, cold, with the degree as the cap.  The
+    default section embeds each tree as the planar tree of its text, so a
+    column named by a tree text sums to N of that text."""
 
     def work(P, _):
-        return P.beta_matrix(P.default_section(n), n)
+        return P.beta_matrix(P.default_section(n, n), n, n)
 
     def check(P, m):
         if not m.is_unipotent_upper_triangular():
@@ -570,10 +573,13 @@ LAYERS = {
     # BENCH files
     "alpha_matrix_9_after_psi_matrix": _alpha_after_psi(9),
     "alpha_matrix_10": _alpha_matrix(10),
+    # above the dense cell budget: built as columns, never as a grid
+    "alpha_matrix_11": _alpha_matrix(11),
     "psi_inverse_all_9": _psi_inverse(9),
     "psi_inverse_all_10": _psi_inverse(10),
     "beta_matrix_default_section_9": _beta_default(9),
     "beta_matrix_default_section_11": _beta_default(11),
+    "beta_matrix_default_section_13": _beta_default(13),
     "oracle_all_7": _oracle_all(7),
     "oracle_all_8": _oracle_all(8),
     "oracle_sample_10": _oracle_sample(10, 1000),

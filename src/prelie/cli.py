@@ -32,6 +32,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import monomials, projection, trees, verify
+from .matrix import _check_dense
 from .products import (
     PLANAR,
     PRODUCTS,
@@ -126,13 +127,21 @@ def _emit_json(obj):
     _emit(json.dumps(obj))
 
 
-def _emit_matrix(m, fmt: str):
+def _emit_matrix(args, count, build) -> int:
+    """Print ``build(n, cap)``, a square matrix of degree n whose basis has
+    ``count(n)`` trees.  A degree above the cap and a grid above the cell
+    budget are refused from that closed form, before anything is built."""
+    n, cap = args.degree, _max_degree(args)
+    trees._check_degree(n, cap)
+    _check_dense(n, count(n), count(n))
+    m = build(n, cap)
     # a row at a time, so neither the dense grid nor the whole text is held
-    if fmt == "json":
+    if args.format == "json":
         sys.stdout.writelines(m._json_chunks())
         sys.stdout.write("\n")
     else:
         sys.stdout.writelines(m._csv_lines())
+    return EXIT_OK
 
 
 def _emit_sum(s, fmt: str):
@@ -232,8 +241,7 @@ def cmd_compute_alpha(args) -> int:
 
 
 def cmd_compute_matrix(args) -> int:
-    _emit_matrix(psi_matrix(args.degree, _max_degree(args)), args.format)
-    return EXIT_OK
+    return _emit_matrix(args, trees._planar_count, psi_matrix)
 
 
 def _read_section(path: str) -> projection.Section:
@@ -246,20 +254,18 @@ def _read_section(path: str) -> projection.Section:
 
 
 def cmd_compute_beta(args) -> int:
-    n, cap = args.degree, _max_degree(args)
-    projection._check_expansion(n, cap)
-    section = _read_section(args.section) if args.section else projection.default_section(n, cap)
-    _emit_matrix(projection.beta_matrix(section, n, cap), args.format)
-    return EXIT_OK
+    def build(n, cap):
+        section = _read_section(args.section) if args.section else projection.default_section(n, cap)
+        return projection.beta_matrix(section, n, cap)
+
+    return _emit_matrix(args, trees._nonplanar_count, build)
 
 
 def cmd_compute_expand(args) -> int:
     if not args.ag:
         raise DomainError("only --ag bases are supported for expansion")
-    n, cap = args.degree, _max_degree(args)
-    projection._check_expansion(n, cap)
-    _emit_matrix(monomials.expand_basis(monomials.ag_basis(n), cap), args.format)
-    return EXIT_OK
+    return _emit_matrix(args, trees._nonplanar_count,
+                        lambda n, cap: monomials.expand_basis(monomials.ag_basis(n), cap))
 
 
 def cmd_compute_ag_multigen(args) -> int:

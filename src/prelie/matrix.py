@@ -1,6 +1,7 @@
 """Exact integer coefficient matrices over tree bases, held as the columns
-the kernels compute; the dense grid is built only to be read, and CSV and
-JSON are printed a band of rows at a time."""
+the kernels compute, so a matrix costs its nonzeros.  The dense grid is
+built only to be read or printed (CSV and JSON a band of rows at a time),
+and only those views refuse a grid above the cell budget."""
 
 from __future__ import annotations
 
@@ -46,6 +47,7 @@ class CoeffMatrix(_Value):
 
     def _rows(self, zero, cell) -> list[list]:
         """The dense grid as rows: ``cell(c)`` at each nonzero c, else ``zero``."""
+        _check_dense(self.degree, *self.shape)
         index = {r: i for i, r in enumerate(self.row_basis)}
         rows = [[zero] * len(self.col_basis) for _ in self.row_basis]
         for j, column in enumerate(self.columns):
@@ -126,6 +128,7 @@ class CoeffMatrix(_Value):
         the columns per band.  A cell of a row outside the band goes to a
         spare line that is never printed, so a matrix that fits in one band
         is filled exactly as a dense grid."""
+        _check_dense(self.degree, *self.shape)
         n = len(self.col_basis)
         step = max(1, _CSV_BAND_CELLS // max(n, 1))
         text = str  # read as a local in the loop below
@@ -172,17 +175,19 @@ class CoeffMatrix(_Value):
 # at once (32 MiB of cell pointers); psi_matrix(9) (1430^2 cells) fits in one band.
 _CSV_BAND_CELLS = 1 << 22
 
-# Most cells of a matrix: of the dense view that reading its entries builds,
-# and of what printing it writes; every builder refuses a larger shape up front.
+# Most cells of a dense view of a matrix: of the grid that reading its entries
+# or eliminating for its determinant builds, and of what printing it writes.
+# The builders have no budget: a matrix holds only its nonzeros.
 # psi_matrix(10) (4862^2 = 23.6M cells) and the degree-12 AG expansion and
-# beta (4766^2 = 22.7M) fit; 16796^2 cannot.
+# beta (4766^2 = 22.7M) print; psi_matrix(11) (16796^2) is built, not printed.
 MAX_DENSE_CELLS = 24_000_000
 
 
 def _check_dense(degree: int, rows: int, cols: int) -> None:
     """Raise ``DegreeCapError`` when a dense ``rows`` x ``cols`` matrix
-    exceeds :data:`MAX_DENSE_CELLS`.  Every matrix builder calls it with the
-    closed-form sizes of its bases, before any tree is enumerated."""
+    exceeds :data:`MAX_DENSE_CELLS`.  The dense views call it with their
+    shape; the command line calls it with the closed-form sizes of the
+    bases, before any tree is enumerated."""
     if rows * cols > MAX_DENSE_CELLS:
         raise DegreeCapError(
             f"degree {degree}: a dense {rows} x {cols} matrix exceeds {MAX_DENSE_CELLS} cells"
@@ -195,8 +200,8 @@ def _from_images(degree: int, row_basis: tuple, col_basis: tuple, images) -> Coe
     iterable of (text, coefficient) pairs, at the texts of ``row_basis``.
     A text outside the row basis, which only a faulty kernel produces, is
     dropped, so that the column-sum and column checks of ``verify`` report
-    the fault as a failed check rather than a traceback.  The caller has
-    checked the shape with :func:`_check_dense`."""
+    the fault as a failed check rather than a traceback.  No shape is
+    refused: the columns hold only nonzeros."""
     rows = frozenset(row_basis)
     columns = tuple([{t: c for t, c in image if c and t in rows} for image in images])
     return CoeffMatrix(degree, row_basis, col_basis, columns)

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from .matrix import CoeffMatrix, _from_images
 from .products import PLANAR, TreeSum, _labeled, _sum_of_texts, product_flavor
-from .projection import Section, _check_expansion, _psi_bar
+from .projection import Section, _psi_bar
 from .psi import _psi
 from .trees import (
     ENUMERATION_CAP,
@@ -274,7 +274,6 @@ def expand_basis(basis: MonomialBasis, max_degree: int = ENUMERATION_CAP) -> Coe
     """Tree expansions of a one-generator basis: one column per monomial,
     rows over the canonical non-planar basis."""
     n = basis.degree
-    _check_expansion(n, max_degree, len(basis.monomials))
     rows = tuple([t._text for t in enumerate_nonplanar(n, max_degree)])
     for m in basis.monomials:
         if len(m.generator_names()) != 1:

@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import permutations, product, repeat
 from types import MappingProxyType
 
-from .matrix import CoeffMatrix, _check_dense, _from_images
+from .matrix import CoeffMatrix, _from_images
 from .psi import _count_bijections, _split, coeff_c_recursive
 from .products import NONPLANAR, TreeSum, _graft_sum_texts, _labeled, _sum_of_texts
 from .trees import (
@@ -33,9 +33,6 @@ from .trees import (
     DomainError,
     PlanarTree,
     Tree,
-    _check_degree,
-    _nonplanar_count,
-    _planar_count,
     _planar_of_text,
     _tree_of_text,
     enumerate_nonplanar,
@@ -100,8 +97,6 @@ def count_tilde_b(s: Tree, tau: PlanarTree, cap: int = BRUTE_FORCE_CAP) -> int:
 def alpha_matrix(n: int, max_degree: int = ENUMERATION_CAP) -> CoeffMatrix:
     """Rectangular matrix of the projected base change: non-planar rows,
     planar columns, both in canonical order."""
-    _check_degree(n, max_degree)
-    _check_dense(n, _nonplanar_count(n), _planar_count(n))
     rows = tuple([t._text for t in enumerate_nonplanar(n, max_degree)])
     cols = tuple([tau._text for tau in enumerate_planar(n, max_degree)])
     return _from_images(n, rows, cols, (_psi_bar(text).items() for text in cols))
@@ -193,19 +188,9 @@ def psi_tilde(section: Section, t: Tree) -> TreeSum:
     return psi_bar(section(t))
 
 
-def _check_expansion(n: int, max_degree: int, columns: int | None = None) -> None:
-    """Refuse a degree-n expansion matrix above the degree cap or the dense
-    cell budget, before any tree is built.  By default it is square, one
-    column per tree, as an AG expansion and a beta matrix are."""
-    _check_degree(n, max_degree)
-    rows = _nonplanar_count(n)
-    _check_dense(n, rows, rows if columns is None else columns)
-
-
 def beta_matrix(section: Section, n: int, max_degree: int = ENUMERATION_CAP) -> CoeffMatrix:
     """Square matrix of the non-planar expansions through ``section``, over
     the canonical non-planar basis."""
-    _check_expansion(n, max_degree)
     basis = enumerate_nonplanar(n, max_degree)
     for t in basis:
         if not section.covers(t):

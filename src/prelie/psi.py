@@ -36,7 +36,7 @@ from __future__ import annotations
 from functools import _CacheInfo, lru_cache
 from types import MappingProxyType
 
-from .matrix import CoeffMatrix, _check_dense, _from_images
+from .matrix import CoeffMatrix, _from_images
 from .products import (
     PLANAR,
     TreeSum,
@@ -54,8 +54,6 @@ from .trees import (
     DegreeCapError,
     DomainError,
     PlanarTree,
-    _check_degree,
-    _planar_count,
     _subtree_end,
     enumerate_planar,
 )
@@ -374,8 +372,6 @@ def coeff_c_bijections(
 def psi_matrix(n: int, max_degree: int = ENUMERATION_CAP) -> CoeffMatrix:
     """Per-degree matrix of the isomorphism over the canonical planar basis,
     each column read from the text kernel."""
-    _check_degree(n, max_degree)
-    _check_dense(n, _planar_count(n), _planar_count(n))
     basis = tuple([tau._text for tau in enumerate_planar(n, max_degree)])
     return _from_images(n, basis, basis, (_psi(text).items() for text in basis))
 

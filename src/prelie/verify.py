@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 
 from . import monomials, projection, trees
+from .matrix import _check_dense
 from .products import TreeSum, bilinear_extend, butcher, graft
 from .psi import (
     _psi,
@@ -153,6 +154,10 @@ def _triples(max_degree: int) -> list[tuple]:
 
 
 def verify_matrices(max_degree: int, seed: int) -> list[dict]:
+    # psi o psi^-1 is composed in full, a dense amount of work: a degree
+    # above the cell budget is refused before any is done
+    size = trees._planar_count(max_degree)
+    _check_dense(max_degree, size, size)
     checks = []
     for n in range(1, max_degree + 1):
         m = psi_matrix(n)

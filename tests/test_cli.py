@@ -999,6 +999,19 @@ def test_dense_matrix_above_cell_budget_exits_3_before_any_tree(capsys, monkeypa
     assert captured.err == "error: degree 13: a dense 208012 x 208012 matrix exceeds 24000000 cells\n"
 
 
+def test_verify_matrices_above_cell_budget_exits_3_before_any_degree(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a matrix was built above the cell budget")
+
+    monkeypatch.setattr(verify, "psi_matrix", no_work)
+    monkeypatch.setattr(sys.modules["prelie.psi"], "_psi", no_work)
+    code = main(["verify", "matrices", "--max-degree", "11"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: degree 11: a dense 16796 x 16796 matrix exceeds 24000000 cells\n"
+
+
 def test_ag_expansion_above_a_cap_exits_3_before_any_monomial(capsys, monkeypatch):
     def no_monomials(*args):
         raise AssertionError("AG monomials were built above a cap")

@@ -1,5 +1,4 @@
 import random
-import sys
 from itertools import product
 
 import pytest
@@ -10,9 +9,6 @@ from prelie import (
     PlanarTree,
     TreeSum,
     alpha,
-    Section,
-    alpha_matrix,
-    beta_matrix,
     coeff_c_bijections,
     coeff_c_recursive,
     count_tilde_b,
@@ -32,7 +28,7 @@ from prelie import (
     symmetry_factor,
     verify_a088716,
 )
-from prelie import matrix, trees
+from prelie import matrix
 from prelie.orders import left_refined_pairs, total_order_list, tree_less
 from prelie.products import PLANAR
 from prelie.psi import _domain_table, _total_order_table
@@ -459,42 +455,24 @@ def test_psi_matrix_degree3():
     assert m.row_basis == ("((()))", "(()())")
 
 
-def test_dense_matrix_above_the_cell_budget_is_refused_before_any_image(monkeypatch):
-    def no_work(*args):
-        raise AssertionError("an image was computed above the cell budget")
-
-    monkeypatch.setattr(sys.modules["prelie.psi"], "_psi", no_work)
-    monkeypatch.setattr(sys.modules["prelie.projection"], "_psi_bar", no_work)
-    monkeypatch.setattr(sys.modules["prelie.projection"], "_split", no_work)
-    monkeypatch.setattr(sys.modules["prelie.projection"], "_graft_sum_texts", no_work)
-    with pytest.raises(DegreeCapError, match="16796 x 16796 matrix exceeds 24000000 cells"):
-        psi_matrix(11)
-    with pytest.raises(DegreeCapError, match="1842 x 16796 matrix"):
-        alpha_matrix(11)
+def test_only_the_dense_views_of_a_matrix_have_a_cell_budget(monkeypatch):
     # the budget admits psi_matrix(10) and the degree-12 AG expansion and beta
     assert 4862 ** 2 <= matrix.MAX_DENSE_CELLS < 1842 * 16796
     assert 4766 ** 2 <= matrix.MAX_DENSE_CELLS
-
-
-def test_dense_matrix_above_the_cell_budget_is_refused_before_any_tree(monkeypatch):
-    def no_trees(cls, n):
-        raise AssertionError(f"degree-{n} trees were enumerated above the cell budget")
-
-    monkeypatch.setattr(trees, "_basis", no_trees)
-    with pytest.raises(DegreeCapError, match="degree 13: a dense 208012 x 208012 matrix"):
-        psi_matrix(13, max_degree=20)
-    with pytest.raises(DegreeCapError, match="degree 13: a dense 12486 x 208012 matrix"):
-        alpha_matrix(13, max_degree=20)
-    with pytest.raises(DegreeCapError, match="degree 13: a dense 12486 x 12486 matrix"):
-        beta_matrix(Section({}), 13, max_degree=20)
-
-
-def test_dense_matrix_cell_budget_is_inclusive(monkeypatch):
     monkeypatch.setattr(matrix, "MAX_DENSE_CELLS", 25)
-    assert psi_matrix(4).shape == (5, 5)
+    assert len(psi_matrix(4).entries) == 5
     monkeypatch.setattr(matrix, "MAX_DENSE_CELLS", 24)
-    with pytest.raises(DegreeCapError, match="5 x 5 matrix exceeds 24 cells"):
-        psi_matrix(4)
+    m = psi_matrix(4)
+    # the builder and the views read straight from the columns have no budget
+    assert m.shape == (5, 5) and sum(m.column_sums()) == 14
+    assert m.is_unipotent_upper_triangular() and m.determinant() == 1
+    # columns reversed: not triangular, so the determinant eliminates densely
+    flipped = matrix.CoeffMatrix(4, m.row_basis, m.col_basis[::-1], m.columns[::-1])
+    for view in (lambda: m.entries, m.to_csv, m.to_json, m.to_json_str, flipped.determinant):
+        with pytest.raises(DegreeCapError, match="^degree 4: a dense 5 x 5 matrix exceeds 24 cells$"):
+            view()
+    monkeypatch.setattr(matrix, "MAX_DENSE_CELLS", 25)
+    assert flipped.determinant() == 1
 
 
 def test_psi_matrix_degree4_statistics():
