@@ -45,8 +45,8 @@ right operand, and every ``--method both`` answer prints ``match``; the
 50 fresh-process requests of ``cli_oneshot_50`` exit 0 with the same
 psi and product sums.  ``alpha_matrix_11`` (1842 x 16796) and
 ``beta_matrix_default_section_13`` (12486 x 12486) are above the dense cell
-budget: only their columns are built, and a tree that refuses such a
-matrix up front fails both.  A failed check fails the run and the script exits 1.  Only the standard
+budget: only their columns are built, and a source tree whose builders
+refuse such a matrix up front fails both.  A failed check fails the run and the script exits 1.  Only the standard
 library is used.
 """
 
@@ -573,7 +573,6 @@ LAYERS = {
     # BENCH files
     "alpha_matrix_9_after_psi_matrix": _alpha_after_psi(9),
     "alpha_matrix_10": _alpha_matrix(10),
-    # above the dense cell budget: built as columns, never as a grid
     "alpha_matrix_11": _alpha_matrix(11),
     "psi_inverse_all_9": _psi_inverse(9),
     "psi_inverse_all_10": _psi_inverse(10),

@@ -200,8 +200,7 @@ def _from_images(degree: int, row_basis: tuple, col_basis: tuple, images) -> Coe
     iterable of (text, coefficient) pairs, at the texts of ``row_basis``.
     A text outside the row basis, which only a faulty kernel produces, is
     dropped, so that the column-sum and column checks of ``verify`` report
-    the fault as a failed check rather than a traceback.  No shape is
-    refused: the columns hold only nonzeros."""
+    the fault as a failed check rather than a traceback."""
     rows = frozenset(row_basis)
     columns = tuple([{t: c for t, c in image if c and t in rows} for image in images])
     return CoeffMatrix(degree, row_basis, col_basis, columns)
