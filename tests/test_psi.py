@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -28,7 +29,7 @@ from prelie import (
     symmetry_factor,
     verify_a088716,
 )
-from prelie import matrix
+from prelie import matrix, trees
 from prelie.orders import left_refined_pairs, total_order_list, tree_less
 from prelie.products import PLANAR
 from prelie.psi import _domain_table, _total_order_table
@@ -455,12 +456,50 @@ def test_psi_matrix_degree3():
     assert m.row_basis == ("((()))", "(()())")
 
 
-def test_only_the_dense_views_of_a_matrix_have_a_cell_budget(monkeypatch):
+def test_dense_matrix_above_the_cell_budget_is_refused_before_any_image(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("an image was computed above the cell budget")
+
+    monkeypatch.setattr(sys.modules["prelie.psi"], "_psi", no_work)
+    monkeypatch.setattr(sys.modules["prelie.projection"], "_psi_bar", no_work)
+    monkeypatch.setattr(sys.modules["prelie.projection"], "_split", no_work)
+    monkeypatch.setattr(sys.modules["prelie.projection"], "_graft_sum_texts", no_work)
+    # the shapes of psi_matrix(11) and alpha_matrix(11), from the closed-form
+    # basis sizes that the command line checks before it builds a matrix
+    planar, nonplanar = trees._planar_count(11), trees._nonplanar_count(11)
+    with pytest.raises(DegreeCapError, match="16796 x 16796 matrix exceeds 24000000 cells"):
+        matrix._check_dense(11, planar, planar)
+    with pytest.raises(DegreeCapError, match="1842 x 16796 matrix"):
+        matrix._check_dense(11, nonplanar, planar)
     # the budget admits psi_matrix(10) and the degree-12 AG expansion and beta
     assert 4862 ** 2 <= matrix.MAX_DENSE_CELLS < 1842 * 16796
     assert 4766 ** 2 <= matrix.MAX_DENSE_CELLS
+
+
+def test_dense_matrix_above_the_cell_budget_is_refused_before_any_tree(monkeypatch):
+    def no_trees(cls, n):
+        raise AssertionError(f"degree-{n} trees were enumerated above the cell budget")
+
+    monkeypatch.setattr(trees, "_basis", no_trees)
+    planar, nonplanar = trees._planar_count(13), trees._nonplanar_count(13)
+    with pytest.raises(DegreeCapError, match="degree 13: a dense 208012 x 208012 matrix"):
+        matrix._check_dense(13, planar, planar)
+    with pytest.raises(DegreeCapError, match="degree 13: a dense 12486 x 208012 matrix"):
+        matrix._check_dense(13, nonplanar, planar)
+    with pytest.raises(DegreeCapError, match="degree 13: a dense 12486 x 12486 matrix"):
+        matrix._check_dense(13, nonplanar, nonplanar)
+
+
+def test_dense_matrix_cell_budget_is_inclusive(monkeypatch):
+    m = psi_matrix(4)
     monkeypatch.setattr(matrix, "MAX_DENSE_CELLS", 25)
-    assert len(psi_matrix(4).entries) == 5
+    assert len(m.entries) == 5 and m.shape == (5, 5)
+    monkeypatch.setattr(matrix, "MAX_DENSE_CELLS", 24)
+    with pytest.raises(DegreeCapError, match="5 x 5 matrix exceeds 24 cells"):
+        m.entries
+
+
+def test_only_the_dense_views_of_a_matrix_have_a_cell_budget(monkeypatch):
     monkeypatch.setattr(matrix, "MAX_DENSE_CELLS", 24)
     m = psi_matrix(4)
     # the builder and the views read straight from the columns have no budget
