@@ -32,8 +32,10 @@ seeded sample; beta of the default section is unipotent, and each of its
 columns sums to N of the column's default-section text.  The two coefficient oracles agree on
 every pair of degree 7 and of degree 8 (the brute-force cap), with column
 sums N(tau); on seeded degree-10 pairs they agree with the coefficient in
-psi(tau).  The degree-10 AG expansion is 719 x 719 and each column sums
-to S(m), where S(g) = 1 and S([x,y]) = S(x) S(y) deg(y).  At degree 8 the beta matrix of the AG
+psi(tau); on the degree-11 corolla and brooms, with the cap raised to 11,
+the bijection count is alpha times the symmetry factor.  The degree-10
+AG expansion is 719 x 719 and each column sums to S(m), where S(g) = 1
+and S([x,y]) = S(x) S(y) deg(y).  At degree 8 the beta matrix of the AG
 section has, for each basis monomial, the monomial's expansion column as
 the column of its lower-energy term.  ``verify tree-grounded`` through
 degree 12 passes all of its 23 checks.  The pre-Lie and NAP identities hold
@@ -261,6 +263,33 @@ def _oracle_sample(n: int, pairs: int):
                 return False, f"c({sigma}, {tau}): recursion {rec}, bijections {bij}, psi {want}"
         nonzero = sum(1 for *_, rec, _ in out if rec)
         return True, f"{len(out)} pairs ({nonzero} nonzero) agree with psi"
+
+    return setup, work, check
+
+
+def _oracle_wide(n: int):
+    """alpha and the bijection count, cold, with the cap raised to n, on
+    every (s, tau) pair of wide degree-n shapes: the corolla and the
+    brooms (a chain of 2 or 3 vertices whose last one holds the leaves),
+    tau being the planar tree of the text of s.  Runs of identical leaves
+    make both the fibers and the symmetric bijections grow factorially."""
+
+    def setup(P):
+        def star(k):
+            return P.Tree((P.Tree(),) * k)
+
+        shapes = [star(n - 1), P.Tree((star(n - 2),)), P.Tree((P.Tree((star(n - 3),)),))]
+        return [(s, P.parse_planar(t.serialize())) for s in shapes for t in shapes]
+
+    def work(P, pairs):
+        return [(s, tau, P.alpha(s, tau), P.count_tilde_b(s, tau, cap=n)) for s, tau in pairs]
+
+    def check(P, out):
+        for s, tau, alpha, tilde in out:
+            if alpha * P.symmetry_factor(s) != tilde:
+                return False, f"alpha({s}, {tau}) = {alpha}, tilde_b = {tilde}"
+        nonzero = sum(1 for *_, alpha, _ in out if alpha)
+        return True, f"{len(out)} pairs ({nonzero} nonzero): tilde_b = alpha * sigma(s)"
 
     return setup, work, check
 
@@ -582,6 +611,7 @@ LAYERS = {
     "oracle_all_7": _oracle_all(7),
     "oracle_all_8": _oracle_all(8),
     "oracle_sample_10": _oracle_sample(10, 1000),
+    "oracle_wide_11": _oracle_wide(11),
     "ag_expand_10": _ag_expand(10, 719),
     "graft_identities_10": _graft_identities(_all_triples(10), 1353),
     "identities_9": _graft_identities(_seeded_triples(9, 4), 336),

@@ -21,11 +21,11 @@ reads the planar image of psi: its work is at non-planar size.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product, repeat
+from itertools import product
 from types import MappingProxyType
 
 from .matrix import CoeffMatrix, _from_images
-from .psi import _count_bijections, _split, coeff_c_recursive
+from .psi import _coeff_calls, _coeffs, _count_bijections, _split, coeff_c_recursive
 from .products import NONPLANAR, TreeSum, _graft_sum_texts, _labeled, _sum_of_texts
 from .trees import (
     BRUTE_FORCE_CAP,
@@ -49,12 +49,18 @@ def forget_planarity(sigma: PlanarTree) -> Tree:
 
 @lru_cache(maxsize=None)
 def planar_embeddings(s: Tree) -> tuple[PlanarTree, ...]:
-    """All distinct planar trees projecting onto s (the fiber of s)."""
-    child_options = [planar_embeddings(c) for c in s.children]
-    out = set()
-    for picks in product(*child_options):
-        for perm in set(permutations(picks)):
-            out.add(PlanarTree(perm, s.label))
+    """All distinct planar trees projecting onto s (the fiber of s), in
+    descending serialization order.  The distinct child orders are built
+    one child at a time: each embedding of the next child goes in at each
+    position of each order so far.  The set keeps every order once, so a
+    run of k identical children costs k steps, not k! permutations, and the
+    fiber's size is the multinomial over classes of identical children
+    times the product of the children's fiber sizes."""
+    orders = {()}
+    for child in s.children:
+        fiber = planar_embeddings(child)
+        orders = {o[:k] + (e,) + o[k:] for o in orders for e in fiber for k in range(len(o) + 1)}
+    out = [PlanarTree(o, s.label) for o in orders]
     return tuple(sorted(out, key=lambda t: serial_key(t.serialize()), reverse=True))
 
 
@@ -82,15 +88,29 @@ def psi_bar(tau: PlanarTree) -> TreeSum:
 
 def alpha(s: Tree, tau: PlanarTree) -> int:
     """Coefficient of s in the projected image of tau: the fiber sum of the
-    planar coefficients."""
+    planar coefficients.  The fiber's cells are read from the memo of tau
+    (counted as hits of :func:`coeff_c_recursive`), which is called only
+    on a miss."""
     if s.degree != tau.degree:
         raise DomainError("alpha needs equal degrees")
-    return sum(map(coeff_c_recursive, planar_embeddings(s), repeat(tau)))
+    get = _coeffs[tau].get
+    total = hits = 0
+    for sigma in planar_embeddings(s):
+        c = get(sigma)
+        if c is None:
+            c = coeff_c_recursive(sigma, tau)
+        else:
+            hits += 1
+        total += c
+    _coeff_calls[0] += hits
+    return total
 
 
 def count_tilde_b(s: Tree, tau: PlanarTree, cap: int = BRUTE_FORCE_CAP) -> int:
     """Label-preserving bijections from V(s) to V(tau) increasing from the
-    tree order into the total order, with tree-order increasing inverse."""
+    tree order into the total order, with tree-order increasing inverse.
+    They are counted up to the automorphisms of s, one per orbit, and the
+    orbit count is multiplied by σ(s) (see :func:`prelie.psi._count_bijections`)."""
     return _count_bijections(s, tau, cap)
 
 

@@ -8,7 +8,9 @@ coefficients c(sigma, tau) are computed two independent ways: by the
 decomposition recursion, and by brute-force counting of order-compatible
 vertex bijections.  The count is shared with the projected coefficients
 of :mod:`prelie.projection`: its domain order is fixed by the domain
-tree's class, ``<<`` on a planar tree and ``<`` on a non-planar one.
+tree's class, ``<<`` on a planar tree and ``<`` on a non-planar one,
+where the bijections are counted one per orbit of the tree's
+automorphisms.
 
 The isomorphism is computed on serializations: psi(b o-> t) is the left
 graft of psi(b) onto psi(t), and a left graft inserts one text right
@@ -33,6 +35,7 @@ strictly higher potential energy than b o-> t, so the recursion ends.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import _CacheInfo, lru_cache
 from types import MappingProxyType
 
@@ -147,7 +150,8 @@ def _splits(sigma: PlanarTree, d: int) -> tuple[tuple[PlanarTree, PlanarTree], .
     return tuple(out)
 
 
-_coeffs: dict[PlanarTree, dict[PlanarTree, int]] = {}  # tau -> sigma -> c(sigma, tau)
+# tau -> sigma -> c(sigma, tau); reading a new tau adds its empty dict
+_coeffs: defaultdict[PlanarTree, dict[PlanarTree, int]] = defaultdict(dict)
 _coeff_calls = [0, 0]  # hits, misses
 
 
@@ -157,15 +161,15 @@ def coeff_c_recursive(sigma: PlanarTree, tau: PlanarTree) -> int:
     splittings of sigma into a branch of tau1's degree grafted leftmost onto
     a trunk.  A single vertex maps to itself, label included.  Memoized in
     one plain dict per tau, keyed by sigma: trees hash by identity, so a
-    cell costs one dict slot and a hit allocates nothing."""
-    memo = _coeffs.get(tau)
-    if memo is None:
-        memo = _coeffs[tau] = {}
-    else:
-        total = memo.get(sigma)
-        if total is not None:
-            _coeff_calls[0] += 1
-            return total
+    cell costs one dict slot and a hit allocates nothing.  The split loop
+    reads the memos of tau1 and tau2 itself and calls only on a miss; it
+    counts its own hits, so ``cache_info`` counts every lookup as the
+    calls would."""
+    memo = _coeffs[tau]
+    total = memo.get(sigma)
+    if total is not None:
+        _coeff_calls[0] += 1
+        return total
     _coeff_calls[1] += 1
     if sigma.degree != tau.degree:
         raise DomainError("coefficient needs equal degrees")
@@ -173,11 +177,23 @@ def coeff_c_recursive(sigma: PlanarTree, tau: PlanarTree) -> int:
         total = int(sigma.label == tau.label)
     else:
         tau1, tau2 = decompose(tau)
-        total = 0
+        # the memos of tau1 and tau2 are read here, so a hit costs no call
+        memo1, memo2 = _coeffs[tau1], _coeffs[tau2]
+        total = hits = 0
         for branch, trunk in _splits(sigma, tau1.degree):
-            c = coeff_c_recursive(branch, tau1)
+            c = memo1.get(branch)
+            if c is None:
+                c = coeff_c_recursive(branch, tau1)
+            else:
+                hits += 1
             if c:
-                total += c * coeff_c_recursive(trunk, tau2)
+                d = memo2.get(trunk)
+                if d is None:
+                    d = coeff_c_recursive(trunk, tau2)
+                else:
+                    hits += 1
+                total += c * d
+        _coeff_calls[0] += hits
     memo[sigma] = total
     return total
 
@@ -211,34 +227,50 @@ def _domain_table(tree) -> tuple:
     ``Tree``.
 
     * per vertex, the vertices it unlocks: those whose cover predecessor it
-      is.  Under the tree order every non-root vertex has its parent as its
-      one cover predecessor, so a vertex unlocks its children.  Under
-      ``<<`` the cover predecessor is the right-adjacent sibling, or the
-      parent when there is none, so a vertex unlocks its rightmost child
-      and its left-adjacent sibling;
+      is.  Under ``<<`` the cover predecessor is the right-adjacent
+      sibling, or the parent when there is none, so a vertex unlocks its
+      rightmost child and its left-adjacent sibling.  Under the tree order
+      every non-root vertex has its parent as its one cover predecessor;
+      the count quotients by the automorphisms of a ``Tree``
+      (:func:`_count_bijections`), so it refines that order by chaining
+      twins, siblings that are the same tree: a child whose right-adjacent
+      sibling is its twin is unlocked by that twin, any other by its
+      parent.  Either way the cover diagram is a tree rooted at 0;
     * per vertex, its strict descendants, the indices right after it;
     * per (label, m), when not empty, the vertices carrying that label
       with at least m strict descendants;
-    * the numbers of strict descendants, packed (:func:`_count_fields`).
+    * the numbers of strict descendants, packed (:func:`_count_fields`);
+    * the number of automorphisms: for a ``Tree``, the product over its
+      runs of twins of the run length's factorial (the symmetry factor),
+      and 1 for a ``PlanarTree``.
     """
     n = tree.degree
     refined = isinstance(tree, PlanarTree)
     unlock = [0] * n
     descendants = [0] * n
     exact = {}  # (label, strict descendants) -> vertices
+    autos = 1
 
     def walk(node, i: int) -> None:
+        nonlocal autos
         descendants[i] = ((1 << (node.degree - 1)) - 1) << (i + 1)
         key = (node.label, node.degree - 1)
         exact[key] = exact.get(key, 0) | 1 << i
         cover = i  # the cover predecessor of the next child to the left
+        right, run = None, 0  # a Tree's child to the right, and its run of twins
         j = i + node.degree
         for child in reversed(node.children):
             j -= child.degree
             walk(child, j)
+            if child is right:
+                run += 1
+                autos *= run
+            elif not refined:
+                cover, run = i, 1
             unlock[cover] |= 1 << j
-            if refined:
-                cover = j
+            cover = j
+            if not refined:
+                right = child
 
     walk(tree, 0)
     masks = {}
@@ -249,7 +281,7 @@ def _domain_table(tree) -> tuple:
             if acc:
                 masks[label, m] = acc
     counts = sum(map(_count_fields(n)[0].__getitem__, map(int.bit_count, descendants)))
-    return tuple(unlock), tuple(descendants), masks, counts
+    return tuple(unlock), tuple(descendants), masks, counts, autos
 
 
 @lru_cache(maxsize=None)
@@ -317,12 +349,24 @@ def _count_bijections(domain, tau: PlanarTree, cap: int) -> int:
     candidate bitmasks and ready sets, one per position.  At the last
     position a single domain vertex is left, and it is ready, so each
     candidate there counts as one bijection.
+
+    On a ``Tree`` domain s the count is taken up to the automorphisms of
+    s.  Aut(s) acts on the bijections by composition; it keeps the tree
+    order and the labels, so it maps a counted bijection to a counted one,
+    and acts freely.  Each orbit holds exactly one bijection under which
+    every run of twin siblings (the same tree) fills its positions from
+    right to left: permuting the twins at the topmost vertex where two
+    bijections of an orbit differ would reorder those positions.  The
+    domain table chains twins, each unlocked by its right twin, so the
+    search counts exactly these, one per orbit, and the result is that
+    count times |Aut(s)| = σ(s) (:func:`_domain_table`).  So a run of k
+    identical leaves costs the search one filling order, not k!.
     """
     if domain.degree != tau.degree:
         raise DomainError("bijection count needs equal degrees")
     if domain.degree > cap:
         raise DegreeCapError(f"degree {domain.degree} exceeds brute-force cap {cap}")
-    unlock, descendants, masks, counts = _domain_table(domain)
+    unlock, descendants, masks, counts, autos = _domain_table(domain)
     parents, keys, tau_counts, guards = _total_order_table(tau)
     if (counts | guards) - tau_counts & guards != guards:
         return 0
@@ -357,7 +401,7 @@ def _count_bijections(domain, tau: PlanarTree, cap: int) -> int:
         k += 1
         ready[k] = r
         free[k] = descendants[image[parents[k]]] & allowed[k] & r
-    return count
+    return count * autos
 
 
 def coeff_c_bijections(

@@ -1,6 +1,9 @@
+import math
 import os
 import subprocess
 import sys
+from collections import Counter
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -29,7 +32,7 @@ from prelie import (
 )
 from prelie.products import NONPLANAR
 from prelie.projection import default_embedding, planar_embeddings
-from prelie.trees import Tree
+from prelie.trees import PlanarTree, Tree, serial_key
 
 
 def tree_sum(*pairs):
@@ -97,6 +100,85 @@ def test_fibers_partition_planar_trees():
             seen.extend(fiber)
         assert sorted(seen, key=id) and len(seen) == len(set(seen))
         assert set(seen) == set(enumerate_planar(n))
+
+
+def reference_planar_embeddings(s, memo={}):
+    """The fiber of ``s`` from every permutation of every choice of child
+    embeddings, in descending serialization order."""
+    if s not in memo:
+        out = set()
+        for picks in product(*map(reference_planar_embeddings, s.children)):
+            for perm in set(permutations(picks)):
+                out.add(PlanarTree(perm, s.label))
+        memo[s] = tuple(sorted(out, key=lambda t: serial_key(t.serialize()), reverse=True))
+    return memo[s]
+
+
+def closed_form_fiber_size(s):
+    """The multinomial over the classes of identical children of ``s``,
+    times the product of the children's fiber sizes."""
+    size = math.factorial(len(s.children))
+    for child, k in Counter(s.children).items():
+        size = size // math.factorial(k) * closed_form_fiber_size(child) ** k
+    return size
+
+
+def _labeled_trees(s, alphabet="ab"):
+    """Every labeling of the non-planar tree ``s`` over ``alphabet``."""
+    for label in alphabet:
+        for kids in product(*(_labeled_trees(c, alphabet) for c in s.children)):
+            yield Tree(kids, label)
+
+
+def _star(k):
+    return Tree((Tree(),) * k)
+
+
+def wide_shapes(n):
+    """Degree-n trees with long runs of identical children: the corolla,
+    the brooms (a chain of 2 or 3 vertices whose last one holds the
+    leaves), and a fork (two identical stars at the root, with a leaf
+    beside them when n is even)."""
+    m, r = divmod(n - 1, 2)
+    fork = Tree((_star(m - 1),) * 2 + (Tree(),) * r)
+    return [_star(n - 1), Tree((_star(n - 2),)), Tree((Tree((_star(n - 3),)),)), fork]
+
+
+def test_fibers_match_the_permutations_reference():
+    for n in range(1, 9):
+        for t in enumerate_nonplanar(n):
+            assert planar_embeddings(t) == reference_planar_embeddings(t), t
+    for n in range(1, 6):
+        for t in {u for v in enumerate_nonplanar(n) for u in _labeled_trees(v)}:
+            assert planar_embeddings(t) == reference_planar_embeddings(t), t
+
+
+def test_fiber_sizes_have_the_closed_form():
+    for n in range(1, 10):
+        for t in enumerate_nonplanar(n):
+            assert len(planar_embeddings(t)) == closed_form_fiber_size(t), t
+    for n in range(9, 17):
+        for t in wide_shapes(n):
+            fiber = planar_embeddings(t)
+            assert len(fiber) == len(set(fiber)) == closed_form_fiber_size(t), t
+            assert all(forget_planarity(sigma) is t for sigma in fiber)
+
+
+@pytest.mark.parametrize("n", range(9, 17))
+def test_bijection_count_on_wide_shapes(n):
+    # The orbit count times the symmetry factor equals alpha times it.
+    # Onto the planar corolla the bijections are the linear extensions of
+    # the tree order, n! over the product of the subtree sizes.
+    shapes = wide_shapes(n)
+    corolla = default_embedding(shapes[0])
+    for s in shapes:
+        sym = symmetry_factor(s)
+        for tau in map(default_embedding, shapes):
+            assert count_tilde_b(s, tau, cap=n) == alpha(s, tau) * sym, (s, tau)
+        hooks = math.prod(s.subtree(v).degree for v in s.vertices())
+        assert count_tilde_b(s, corolla, cap=n) == math.factorial(n) // hooks, s
+    assert count_tilde_b(shapes[0], corolla, cap=n) == math.factorial(n - 1)
+    assert alpha(shapes[0], corolla) == 1
 
 
 # ---------------------------------------------------------------------------

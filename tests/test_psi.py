@@ -235,11 +235,30 @@ def _refined_less(t):
     return lambda v, w: (v, w) in refined
 
 
+def _twin_chained_less(s):
+    """The tree order of ``s`` refined by chaining twins: v comes before w
+    when w is a strict descendant of v, or lies in the subtree of a strict
+    left sibling of v whose subtree has v's text."""
+    text = {v: s.subtree(v).serialize() for v in s.vertices()}
+
+    def less(v, w):
+        if tree_less(v, w):
+            return True
+        k = len(v) - 1  # v is child v[k] of the vertex v[:k]
+        if k < 0 or len(w) <= k or w[:k] != v[:k] or w[k] >= v[k]:
+            return False
+        return text[w[: k + 1]] == text[v]
+
+    return less
+
+
 def test_bijection_tables_match_the_vertex_orders():
     # The count's per-tree masks, built in one walk, against the pair
     # relations of prelie.orders: a vertex unlocks the vertices that cover
-    # it, and each non-root vertex is unlocked by exactly one vertex.
-    for n in range(1, 8):
+    # it, and each non-root vertex is unlocked by exactly one vertex.  On a
+    # non-planar tree the order is the tree order with twins chained, and
+    # the table's automorphism count is the symmetry factor.
+    for n in range(1, 9):
         for t in enumerate_planar(n):
             verts = t.vertices()
             unlock, descendants = _domain_table(t)[:2]
@@ -251,12 +270,18 @@ def test_bijection_tables_match_the_vertex_orders():
             parents = tuple(rank[w[:-1]] if w else -1 for w in listing)
             keys = tuple((None, t.subtree(w).degree - 1) for w in listing)
             assert _total_order_table(t)[:2] == (parents, keys)
+            assert _domain_table(t)[4] == 1
         for s in enumerate_nonplanar(n):
             verts = s.vertices()
             unlock, descendants = _domain_table(s)[:2]
-            assert unlock == _covers(verts, tree_less)
+            assert unlock == _covers(verts, _twin_chained_less(s))
             assert descendants == _masks(verts, tree_less)
             assert sorted(i for u in unlock for i in range(n) if u >> i & 1) == list(range(1, n))
+            assert _domain_table(s)[4] == symmetry_factor(s)
+    for n in range(1, 6):
+        for s in {t for u in enumerate_nonplanar(n) for t in _labeled(u)}:
+            assert _domain_table(s)[0] == _covers(s.vertices(), _twin_chained_less(s)), s
+            assert _domain_table(s)[4] == symmetry_factor(s), s
 
 
 def reference_count_bijections(pred, table, tau):
