@@ -53,9 +53,9 @@ def planar_embeddings(s: Tree) -> tuple[PlanarTree, ...]:
     descending serialization order.  The distinct child orders are built
     one child at a time: each embedding of the next child goes in at each
     position of each order so far.  The set keeps every order once, so a
-    run of k identical children costs k steps, not k! permutations, and the
-    fiber's size is the multinomial over classes of identical children
-    times the product of the children's fiber sizes."""
+    run of k identical children costs k insertion steps, not k!
+    permutations, and the fiber's size is the multinomial over classes of
+    identical children times the product of the children's fiber sizes."""
     orders = {()}
     for child in s.children:
         fiber = planar_embeddings(child)
