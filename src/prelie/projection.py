@@ -25,7 +25,15 @@ from itertools import product
 from types import MappingProxyType
 
 from .matrix import CoeffMatrix, _from_images
-from .psi import _coeff_calls, _coeffs, _count_bijections, _split, coeff_c_recursive
+from .psi import (
+    _coeff_calls,
+    _coeffs,
+    _count_bijections,
+    _split,
+    _tree_domains,
+    _wrong_class,
+    coeff_c_recursive,
+)
 from .products import NONPLANAR, TreeSum, _graft_sum_texts, _labeled, _sum_of_texts
 from .trees import (
     BRUTE_FORCE_CAP,
@@ -55,7 +63,10 @@ def planar_embeddings(s: Tree) -> tuple[PlanarTree, ...]:
     position of each order so far.  The set keeps every order once, so a
     run of k identical children costs k insertion steps, not k!
     permutations, and the fiber's size is the multinomial over classes of
-    identical children times the product of the children's fiber sizes."""
+    identical children times the product of the children's fiber sizes.
+    Refuses a ``PlanarTree``, tested on a cache miss only."""
+    if type(s) is not Tree:
+        raise _wrong_class(Tree, s)
     orders = {()}
     for child in s.children:
         fiber = planar_embeddings(child)
@@ -111,7 +122,7 @@ def count_tilde_b(s: Tree, tau: PlanarTree, cap: int = BRUTE_FORCE_CAP) -> int:
     tree order into the total order, with tree-order increasing inverse.
     They are counted up to the automorphisms of s, one per orbit, and the
     orbit count is multiplied by σ(s) (see :func:`prelie.psi._count_bijections`)."""
-    return _count_bijections(s, tau, cap)
+    return _count_bijections(s, tau, cap, _tree_domains, Tree)
 
 
 def alpha_matrix(n: int, max_degree: int = ENUMERATION_CAP) -> CoeffMatrix:

@@ -10,7 +10,14 @@ vertex bijections.  The count is shared with the projected coefficients
 of :mod:`prelie.projection`: its domain order is fixed by the domain
 tree's class, ``<<`` on a planar tree and ``<`` on a non-planar one,
 where the bijections are counted one per orbit of the tree's
-automorphisms.
+automorphisms.  Both methods keep their per-tree tables in plain dicts
+keyed by the tree, read with one lookup and built on the tree's first
+use in its role: a sigma's splits per branch degree (``_split_tables``)
+and a tau's parts (``_parts``) for the recursion, a domain's masks
+(``_planar_domains``, ``_tree_domains``) and a tau's total-order listing
+(``_total_orders``) for the count.  The builders ``_splits``,
+``_domain_table`` and ``_total_order_table`` memoize nothing themselves;
+their ``cache_clear`` empties the dicts they fill.
 
 The isomorphism is computed on serializations: psi(b o-> t) is the left
 graft of psi(b) onto psi(t), and a left graft inserts one text right
@@ -82,15 +89,18 @@ def _split(text: str) -> tuple[str, str] | None:
     return text[p + 1 : end], text[: p + 1] + text[end:]
 
 
-def _count_memo(fn, memo: dict, calls: list, size=len) -> None:
+def _count_memo(fn, memo: dict, calls: list, size=len, also: tuple[dict, ...] = ()) -> None:
     """Give ``fn``, memoized in the plain dict ``memo`` with its hits and
     misses counted in ``calls``, the ``cache_info`` and ``cache_clear`` of
     an ``lru_cache`` (the perfbench tracer reads ``cache_info``), with
     ``size(memo)`` entries held.  ``cache_info`` returns the type an
-    ``lru_cache`` does, which costs no class built at import."""
+    ``lru_cache`` does, which costs no class built at import.  The clear
+    also empties the dicts in ``also``, which hold parts of ``memo``."""
 
     def cache_clear() -> None:
         memo.clear()
+        for table in also:
+            table.clear()
         calls[:] = [0, 0]
 
     fn.cache_info = lambda: _CacheInfo(calls[0], calls[1], None, size(memo))
@@ -133,26 +143,48 @@ def psi(tau: PlanarTree) -> TreeSum:
 psi.cache_info, psi.cache_clear = _psi.cache_info, _psi.cache_clear
 
 
-@lru_cache(maxsize=None)
+def _wrong_class(cls, *trees) -> DomainError:
+    """The error for operands not all of class ``cls``, naming the class
+    expected.  Callers test the class where a table is first built, so a
+    memo hit pays nothing."""
+    got = next(type(tree).__name__ for tree in trees if type(tree) is not cls)
+    return DomainError(f"expected a {cls.__name__}, not a {got}")
+
+
+# sigma -> branch degree d -> _splits(sigma, d), each built on its first read
+_split_tables: dict[PlanarTree, dict[int, tuple]] = {}
+
+
 def _splits(sigma: PlanarTree, d: int) -> tuple[tuple[PlanarTree, PlanarTree], ...]:
     """Every way to write sigma as a degree-d branch left-grafted onto a
     trunk: one (first child, rest) pair per vertex of sigma whose first
-    child has degree d, the rest being sigma without that child.  Built per
-    tree and branch degree, from the children's own tables."""
+    child has degree d, the rest being sigma without that child.  Built
+    from the children's own tables in ``_split_tables``, filled here."""
     kids, label = sigma.children, sigma.label
     out = []
     if kids and kids[0].degree == d:
         out.append((kids[0], PlanarTree(kids[1:], label)))
     for i, child in enumerate(kids):
         if child.degree > d:
-            for branch, rest in _splits(child, d):
+            table = _split_tables.get(child)
+            if table is None:
+                table = _split_tables[child] = {}
+            below = table.get(d)
+            if below is None:
+                below = table[d] = _splits(child, d)
+            for branch, rest in below:
                 out.append((branch, PlanarTree(kids[:i] + (rest,) + kids[i + 1 :], label)))
     return tuple(out)
 
 
+_splits.cache_clear = _split_tables.clear
+
 # tau -> sigma -> c(sigma, tau); reading a new tau adds its empty dict
 _coeffs: defaultdict[PlanarTree, dict[PlanarTree, int]] = defaultdict(dict)
 _coeff_calls = [0, 0]  # hits, misses
+# tau -> (tau1, tau2, memo of tau1, memo of tau2), for tau = tau1 o-> tau2,
+# built on the first miss of tau
+_parts: dict[PlanarTree, tuple[PlanarTree, PlanarTree, dict, dict]] = {}
 
 
 def coeff_c_recursive(sigma: PlanarTree, tau: PlanarTree) -> int:
@@ -161,10 +193,15 @@ def coeff_c_recursive(sigma: PlanarTree, tau: PlanarTree) -> int:
     splittings of sigma into a branch of tau1's degree grafted leftmost onto
     a trunk.  A single vertex maps to itself, label included.  Memoized in
     one plain dict per tau, keyed by sigma: trees hash by identity, so a
-    cell costs one dict slot and a hit allocates nothing.  The split loop
-    reads the memos of tau1 and tau2 itself and calls only on a miss; it
-    counts its own hits, so ``cache_info`` counts every lookup as the
-    calls would."""
+    cell costs one dict slot and a hit allocates nothing.
+
+    A miss reads every table with one plain-dict lookup, each built on the
+    tree's first miss in its role: tau's parts (tau1, tau2 and their
+    memos) in ``_parts``, and sigma's splits per branch degree in
+    ``_split_tables``.  The split loop reads the memos of tau1 and tau2
+    itself and calls only on a miss; it counts its own hits, so
+    ``cache_info`` counts every lookup as the calls would.  Both operands
+    must be ``PlanarTree``s, checked where a table is built."""
     memo = _coeffs[tau]
     total = memo.get(sigma)
     if total is not None:
@@ -174,13 +211,28 @@ def coeff_c_recursive(sigma: PlanarTree, tau: PlanarTree) -> int:
     if sigma.degree != tau.degree:
         raise DomainError("coefficient needs equal degrees")
     if not tau.children:
+        if type(sigma) is not PlanarTree or type(tau) is not PlanarTree:
+            raise _wrong_class(PlanarTree, sigma, tau)
         total = int(sigma.label == tau.label)
     else:
-        tau1, tau2 = decompose(tau)
-        # the memos of tau1 and tau2 are read here, so a hit costs no call
-        memo1, memo2 = _coeffs[tau1], _coeffs[tau2]
+        parts = _parts.get(tau)
+        if parts is None:
+            if type(tau) is not PlanarTree:
+                raise _wrong_class(PlanarTree, tau)
+            tau1, tau2 = decompose(tau)
+            parts = _parts[tau] = (tau1, tau2, _coeffs[tau1], _coeffs[tau2])
+        tau1, tau2, memo1, memo2 = parts
+        table = _split_tables.get(sigma)
+        if table is None:
+            if type(sigma) is not PlanarTree:
+                raise _wrong_class(PlanarTree, sigma)
+            table = _split_tables[sigma] = {}
+        n1 = tau1.degree
+        splits = table.get(n1)
+        if splits is None:
+            splits = table[n1] = _splits(sigma, n1)
         total = hits = 0
-        for branch, trunk in _splits(sigma, tau1.degree):
+        for branch, trunk in splits:
             c = memo1.get(branch)
             if c is None:
                 c = coeff_c_recursive(branch, tau1)
@@ -198,7 +250,9 @@ def coeff_c_recursive(sigma: PlanarTree, tau: PlanarTree) -> int:
     return total
 
 
-_count_memo(coeff_c_recursive, _coeffs, _coeff_calls, lambda memo: sum(map(len, memo.values())))
+_count_memo(
+    coeff_c_recursive, _coeffs, _coeff_calls, lambda memo: sum(map(len, memo.values())), (_parts,)
+)
 
 
 @lru_cache(maxsize=None)
@@ -218,7 +272,15 @@ def _count_fields(n: int) -> tuple[tuple[int, ...], int]:
     return tuple(units), acc << (width - 1)
 
 
-@lru_cache(maxsize=None)
+# domain -> _domain_table(domain), one dict per domain class: the sigmas of
+# coeff_c_bijections and the s of count_tilde_b; each entry is built the
+# first time the tree is a domain of that count
+_planar_domains: dict[PlanarTree, tuple] = {}
+_tree_domains: dict = {}
+# tau -> _total_order_table(tau), built the first time tau is counted onto
+_total_orders: dict[PlanarTree, tuple] = {}
+
+
 def _domain_table(tree) -> tuple:
     """The per-tree masks a bijection count reads, as int bitmasks over the
     preorder indices of ``tree``, the root being 0.  The domain order is
@@ -246,22 +308,29 @@ def _domain_table(tree) -> tuple:
     """
     n = tree.degree
     refined = isinstance(tree, PlanarTree)
+    units = _count_fields(n)[0]
     unlock = [0] * n
     descendants = [0] * n
-    exact = {}  # (label, strict descendants) -> vertices
-    autos = 1
-
-    def walk(node, i: int) -> None:
-        nonlocal autos
-        descendants[i] = ((1 << (node.degree - 1)) - 1) << (i + 1)
-        key = (node.label, node.degree - 1)
-        exact[key] = exact.get(key, 0) | 1 << i
+    exact = {}  # label -> per number m of strict descendants, the vertices
+    autos, counts = 1, 0
+    # every write is at a preorder index, so the walk may go in any order:
+    # a stack of (vertex, preorder index), with no call per vertex
+    stack = [(tree, 0)]
+    while stack:
+        node, i = stack.pop()
+        m = node.degree - 1
+        descendants[i] = ((1 << m) - 1) << (i + 1)
+        counts += units[m]
+        row = exact.get(node.label)
+        if row is None:
+            row = exact[node.label] = [0] * n
+        row[m] |= 1 << i
         cover = i  # the cover predecessor of the next child to the left
         right, run = None, 0  # a Tree's child to the right, and its run of twins
         j = i + node.degree
         for child in reversed(node.children):
             j -= child.degree
-            walk(child, j)
+            stack.append((child, j))
             if child is right:
                 run += 1
                 autos *= run
@@ -271,20 +340,24 @@ def _domain_table(tree) -> tuple:
             cover = j
             if not refined:
                 right = child
-
-    walk(tree, 0)
     masks = {}
-    for label in {label for label, _ in exact}:
+    for label, row in exact.items():
         acc = 0
         for m in range(n - 1, -1, -1):
-            acc |= exact.get((label, m), 0)
+            acc |= row[m]
             if acc:
                 masks[label, m] = acc
-    counts = sum(map(_count_fields(n)[0].__getitem__, map(int.bit_count, descendants)))
     return tuple(unlock), tuple(descendants), masks, counts, autos
 
 
-@lru_cache(maxsize=None)
+def _clear_domains() -> None:
+    _planar_domains.clear()
+    _tree_domains.clear()
+
+
+_domain_table.cache_clear = _clear_domains
+
+
 def _total_order_table(tau: PlanarTree) -> tuple[tuple[int, ...], tuple, int, int]:
     """For each vertex in the total-order listing of tau: the position of
     its parent in that listing (-1 for the root, which comes first), and
@@ -295,26 +368,31 @@ def _total_order_table(tau: PlanarTree) -> tuple[tuple[int, ...], tuple, int, in
     the branch's, so the listing is the root followed by the listings of
     its children, last child first."""
     parents, keys = [], []
-
-    def walk(node, parent: int) -> None:
+    stack = [(tau, -1)]  # (vertex, position of its parent), last child on top
+    while stack:
+        node, parent = stack.pop()
         k = len(parents)
         parents.append(parent)
         keys.append((node.label, node.degree - 1))
-        for child in reversed(node.children):
-            walk(child, k)
-
-    walk(tau, -1)
+        for child in node.children:
+            stack.append((child, k))
     units, guards = _count_fields(len(keys))
     counts = sum([units[m] for _, m in keys])
     return tuple(parents), tuple(keys), counts, guards
 
 
-def _count_bijections(domain, tau: PlanarTree, cap: int) -> int:
+_total_order_table.cache_clear = _total_orders.clear
+
+
+def _count_bijections(domain, tau: PlanarTree, cap: int, tables: dict, cls: type) -> int:
     """Count the bijections from the tree ``domain`` onto V(tau) that
     respect its domain table (:func:`_domain_table`), by an exhaustive
     depth-first enumeration of the linear extensions of the domain order.
     Both public counts enter here, which refuses trees of unequal degrees
-    and a degree above ``cap``.
+    and a degree above ``cap``.  Each reads its domains' tables from its
+    own dict ``tables``, whose trees are of class ``cls``, and tau's from
+    ``_total_orders``: one plain-dict lookup each, the table being built,
+    and the tree's class checked, on its first read.
 
     Domain vertices are preorder indices, the root being 0.  The
     positions of tau's total-order listing are filled in turn, each with
@@ -346,9 +424,11 @@ def _count_bijections(domain, tau: PlanarTree, cap: int) -> int:
     comes first in its listing, and its mask holds the domain root alone
     (the one vertex with degree - 1 strict descendants), which no vertex
     has to precede.  The enumeration runs on an explicit stack of
-    candidate bitmasks and ready sets, one per position.  At the last
-    position a single domain vertex is left, and it is ready, so each
-    candidate there counts as one bijection.
+    candidate bitmasks and ready sets, one per position, beside the
+    strict descendants of the vertex placed at each position, so the
+    candidates of a position need one read at its parent's position.  At
+    the last position a single domain vertex is left, and it is ready, so
+    each candidate there counts as one bijection.
 
     On a ``Tree`` domain s the count is taken up to the automorphisms of
     s.  Aut(s) acts on the bijections by composition; it keeps the tree
@@ -366,8 +446,18 @@ def _count_bijections(domain, tau: PlanarTree, cap: int) -> int:
         raise DomainError("bijection count needs equal degrees")
     if domain.degree > cap:
         raise DegreeCapError(f"degree {domain.degree} exceeds brute-force cap {cap}")
-    unlock, descendants, masks, counts, autos = _domain_table(domain)
-    parents, keys, tau_counts, guards = _total_order_table(tau)
+    table = tables.get(domain)
+    if table is None:
+        if type(domain) is not cls:
+            raise _wrong_class(cls, domain)
+        table = tables[domain] = _domain_table(domain)
+    unlock, descendants, masks, counts, autos = table
+    order = _total_orders.get(tau)
+    if order is None:
+        if type(tau) is not PlanarTree:
+            raise _wrong_class(PlanarTree, tau)
+        order = _total_orders[tau] = _total_order_table(tau)
+    parents, keys, tau_counts, guards = order
     if (counts | guards) - tau_counts & guards != guards:
         return 0
     try:
@@ -377,7 +467,8 @@ def _count_bijections(domain, tau: PlanarTree, cap: int) -> int:
     last = len(keys) - 1
     if not last:
         return 1
-    image = [0] * len(keys)  # position in tau's listing -> domain vertex
+    below = [0] * len(keys)  # per position: the strict descendants of its vertex
+    below[0] = descendants[0]
     free = [0] * len(keys)  # per position: the candidates not yet tried
     ready = [0] * len(keys)  # per position: the vertices that may fill it
     ready[1] = unlock[0]
@@ -396,11 +487,11 @@ def _count_bijections(domain, tau: PlanarTree, cap: int) -> int:
         bit = f & -f
         free[k] = f ^ bit
         i = bit.bit_length() - 1
-        image[k] = i
+        below[k] = descendants[i]
         r = ready[k] ^ bit | unlock[i]
         k += 1
         ready[k] = r
-        free[k] = descendants[image[parents[k]]] & allowed[k] & r
+        free[k] = below[parents[k]] & allowed[k] & r
     return count * autos
 
 
@@ -410,7 +501,7 @@ def coeff_c_bijections(
     """Same coefficient, counted as label-preserving bijections increasing
     from the planar refinement order on sigma to the total order on tau,
     with tree-order increasing inverse."""
-    return _count_bijections(sigma, tau, cap)
+    return _count_bijections(sigma, tau, cap, _planar_domains, PlanarTree)
 
 
 def psi_matrix(n: int, max_degree: int = ENUMERATION_CAP) -> CoeffMatrix:

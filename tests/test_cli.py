@@ -616,6 +616,11 @@ def test_clearing_package_caches_empties_the_plain_dict_memos(capsys):
     capsys.readouterr()
     memos = {
         "coeff_c_recursive": lambda: psi_module.coeff_c_recursive.cache_info().currsize,
+        "_parts": lambda: len(psi_module._parts),
+        "_split_tables": lambda: len(psi_module._split_tables),
+        "_planar_domains": lambda: len(psi_module._planar_domains),
+        "_tree_domains": lambda: len(psi_module._tree_domains),
+        "_total_orders": lambda: len(psi_module._total_orders),
         "psi": lambda: psi_module.psi.cache_info().currsize,
         "_inverses": lambda: len(psi_module._inverses),
         "_grafts": lambda: len(products._grafts),

@@ -212,6 +212,24 @@ def test_alpha_degree_mismatch():
         count_tilde_b(enumerate_nonplanar(9, 12)[0], enumerate_planar(9, 12)[0])
 
 
+def test_alpha_refuses_wrong_class_operands():
+    s, tau = parse_tree("(()(()))"), parse_planar("((())())")
+    alpha(s, tau)
+    with pytest.raises(DomainError, match="expected a Tree, not a PlanarTree"):
+        alpha(parse_planar("(()(()))"), tau)
+    with pytest.raises(DomainError, match="expected a PlanarTree, not a Tree"):
+        alpha(s, parse_tree("((())())"))
+
+
+def test_count_tilde_b_refuses_wrong_class_operands():
+    s, tau = parse_tree("(()(()))"), parse_planar("((())())")
+    prelie.coeff_c_bijections(parse_planar("(()(()))"), tau)  # the planar domain's table
+    with pytest.raises(DomainError, match="expected a Tree, not a PlanarTree"):
+        count_tilde_b(parse_planar("(()(()))"), tau)
+    with pytest.raises(DomainError, match="expected a PlanarTree, not a Tree"):
+        count_tilde_b(s, parse_tree("((())())"))
+
+
 def test_alpha_matrix_columns_match_psi_bar():
     for n in range(1, 6):
         m = alpha_matrix(n)

@@ -133,6 +133,27 @@ def test_memoized_entry_points_report_hits_and_misses():
         assert fn.cache_info() == (0, 0, None, 0), name
 
 
+def test_oracle_pairs_through_degree_6_keep_the_memo_counts():
+    # perfbench's tracer turns these counts into the oracle's hit ratios:
+    # every planar pair and every (s, tau) pair through degree 6, both
+    # methods each, from cleared memos.  Each cell misses once, so the
+    # counts do not depend on the order of the pairs.
+    from prelie.projection import planar_embeddings
+
+    coeff_c_recursive.cache_clear()
+    planar_embeddings.cache_clear()
+    for n in range(1, 7):
+        planar, nonplanar = enumerate_planar(n), enumerate_nonplanar(n)
+        for sigma, tau in product(planar, planar):
+            coeff_c_recursive(sigma, tau)
+            coeff_c_bijections(sigma, tau)
+        for s, tau in product(nonplanar, planar):
+            alpha(s, tau)
+            count_tilde_b(s, tau)
+    assert coeff_c_recursive.cache_info() == (4896, 1991, None, 1991)
+    assert planar_embeddings.cache_info() == (1022, 37, None, 37)
+
+
 def test_psi_inverse_examples():
     assert psi_inverse(parse_planar("()")) == planar_sum(("()", 1))
     assert psi_inverse(parse_planar("(()())")) == planar_sum(
@@ -200,6 +221,25 @@ def test_bijection_count_errors():
     with pytest.raises(DegreeCapError):
         big = enumerate_planar(5)[0]
         coeff_c_bijections(big, big, cap=4)
+
+
+def test_coeff_c_recursive_refuses_a_tree_operand():
+    # each operand is checked where its table is first built, so a tree of
+    # the wrong class is refused whether or not the other one is memoized
+    sigma, tau = parse_planar("(()(()))"), parse_planar("((())())")
+    coeff_c_recursive(sigma, tau)
+    for args in ((parse_tree("(()(()))"), tau), (sigma, parse_tree("((())())")),
+                 (parse_tree("()"), parse_planar("()")), (parse_planar("()"), parse_tree("()"))):
+        with pytest.raises(DomainError, match="expected a PlanarTree, not a Tree"):
+            coeff_c_recursive(*args)
+
+
+def test_coeff_c_bijections_refuses_a_tree_operand():
+    sigma, tau = parse_planar("(()(()))"), parse_planar("((())())")
+    count_tilde_b(parse_tree("(()(()))"), tau)  # the same texts, counted as a Tree domain
+    for args in ((parse_tree("(()(()))"), tau), (sigma, parse_tree("((())())"))):
+        with pytest.raises(DomainError, match="expected a PlanarTree, not a Tree"):
+            coeff_c_bijections(*args)
 
 
 def test_dual_method_agreement():
