@@ -40,7 +40,8 @@ section has, for each basis monomial, the monomial's expansion column as
 the column of its lower-energy term.  ``verify tree-grounded`` through
 degree 12 passes all of its 23 checks.  The pre-Lie and NAP identities hold
 on all 1353 triples of total degree 10 and on 336 seeded triples of total
-degree at most 9, and each graft(s, t) has coefficient sum |t|.  The
+degree at most 9, unlabeled and with every vertex labeled a or b, and
+each graft(s, t) has coefficient sum |t|.  The
 2000 seeded ``prelie.cli.main`` requests of ``cli_requests_2000`` all exit
 0, each psi answer sums to N(tau), each product answer to the size of its
 right operand, and every ``--method both`` answer prints ``match``; the
@@ -392,6 +393,23 @@ def _seeded_triples(max_total: int, rounds: int):
     return pick
 
 
+def _labeled_triples(max_total: int, rounds: int):
+    """The triples of ``_seeded_triples(max_total, rounds)`` with each
+    vertex labeled a or b by a second seeded draw: the sums of labeled
+    trees, which are ranked by their sort keys."""
+    unlabeled = _seeded_triples(max_total, rounds)
+
+    def pick(P):
+        rng = random.Random(f"labels:{max_total}")
+
+        def labeled(tree) -> str:
+            return "".join(rng.choice("ab") + ch if ch == "(" else ch for ch in str(tree))
+
+        return [tuple(P.parse_tree(labeled(t)) for t in triple) for triple in unlabeled(P)]
+
+    return pick
+
+
 def _ag_pipeline(n: int):
     """The degree-n AG basis, its grafting expansion, the section of its
     lower-energy terms and that section's beta matrix.  psi_bar carries
@@ -615,6 +633,7 @@ LAYERS = {
     "ag_expand_10": _ag_expand(10, 719),
     "graft_identities_10": _graft_identities(_all_triples(10), 1353),
     "identities_9": _graft_identities(_seeded_triples(9, 4), 336),
+    "identities_9_labeled": _graft_identities(_labeled_triples(9, 4), 336),
     "ag_pipeline_8": _ag_pipeline(8),
     "tree_grounded_12": _tree_grounded(12),
     "cli_requests_2000": _cli_requests(),

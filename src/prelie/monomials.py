@@ -9,13 +9,14 @@ Evaluating a monomial over a single generator uses unlabeled vertices, so
 results are directly comparable with the plain tree bases; multi-generator
 monomials evaluate to vertex-labeled trees.
 
-One fold is computed here, the left-Butcher one, one planar tree per
-sub-monomial.  The other three are its images: psi fixes the generators
-and carries the left Butcher product to left grafting, and forgetting
-planarity carries the left Butcher product to the Butcher product and
-left grafting to pre-Lie grafting.  So the Butcher fold of a monomial is
-the projection of its left-Butcher fold, and its grafting folds are psi
-and psi_bar of it, which evaluation and the expansion matrices read; no
+The two single-tree folds are computed here together, one planar tree
+and its projection per sub-monomial: the left-Butcher fold, and the
+Butcher fold built from the projections of the operands' folds, with no
+text parsed.  The grafting folds are images of the left-Butcher one: psi
+fixes the generators and carries the left Butcher product to left
+grafting, and forgetting planarity carries left grafting to pre-Lie
+grafting.  So the grafting folds of a monomial are psi and psi_bar of its
+left-Butcher fold, which evaluation and the expansion matrices read; no
 sum is kept per sub-monomial.
 """
 
@@ -36,7 +37,6 @@ from .trees import (
     Tree,
     _LABEL_RE,
     _fill,
-    _tree_of_text,
     _Value,
     canonical_key,
     enumerate_nonplanar,
@@ -152,11 +152,11 @@ def evaluate(m: MonomialExpr, product: str, labeled: bool | None = None) -> Tree
     flavor = product_flavor(product)
     if labeled is None:
         labeled = len(m.generator_names()) > 1
-    planar = _magmatic_fold(m, bool(labeled))
+    planar, tree = _magmatic_fold(m, bool(labeled))
     if product == "left-butcher":
         return TreeSum.single(planar)
     if product == "butcher":
-        return TreeSum.single(_tree_of_text(planar._text))
+        return TreeSum.single(tree)
     image = (_psi if flavor == PLANAR else _psi_bar)(planar._text)
     return _sum_of_texts(flavor, image, _labeled(planar))
 
@@ -165,25 +165,32 @@ def lower_energy_term(m: MonomialExpr) -> Tree:
     """The single tree obtained by binding the product to the Butcher
     product: the one term of ``evaluate(m, "butcher")``, the projection of
     the left-Butcher fold."""
-    return _tree_of_text(_magmatic_fold(m, len(m.generator_names()) > 1)._text)
+    return _magmatic_fold(m, len(m.generator_names()) > 1)[1]
 
 
 def planar_lower_term(m: MonomialExpr) -> PlanarTree:
     """The one term of ``evaluate(m, "left-butcher")``."""
-    return _magmatic_fold(m, len(m.generator_names()) > 1)
+    return _magmatic_fold(m, len(m.generator_names()) > 1)[0]
 
 
 @lru_cache(maxsize=None)
-def _magmatic_fold(expr: MonomialExpr, labeled: bool) -> PlanarTree:
+def _magmatic_fold(expr: MonomialExpr, labeled: bool) -> tuple[PlanarTree, Tree]:
     """The planar tree of ``expr`` with the product bound to the left
-    Butcher product: the left operand becomes the leftmost branch at the
-    right one's root.  Memoized: the basis monomials of a degree share
+    Butcher product (the left operand becomes the leftmost branch at the
+    right one's root), and its projection, the tree of ``expr`` with the
+    product bound to the Butcher product, built from the projections of
+    the operands' folds.  Memoized: the basis monomials of a degree share
     their sub-monomials, and the same monomial is folded again for other
     products."""
     if type(expr) is Generator:
-        return PlanarTree((), expr.name if labeled else None)
-    right = _magmatic_fold(expr.right, labeled)
-    return PlanarTree((_magmatic_fold(expr.left, labeled),) + right.children, right.label)
+        label = expr.name if labeled else None
+        return PlanarTree((), label), Tree((), label)
+    left, left_tree = _magmatic_fold(expr.left, labeled)
+    right, right_tree = _magmatic_fold(expr.right, labeled)
+    return (
+        PlanarTree((left,) + right.children, right.label),
+        Tree((left_tree,) + right_tree.children, right_tree.label),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,34 +5,48 @@ all non-planar.  Like terms are collected eagerly, so equality of sums is
 plain equality of term maps.  Coefficients are Python ints (arbitrary
 precision, so "overflow" cannot occur silently).
 
-A sum is held as text: its (serialization, coefficient) pairs, zeros
-dropped, in descending ``serial_key`` order.  There is one tree per text,
-so the pairs are the sum; its trees are read from the text-to-tree map
-only when its ``terms`` are read, and never stored in the sum.  Every sum
-is collected one way: its terms go into one dict keyed by tree text,
-which is sorted once.  A product of two sums is built in one pass: every
-term of every pair of operand texts goes into that dict, and ``+``,
-``-``, ``scale`` and ``to_text`` read and write texts alone.
+A sum is held as text: a map from serializations to nonzero
+coefficients, and a hint that a text may carry a label.  There is one
+tree per text, so the map is the sum; its trees are read from the
+text-to-tree map only when its ``terms`` are read, and never stored in
+the sum.  Every sum is collected one way: its terms go into one dict
+keyed by tree text, which the sum then holds as it is, unsorted.  A
+product of two sums is built in one pass: every term of every pair of
+operand texts goes into that dict.  ``+`` and ``-`` add one operand's
+map into a copy of the other's, ``scale`` builds a new map, and zeros
+left by cancelling terms are dropped.  ``psi``, ``psi_bar`` and
+``evaluate`` hold their kernel's memoized image itself, a shared
+read-only map: no sum writes into the map it holds.  ``psi_inverse`` of
+an unlabeled tree holds the kernel's memoized pairs, already ranked, and
+makes their map only when it is read.  Equality is equality of flavor
+and map, and the hash is over the map's items, so neither sorts
+anything.
 
-Plain text order.  ``serial_key`` maps ``(`` above ``)``, so a sum whose
-texts carry no label is ranked by plain ``str`` order, ascending, with no
-key built: two distinct complete unlabeled tree texts first differ where
-one has ``(`` and the other ``)`` (neither is a prefix of the other, as
-each ends where its root closes), and ``(`` < ``)`` as characters while
-its key is the greater.  A labeled sum keeps the key sort.  So ``+`` and
-``-`` of two unlabeled sums merge their two ranked runs in one pass.  The
-same holds for sorted insertion: an unlabeled canonical text's children
-are in ascending ``str`` order, so an unlabeled text joins them at its
+Plain text order.  The order of a sum's terms is descending
+``serial_key``; it matters only when they are read in order.  ``texts``,
+``terms``, ``to_json`` and ``repr`` rank the map on their first read and
+keep the ranked pairs; ``to_text`` of a sum not ranked yet prints it in
+one pass over its sorted map and keeps nothing.  ``serial_key`` maps
+``(`` above ``)``, so a map whose texts carry no label is ranked by plain
+``str`` order, ascending, with no key built: two distinct complete
+unlabeled tree texts first differ where one has ``(`` and the other
+``)`` (neither is a prefix of the other, as each ends where its root
+closes), and ``(`` < ``)`` as characters while its key is the greater.
+A sum that may hold a label keeps the key sort.  The same holds for
+sorted insertion: an unlabeled canonical text's children are in
+ascending ``str`` order, so an unlabeled text joins them at its
 ``bisect`` place among the texts themselves, and only a labeled one needs
 keys (``(a())`` is above ``()`` in key order and below it in ``str``
-order).  A result has a label only where an operand has one, so whether
-a sum is ranked by keys is read from the operands, never from the
-result: a tree is unlabeled exactly when its text is twice its degree
-long, and a product of sums scans its operands' texts.  Only
-``TreeSum.make``, whose terms come from anywhere, scans its own.
-``to_text`` is one join: every term printed as ``"{c} {t}"``, joined by
-``" + "``, then each ``" + -"`` turned into ``" - "``; a tree text holds
-no space, so that pattern only ever joins a negative term.
+order).  A result has a label only where an operand has one, so the
+hint is read from what a sum is built from, never from its texts: a tree
+is unlabeled exactly when its text is twice its degree long, and a sum
+built from sums takes ``a.hint or b.hint``.  Only ``TreeSum.make``, whose
+terms come from anywhere, and the pairs given to the constructor scan
+their texts.  A hint left set after every labeled term cancels only picks
+the key sort, which orders unlabeled texts the same way.  ``to_text`` is
+one join: every term printed as ``"{c} {t}"``, joined by ``" + "``, then
+each ``" + -"`` turned into ``" - "``; a tree text holds no space, so
+that pattern only ever joins a negative term.
 
 One table maps each product's name to its flavor and its text kernel,
 which ``bilinear_extend`` applies.  The kernels work on serializations.
@@ -74,16 +88,40 @@ NONPLANAR = "nonplanar"
 
 
 class TreeSum(_Value):
-    """A sum held as its (text, coefficient) pairs, zeros dropped, in
-    :func:`_ranked` order.  There is one tree per text, so these pairs
-    determine the sum; its (tree, coefficient) pairs ``terms`` are read
-    from the text-to-tree map on each read, and never stored."""
+    """A sum held as a map from texts to nonzero coefficients and a hint
+    that a text may carry a label.  There is one tree per text, so the map
+    determines the sum.  Its (text, coefficient) pairs ``texts``, in
+    :func:`_ranked` order, are sorted on their first read and kept; its
+    (tree, coefficient) pairs ``terms`` are read from the text-to-tree map
+    on each read, and never stored.  The map may be a kernel's memoized
+    image, shared and read-only: no sum writes into the map it holds."""
 
-    __slots__ = _fields = ("flavor", "texts")
+    __slots__ = ("flavor", "_map", "_texts", "_hint")
+    _fields = ("flavor", "texts")
 
     def __init__(self, flavor: str, texts: tuple[tuple[str, int], ...]):
+        """The sum of ``texts``, (text, coefficient) pairs already in
+        :func:`_ranked` order, zeros dropped."""
         _set_flavor(self, flavor)
+        _set_map(self, None)
         _set_texts(self, texts)
+        _set_hint(self, _has_label([t for t, _ in texts]))
+
+    @property
+    def texts(self) -> tuple[tuple[str, int], ...]:
+        texts = self._texts
+        if texts is None:
+            texts = tuple(_ranked(self._map, self._hint))
+            _set_texts(self, texts)
+        return texts
+
+    def _mapping(self) -> dict[str, int]:
+        """The map of a sum built from its pairs, made on its first read."""
+        m = self._map
+        if m is None:
+            m = dict(self._texts)
+            _set_map(self, m)
+        return m
 
     @property
     def terms(self) -> tuple[tuple[PlanarTree | Tree, int], ...]:
@@ -98,14 +136,14 @@ class TreeSum(_Value):
             if not isinstance(tree, want):
                 raise DomainError(f"{flavor} sum cannot hold {type(tree).__name__}")
             acc[tree._text] = acc.get(tree._text, 0) + coeff
-        return _sum_of_texts(flavor, acc, _has_label(acc))
+        return _sum_of_texts(flavor, _nonzero(acc), _has_label(acc))
 
     @classmethod
     def single(cls, tree: PlanarTree | Tree, coeff: int = 1) -> "TreeSum":
         flavor = PLANAR if isinstance(tree, PlanarTree) else NONPLANAR
-        if type(tree) is _tree_class(flavor):  # one term is ranked as it is
+        if type(tree) is _tree_class(flavor):
             coeff += 0  # as ``make`` adds it to 0: ``True`` becomes 1
-            return cls(flavor, ((tree._text, coeff),) if coeff else ())
+            return _sum_of_texts(flavor, {tree._text: coeff} if coeff else {}, _labeled(tree))
         return cls.make(flavor, [(tree, coeff)])
 
     @classmethod
@@ -114,46 +152,22 @@ class TreeSum(_Value):
 
     def coefficient(self, tree: PlanarTree | Tree) -> int:
         if type(tree) is _tree_class(self.flavor):
-            for t, c in self.texts:
-                if t == tree._text:
-                    return c
+            return (self._map or self._mapping()).get(tree._text, 0)
         return 0
 
     def coefficient_sum(self) -> int:
-        return sum([c for _, c in self.texts])
+        return sum((self._map or self._mapping()).values())
 
     def _merged(self, other: "TreeSum", sign: int) -> "TreeSum":
-        """This sum plus ``sign`` times ``other``.  When neither has a
-        label, both hold their pairs in ascending text order, which one
-        pass merges; otherwise the terms are collected on texts."""
+        """This sum plus ``sign`` times ``other``: ``other``'s map added
+        into a copy of this one's."""
         if self.flavor != other.flavor:
             raise DomainError("cannot add sums of different flavors")
-        a, b = self.texts, other.texts
-        if _has_label([t for t, _ in a + b]):
-            acc = dict(a)
-            get = acc.get
-            for t, c in b:
-                acc[t] = get(t, 0) + sign * c
-            return _sum_of_texts(self.flavor, acc, True)
-        out = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            (s, c), (t, d) = a[i], b[j]
-            if s < t:
-                out.append(a[i])
-                i += 1
-            elif t < s:
-                out.append((t, sign * d))
-                j += 1
-            else:
-                c += sign * d
-                if c:
-                    out.append((s, c))
-                i += 1
-                j += 1
-        out += a[i:]
-        out += [(t, sign * d) for t, d in b[j:]]
-        return TreeSum(self.flavor, tuple(out))
+        acc = dict(self._map or self._mapping())
+        get = acc.get
+        for t, c in (other._map or other._mapping()).items():
+            acc[t] = get(t, 0) + sign * c
+        return _sum_of_texts(self.flavor, _nonzero(acc), self._hint or other._hint)
 
     def __add__(self, other: "TreeSum") -> "TreeSum":
         return self._merged(other, 1)
@@ -163,17 +177,34 @@ class TreeSum(_Value):
 
     def scale(self, k: int) -> "TreeSum":
         if not k:
-            return TreeSum(self.flavor, ())
-        return TreeSum(self.flavor, tuple([(t, k * c) for t, c in self.texts]))
+            return _sum_of_texts(self.flavor, {}, False)
+        m = self._map or self._mapping()
+        return _sum_of_texts(self.flavor, {t: k * c for t, c in m.items()}, self._hint)
+
+    def __eq__(self, other):
+        if other.__class__ is not TreeSum:
+            return NotImplemented
+        return self.flavor == other.flavor and (self._map or self._mapping()) == (
+            other._map or other._mapping()
+        )
+
+    def __hash__(self):
+        return hash((self.flavor, frozenset((self._map or self._mapping()).items())))
 
     def map_trees(self, f: Callable, flavor: str) -> "TreeSum":
         return TreeSum.make(flavor, [(f(t), c) for t, c in self.terms])
 
     def to_text(self) -> str:
-        if not self.texts:
+        texts = self._texts
+        if texts:
+            out = " + ".join([f"{c} {t}" for t, c in texts])
+        elif texts is None and self._map:  # printed in rank order, not kept
+            m = self._map
+            out = " + ".join([f"{m[t]} {t}" for t in _order(m, self._hint)])
+        else:
             return "0"
         # No text holds a space, so " + -" only ever joins a negative term.
-        return " + ".join([f"{c} {t}" for t, c in self.texts]).replace(" + -", " - ")
+        return out.replace(" + -", " - ")
 
     def to_json(self) -> list[dict]:
         return [{"coeff": str(c), "tree": t.to_json()} for t, c in self.terms]
@@ -185,9 +216,12 @@ class TreeSum(_Value):
 
 
 # The class is frozen, so construction writes the slots through their
-# descriptors.
+# descriptors, and ``texts`` and ``_mapping`` fill an empty one on first read.
 _set_flavor = TreeSum.flavor.__set__
-_set_texts = TreeSum.texts.__set__
+_set_map = TreeSum._map.__set__
+_set_texts = TreeSum._texts.__set__
+_set_hint = TreeSum._hint.__set__
+_new = object.__new__
 
 
 def _tree_class(flavor: str) -> type:
@@ -210,23 +244,52 @@ def _labeled(tree: PlanarTree | Tree) -> bool:
     return len(tree._text) != 2 * tree.degree
 
 
-def _ranked(acc: dict[str, int], labeled: bool) -> list[tuple[str, int]]:
-    """The (text, coefficient) pairs of a dict from serializations to
-    coefficients, zeros dropped, sorted once in descending ``serial_key``
-    order: the order of every sum's terms.  When no text has a label, that
-    is ascending ``str`` order (see the module docstring), so only a sum
-    the caller says may be ``labeled`` computes keys; the caller knows it
-    from the operands, which carry every label of the result."""
+def _order(acc, labeled: bool) -> list[str]:
+    """The texts of a map keyed by serializations, in descending
+    ``serial_key`` order: the order of every sum's terms.  When no text has
+    a label, that is ascending ``str`` order (see the module docstring), so
+    only a map the caller says may be ``labeled`` computes keys."""
     if labeled:
-        keyed = [(t.encode().translate(_KEY_TABLE), t, c) for t, c in acc.items() if c]
-        return [(t, c) for _, t, c in sorted(keyed, reverse=True)]
-    return [(t, c) for t in sorted(acc) if (c := acc[t])]
+        keys = [t.encode().translate(_KEY_TABLE) for t in acc]
+        return [t for _, t in sorted(zip(keys, acc), reverse=True)]
+    return sorted(acc)
 
 
-def _sum_of_texts(flavor: str, acc: dict[str, int], labeled: bool) -> TreeSum:
-    """The sum of a dict from serializations to coefficients, its texts in
-    :func:`_ranked` order (``labeled`` as there).  No tree is built."""
-    return TreeSum(flavor, tuple(_ranked(acc, labeled)))
+def _ranked(acc, labeled: bool) -> list[tuple[str, int]]:
+    """The (text, coefficient) pairs of a map from serializations to
+    coefficients, zeros dropped, in :func:`_order` (``labeled`` as there)."""
+    return [(t, c) for t in _order(acc, labeled) if (c := acc[t])]
+
+
+def _nonzero(acc: dict[str, int]) -> dict[str, int]:
+    """``acc`` without its zero coefficients, copied only if it has one."""
+    if 0 in acc.values():
+        return {t: c for t, c in acc.items() if c}
+    return acc
+
+
+def _sum_of_texts(flavor: str, acc, labeled: bool) -> TreeSum:
+    """The sum holding ``acc``, a map from serializations to nonzero
+    coefficients, itself: not copied, not sorted, no tree built.
+    ``labeled`` is the hint that a text may carry a label, read by the
+    caller from what it built the map from."""
+    s = _new(TreeSum)
+    _set_flavor(s, flavor)
+    _set_map(s, acc)
+    _set_texts(s, None)
+    _set_hint(s, labeled)
+    return s
+
+
+def _sum_of_pairs(flavor: str, texts: tuple[tuple[str, int], ...], labeled: bool) -> TreeSum:
+    """The sum of (text, coefficient) pairs already in :func:`_ranked`
+    order, zeros dropped, held as they are; its map is made on first use."""
+    s = _new(TreeSum)
+    _set_flavor(s, flavor)
+    _set_map(s, None)
+    _set_texts(s, texts)
+    _set_hint(s, labeled)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +458,7 @@ def left_graft(sigma: PlanarTree, tau: PlanarTree) -> TreeSum:
     """Sum over the vertices v of tau of grafting sigma leftmost at v."""
     if not isinstance(sigma, PlanarTree) or not isinstance(tau, PlanarTree):
         raise DomainError("left grafting needs two planar trees")
-    acc = _left_graft_texts({}, ((sigma.serialize(), 1),), ((tau.serialize(), 1),))
+    acc = _left_graft_texts({}, ((sigma._text, 1),), ((tau._text, 1),))
     return _sum_of_texts(PLANAR, acc, _labeled(sigma) or _labeled(tau))
 
 
@@ -442,12 +505,11 @@ def apply_product(name: str, a, b) -> TreeSum:
 def bilinear_extend(name: str, a: TreeSum, b: TreeSum) -> TreeSum:
     """Distribute a named product over two sums with coefficient products.
 
-    Every product term of every pair of texts goes into one dict, sorted
-    once; no tree is built.  The product has a label only when an operand
-    has one, so the operands' texts are scanned for labels, not the
-    product's."""
+    Every product term of every pair of texts goes into one dict, which
+    the sum holds unsorted; no tree is built.  The product has a label
+    only when an operand has one, so its hint is theirs."""
     flavor = product_flavor(name)
     if a.flavor != flavor or b.flavor != flavor:
         raise DomainError(f"product {name!r} needs two {flavor} sums")
-    labeled = _has_label([t for t, _ in a.texts + b.texts])
-    return _sum_of_texts(flavor, _KERNELS[name][1]({}, a.texts, b.texts), labeled)
+    acc = _KERNELS[name][1]({}, (a._map or a._mapping()).items(), (b._map or b._mapping()).items())
+    return _sum_of_texts(flavor, _nonzero(acc), a._hint or b._hint)

@@ -97,6 +97,9 @@ def psi_bar(tau: PlanarTree) -> TreeSum:
     return _sum_of_texts(NONPLANAR, _psi_bar(tau.serialize()), _labeled(tau))
 
 
+_NO_CELLS = MappingProxyType({})  # the cells of a tau with no memo yet
+
+
 def alpha(s: Tree, tau: PlanarTree) -> int:
     """Coefficient of s in the projected image of tau: the fiber sum of the
     planar coefficients.  The fiber's cells are read from the memo of tau
@@ -104,7 +107,10 @@ def alpha(s: Tree, tau: PlanarTree) -> int:
     on a miss."""
     if s.degree != tau.degree:
         raise DomainError("alpha needs equal degrees")
-    get = _coeffs[tau].get
+    try:
+        get = _coeffs[tau].get
+    except KeyError:  # left to coeff_c_recursive, which tests tau's class
+        get = _NO_CELLS.get
     total = hits = 0
     for sigma in planar_embeddings(s):
         c = get(sigma)

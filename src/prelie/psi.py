@@ -42,7 +42,6 @@ strictly higher potential energy than b o-> t, so the recursion ends.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from functools import _CacheInfo, lru_cache
 from types import MappingProxyType
 
@@ -56,6 +55,7 @@ from .products import (
     _has_label,
     _labeled,
     _ranked,
+    _sum_of_pairs,
     _sum_of_texts,
 )
 from .trees import (
@@ -134,9 +134,9 @@ _count_memo(_psi, _images, _image_calls)
 
 
 def psi(tau: PlanarTree) -> TreeSum:
-    """Image of a planar tree under the magmatic isomorphism: a new sum of
-    the memoized kernel image, which is the one copy kept."""
-    return _sum_of_texts(PLANAR, _psi(tau.serialize()), _labeled(tau))
+    """Image of a planar tree under the magmatic isomorphism: a sum holding
+    the memoized kernel image itself, the one copy kept."""
+    return _sum_of_texts(PLANAR, _psi(tau._text), _labeled(tau))
 
 
 # psi memoizes through its kernel, so the kernel's counts are its counts.
@@ -179,8 +179,9 @@ def _splits(sigma: PlanarTree, d: int) -> tuple[tuple[PlanarTree, PlanarTree], .
 
 _splits.cache_clear = _split_tables.clear
 
-# tau -> sigma -> c(sigma, tau); reading a new tau adds its empty dict
-_coeffs: defaultdict[PlanarTree, dict[PlanarTree, int]] = defaultdict(dict)
+# tau -> sigma -> c(sigma, tau); a tau's dict is added once tau is known to
+# be a PlanarTree, so a refused call leaves none
+_coeffs: dict[PlanarTree, dict[PlanarTree, int]] = {}
 _coeff_calls = [0, 0]  # hits, misses
 # tau -> (tau1, tau2, memo of tau1, memo of tau2), for tau = tau1 o-> tau2,
 # built on the first miss of tau
@@ -202,11 +203,15 @@ def coeff_c_recursive(sigma: PlanarTree, tau: PlanarTree) -> int:
     itself and calls only on a miss; it counts its own hits, so
     ``cache_info`` counts every lookup as the calls would.  Both operands
     must be ``PlanarTree``s, checked where a table is built."""
-    memo = _coeffs[tau]
-    total = memo.get(sigma)
-    if total is not None:
-        _coeff_calls[0] += 1
-        return total
+    try:
+        memo = _coeffs[tau]
+    except KeyError:  # tau's first miss; its dict waits for the class test
+        memo = None
+    else:
+        total = memo.get(sigma)
+        if total is not None:
+            _coeff_calls[0] += 1
+            return total
     _coeff_calls[1] += 1
     if sigma.degree != tau.degree:
         raise DomainError("coefficient needs equal degrees")
@@ -215,18 +220,19 @@ def coeff_c_recursive(sigma: PlanarTree, tau: PlanarTree) -> int:
             raise _wrong_class(PlanarTree, sigma, tau)
         total = int(sigma.label == tau.label)
     else:
-        parts = _parts.get(tau)
-        if parts is None:
-            if type(tau) is not PlanarTree:
-                raise _wrong_class(PlanarTree, tau)
-            tau1, tau2 = decompose(tau)
-            parts = _parts[tau] = (tau1, tau2, _coeffs[tau1], _coeffs[tau2])
-        tau1, tau2, memo1, memo2 = parts
         table = _split_tables.get(sigma)
         if table is None:
             if type(sigma) is not PlanarTree:
                 raise _wrong_class(PlanarTree, sigma)
             table = _split_tables[sigma] = {}
+        parts = _parts.get(tau)
+        if parts is None:
+            if type(tau) is not PlanarTree:
+                raise _wrong_class(PlanarTree, tau)
+            tau1, tau2 = decompose(tau)
+            memo1, memo2 = _coeffs.setdefault(tau1, {}), _coeffs.setdefault(tau2, {})
+            parts = _parts[tau] = (tau1, tau2, memo1, memo2)
+        tau1, tau2, memo1, memo2 = parts
         n1 = tau1.degree
         splits = table.get(n1)
         if splits is None:
@@ -246,6 +252,8 @@ def coeff_c_recursive(sigma: PlanarTree, tau: PlanarTree) -> int:
                     hits += 1
                 total += c * d
         _coeff_calls[0] += hits
+    if memo is None:  # tau has passed the class test
+        memo = _coeffs.setdefault(tau, {})
     memo[sigma] = total
     return total
 
@@ -550,12 +558,14 @@ _psi_inv.cache_clear = _inverses.clear
 
 
 def psi_inverse(sigma: PlanarTree) -> TreeSum:
-    """Preimage of a planar tree: the sum holding its kernel preimage,
-    ranked here when the tree has a label."""
-    text = sigma.serialize()
-    if len(text) == 2 * sigma.degree:  # no label: the kernel's pairs are ranked
-        return TreeSum(PLANAR, _psi_inv(text))
-    return _sum_of_texts(PLANAR, dict(_psi_inv(text)), True)
+    """Preimage of a planar tree: the sum holding its kernel preimage, the
+    memoized pairs themselves when the tree has no label (they are
+    ranked), else a map of them, ranked when read in order."""
+    text = sigma._text
+    pairs = _inverses.get(text) or _psi_inv(text)
+    if len(text) == 2 * sigma.degree:
+        return _sum_of_pairs(PLANAR, pairs, False)
+    return _sum_of_texts(PLANAR, dict(pairs), True)
 
 
 @lru_cache(maxsize=None)

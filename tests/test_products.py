@@ -25,6 +25,7 @@ from prelie import (
     psi_inverse,
     rotation,
 )
+from prelie import products
 from prelie.products import (
     NONPLANAR,
     PLANAR,
@@ -594,6 +595,123 @@ def test_prelie_identity_labeled():
             "graft", one(t), graft(s, u)
         )
         assert left == right, (s, t, u)
+
+
+# ---------------------------------------------------------------------------
+# a sum holds its map, and ranks its terms only when they are read in order
+
+
+def identity_sides(s, t, u):
+    """Both sides of the pre-Lie identity on the triple (s, t, u)."""
+    one = TreeSum.single
+    left = bilinear_extend("graft", graft(s, t), one(u)) - bilinear_extend(
+        "graft", one(s), graft(t, u)
+    )
+    right = bilinear_extend("graft", graft(t, s), one(u)) - bilinear_extend(
+        "graft", one(t), graft(s, u)
+    )
+    return left, right
+
+
+def test_identity_sums_are_ranked_only_when_read_in_order(monkeypatch):
+    calls = dict.fromkeys(("_ranked", "_order"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(products, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(products, name, counted)
+    rng = random.Random("identity-ranking")
+    for labeled in (False, True):
+        for _ in range(30):
+            degrees = [rng.randint(1, 3) for _ in range(3)]
+            s, t, u = (rng.choice(labeled_trees(NONPLANAR, n) if labeled
+                                  else enumerate_nonplanar(n)) for n in degrees)
+            calls.update(_ranked=0, _order=0)
+            left, right = identity_sides(s, t, u)
+            assert left == right and hash(left) == hash(right)
+            assert calls == {"_ranked": 0, "_order": 0}
+            text = left.to_text()  # one pass over the sorted map, nothing kept
+            assert calls == {"_ranked": 0, "_order": 1}
+            assert left.texts == left.texts and left.terms == left.terms
+            assert calls == {"_ranked": 1, "_order": 2}  # ranked once, then kept
+            assert left.to_text() == text == reference_to_text(left)
+            assert calls == {"_ranked": 1, "_order": 2}
+
+
+@pytest.mark.parametrize("flavor", [PLANAR, NONPLANAR])
+def test_a_sum_whose_labeled_terms_cancel_reads_like_one_built_fresh(flavor):
+    make = planar_sum if flavor == PLANAR else tree_sum
+    plain = [("((()))", 2), ("(()())", -1), ("(())", 5), ("()", -(10**20))]
+    labeled = [("a(())", 3), ("(b()())", -4), ("b()", 1)]
+    one = make(("()", 1))
+    cases = [(make(*plain, *labeled) - make(*labeled), make(*plain))]
+    # a product whose labeled operand terms cancel before it is taken
+    stale = make(*plain[:2], *labeled) + make(*labeled).scale(-1)
+    for name in ("left-butcher", "butcher", "left-graft", "graft"):
+        if product_flavor(name) == flavor:
+            cases.append((bilinear_extend(name, stale, one),
+                          bilinear_extend(name, make(*plain[:2]), one)))
+    for got, fresh in cases:
+        assert got._hint and not fresh._hint  # the stale hint picks the key sort
+        assert got.to_text() == fresh.to_text()
+        assert got == fresh and hash(got) == hash(fresh)
+        assert got.texts == fresh.texts and repr(got) == repr(fresh)
+        assert got.to_json() == fresh.to_json() and got.terms == fresh.terms
+
+
+def test_arithmetic_on_kernel_images_leaves_the_memos_unchanged():
+    from prelie.monomials import evaluate, parse_monomial, planar_lower_term
+    from prelie.projection import _psi_bar, psi_bar
+    from prelie.psi import _psi
+
+    cases = []
+    for text in ("(()(())())", "a(b()c(a())b())"):
+        tau = parse_planar(text)
+        cases += [(psi(tau), _psi, tau), (psi_bar(tau), _psi_bar, tau)]
+    for m in (parse_monomial("[[g,g],[g,[g,g]]]"), parse_monomial("[a,[b,[a,b]]]")):
+        planar = planar_lower_term(m)
+        cases += [(evaluate(m, "left-graft"), _psi, planar), (evaluate(m, "graft"), _psi_bar, planar)]
+    for x, kernel, tau in cases:
+        memo = kernel(tau.serialize())
+        before = dict(memo)
+        assert x._map is memo  # the sum holds the memoized image itself
+        (tree, c), *_ = x.terms
+        other = TreeSum.single(tree, c)
+        name = "left-graft" if x.flavor == PLANAR else "graft"
+        results = [x + x, x - x, x - other, other - x, x + other.scale(-1),
+                   x.scale(-3), x.scale(0), bilinear_extend(name, x, x)]
+        for r in results:
+            r.to_text()
+            assert r.texts == r.texts
+        assert (x - x).texts == () and (x - other).coefficient(tree) == 0
+        assert kernel(tau.serialize()) is memo and memo == before
+        assert x._map is memo and x.coefficient(tree) == c
+
+
+@pytest.mark.parametrize(
+    "flavor, labeled",
+    [(PLANAR, False), (NONPLANAR, False), (PLANAR, True), (NONPLANAR, True)],
+    ids=["planar", "nonplanar", "planar-labeled", "nonplanar-labeled"],
+)
+def test_an_unranked_sum_equals_and_hashes_as_the_sum_of_its_pairs(flavor, labeled):
+    rng = random.Random(f"unranked:{flavor}:{labeled}")
+    names = [n for n in ("left-butcher", "butcher", "left-graft", "graft")
+             if product_flavor(n) == flavor]
+    for _ in range(40):
+        a = random_sum(rng, flavor, max_degree=4, labeled=labeled)
+        b = random_sum(rng, flavor, max_degree=4, labeled=labeled)
+        k = rng.choice([-2, 1, 3])
+        builds = [lambda: a + b, lambda: a - b, lambda: a.scale(k)]
+        builds += [lambda n=n: bilinear_extend(n, a, b) for n in names]
+        for build in builds:
+            x, y = build(), build()
+            pairs = TreeSum(flavor, y.texts)
+            assert x._texts is None
+            assert x == pairs and pairs == x and not x != pairs
+            assert hash(x) == hash(pairs) and {pairs: 1}[x] == 1
+            assert x._texts is None  # comparing and hashing ranked nothing
+            assert x != TreeSum("planar" if flavor == NONPLANAR else "nonplanar", y.texts)
 
 
 # ---------------------------------------------------------------------------

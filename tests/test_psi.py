@@ -234,6 +234,32 @@ def test_coeff_c_recursive_refuses_a_tree_operand():
             coeff_c_recursive(*args)
 
 
+def test_refused_coefficient_calls_leave_no_memo_behind():
+    # a refused call counts one miss, as an lru_cache would, but adds no
+    # tau dict to the memo, nor the dicts of a tau's parts
+    from prelie.psi import _coeffs
+
+    coeff_c_recursive.cache_clear()
+    s, star = parse_tree("(()())"), parse_planar("(()())")
+    refused = [lambda: alpha(s, parse_tree(t)) for t in ("(()())", "((()))", "(()())")]
+    refused += [
+        lambda: coeff_c_recursive(star, parse_tree("(()())")),
+        lambda: coeff_c_recursive(parse_tree("(()())"), star),
+        lambda: coeff_c_recursive(parse_tree("()"), parse_planar("()")),
+    ]
+    for call in refused:
+        with pytest.raises(DomainError, match="expected a PlanarTree, not a Tree"):
+            call()
+    assert len(_coeffs) == 0
+    assert coeff_c_recursive.cache_info() == (0, 6, None, 0)
+    # an accepted call then fills the memo as from cold: the cell of the
+    # star and of its parts () and (()), the last reading () twice; a
+    # repeat is a hit
+    assert alpha(s, star) == coeff_c_recursive(star, star) == 1
+    assert coeff_c_recursive.cache_info() == (3, 9, None, 3)
+    assert len(_coeffs) == 3
+
+
 def test_coeff_c_bijections_refuses_a_tree_operand():
     sigma, tau = parse_planar("(()(()))"), parse_planar("((())())")
     count_tilde_b(parse_tree("(()(()))"), tau)  # the same texts, counted as a Tree domain
