@@ -7,9 +7,10 @@ precision, so "overflow" cannot occur silently).
 
 A sum is held as text: a map from serializations to nonzero
 coefficients, and a hint that a text may carry a label.  There is one
-tree per text, so the map is the sum; its trees are read from the
-text-to-tree map only when its ``terms`` are read, and never stored in
-the sum.  Every sum is collected one way: its terms go into one dict
+tree per text, so the map is the sum; once its terms are read in order,
+their ranked (text, coefficient) pairs take the map's place.  Its trees
+are read from the text-to-tree map only when its ``terms`` are read, and
+never stored in the sum.  Every sum is collected one way: its terms go into one dict
 keyed by tree text, which the sum then holds as it is, unsorted.  A
 product of two sums is built in one pass: every term of every pair of
 operand texts goes into that dict.  ``+`` and ``-`` add one operand's
@@ -17,16 +18,15 @@ map into a copy of the other's, ``scale`` builds a new map, and zeros
 left by cancelling terms are dropped.  ``psi``, ``psi_bar`` and
 ``evaluate`` hold their kernel's memoized image itself, a shared
 read-only map: no sum writes into the map it holds.  ``psi_inverse`` of
-an unlabeled tree holds the kernel's memoized pairs, already ranked, and
-makes their map only when it is read.  Equality is equality of flavor
-and map, and the hash is over the map's items, so neither sorts
-anything.
+an unlabeled tree holds the kernel's memoized pairs, which are already
+ranked.  Equality is equality of flavor and map, and the hash is over
+the map's items, so neither sorts anything.
 
 Plain text order.  The order of a sum's terms is descending
 ``serial_key``; it matters only when they are read in order.  ``texts``,
 ``terms``, ``to_json`` and ``repr`` rank the map on their first read and
-keep the ranked pairs; ``to_text`` of a sum not ranked yet prints it in
-one pass over its sorted map and keeps nothing.  ``serial_key`` maps
+keep the ranked pairs in its place; ``to_text`` of a sum not ranked yet
+prints it in one pass over its sorted map and keeps nothing.  ``serial_key`` maps
 ``(`` above ``)``, so a map whose texts carry no label is ranked by plain
 ``str`` order, ascending, with no key built: two distinct complete
 unlabeled tree texts first differ where one has ``(`` and the other
@@ -88,40 +88,33 @@ NONPLANAR = "nonplanar"
 
 
 class TreeSum(_Value):
-    """A sum held as a map from texts to nonzero coefficients and a hint
-    that a text may carry a label.  There is one tree per text, so the map
-    determines the sum.  Its (text, coefficient) pairs ``texts``, in
-    :func:`_ranked` order, are sorted on their first read and kept; its
-    (tree, coefficient) pairs ``terms`` are read from the text-to-tree map
-    on each read, and never stored.  The map may be a kernel's memoized
-    image, shared and read-only: no sum writes into the map it holds."""
+    """A sum held as its terms and a hint that a text may carry a label.
+    The terms are a map from texts to nonzero coefficients until they are
+    read in order, and from then on their (text, coefficient) pairs in
+    :func:`_ranked` order, ``texts``.  There is one tree per text, so
+    either form determines the sum; its (tree, coefficient) pairs
+    ``terms`` are read from the text-to-tree map on each read, and never
+    stored.  The map may be a kernel's memoized image, shared and
+    read-only: no sum writes into the map it holds."""
 
-    __slots__ = ("flavor", "_map", "_texts", "_hint")
+    __slots__ = ("flavor", "_terms", "_hint")
     _fields = ("flavor", "texts")
 
     def __init__(self, flavor: str, texts: tuple[tuple[str, int], ...]):
         """The sum of ``texts``, (text, coefficient) pairs already in
         :func:`_ranked` order, zeros dropped."""
+        texts = tuple(texts)
         _set_flavor(self, flavor)
-        _set_map(self, None)
-        _set_texts(self, texts)
+        _set_terms(self, texts)
         _set_hint(self, _has_label([t for t, _ in texts]))
 
     @property
     def texts(self) -> tuple[tuple[str, int], ...]:
-        texts = self._texts
-        if texts is None:
-            texts = tuple(_ranked(self._map, self._hint))
-            _set_texts(self, texts)
+        texts = self._terms
+        if type(texts) is not tuple:
+            texts = tuple(_ranked(texts, self._hint))
+            _set_terms(self, texts)
         return texts
-
-    def _mapping(self) -> dict[str, int]:
-        """The map of a sum built from its pairs, made on its first read."""
-        m = self._map
-        if m is None:
-            m = dict(self._texts)
-            _set_map(self, m)
-        return m
 
     @property
     def terms(self) -> tuple[tuple[PlanarTree | Tree, int], ...]:
@@ -152,20 +145,20 @@ class TreeSum(_Value):
 
     def coefficient(self, tree: PlanarTree | Tree) -> int:
         if type(tree) is _tree_class(self.flavor):
-            return (self._map or self._mapping()).get(tree._text, 0)
+            return _map_of(self).get(tree._text, 0)
         return 0
 
     def coefficient_sum(self) -> int:
-        return sum((self._map or self._mapping()).values())
+        return sum([c for _, c in _pairs(self)])
 
     def _merged(self, other: "TreeSum", sign: int) -> "TreeSum":
-        """This sum plus ``sign`` times ``other``: ``other``'s map added
-        into a copy of this one's."""
+        """This sum plus ``sign`` times ``other``: ``other``'s terms added
+        into a map of this one's."""
         if self.flavor != other.flavor:
             raise DomainError("cannot add sums of different flavors")
-        acc = dict(self._map or self._mapping())
+        acc = dict(self._terms)
         get = acc.get
-        for t, c in (other._map or other._mapping()).items():
+        for t, c in _pairs(other):
             acc[t] = get(t, 0) + sign * c
         return _sum_of_texts(self.flavor, _nonzero(acc), self._hint or other._hint)
 
@@ -178,33 +171,28 @@ class TreeSum(_Value):
     def scale(self, k: int) -> "TreeSum":
         if not k:
             return _sum_of_texts(self.flavor, {}, False)
-        m = self._map or self._mapping()
-        return _sum_of_texts(self.flavor, {t: k * c for t, c in m.items()}, self._hint)
+        return _sum_of_texts(self.flavor, {t: k * c for t, c in _pairs(self)}, self._hint)
 
     def __eq__(self, other):
         if other.__class__ is not TreeSum:
             return NotImplemented
-        return self.flavor == other.flavor and (self._map or self._mapping()) == (
-            other._map or other._mapping()
-        )
+        return self.flavor == other.flavor and _map_of(self) == _map_of(other)
 
     def __hash__(self):
-        return hash((self.flavor, frozenset((self._map or self._mapping()).items())))
+        return hash((self.flavor, frozenset(_pairs(self))))
 
     def map_trees(self, f: Callable, flavor: str) -> "TreeSum":
         return TreeSum.make(flavor, [(f(t), c) for t, c in self.terms])
 
     def to_text(self) -> str:
-        texts = self._texts
-        if texts:
-            out = " + ".join([f"{c} {t}" for t, c in texts])
-        elif texts is None and self._map:  # printed in rank order, not kept
-            m = self._map
-            out = " + ".join([f"{m[t]} {t}" for t in _order(m, self._hint)])
-        else:
+        terms = self._terms
+        if not terms:
             return "0"
+        if type(terms) is not tuple:  # printed in rank order, and not kept
+            order = _order(terms, self._hint)
+            terms = zip(order, map(terms.__getitem__, order))
         # No text holds a space, so " + -" only ever joins a negative term.
-        return out.replace(" + -", " - ")
+        return " + ".join([f"{c} {t}" for t, c in terms]).replace(" + -", " - ")
 
     def to_json(self) -> list[dict]:
         return [{"coeff": str(c), "tree": t.to_json()} for t, c in self.terms]
@@ -216,12 +204,24 @@ class TreeSum(_Value):
 
 
 # The class is frozen, so construction writes the slots through their
-# descriptors, and ``texts`` and ``_mapping`` fill an empty one on first read.
+# descriptors, and ``texts`` writes the ranked pairs over the map.
 _set_flavor = TreeSum.flavor.__set__
-_set_map = TreeSum._map.__set__
-_set_texts = TreeSum._texts.__set__
+_set_terms = TreeSum._terms.__set__
 _set_hint = TreeSum._hint.__set__
 _new = object.__new__
+
+
+def _map_of(s: TreeSum):
+    """The map from texts to coefficients of a sum, made from its ranked
+    pairs when it holds them."""
+    terms = s._terms
+    return dict(terms) if type(terms) is tuple else terms
+
+
+def _pairs(s: TreeSum):
+    """The (text, coefficient) pairs of a sum, in no set order."""
+    terms = s._terms
+    return terms if type(terms) is tuple else terms.items()
 
 
 def _tree_class(flavor: str) -> type:
@@ -258,7 +258,8 @@ def _order(acc, labeled: bool) -> list[str]:
 def _ranked(acc, labeled: bool) -> list[tuple[str, int]]:
     """The (text, coefficient) pairs of a map from serializations to
     coefficients, zeros dropped, in :func:`_order` (``labeled`` as there)."""
-    return [(t, c) for t in _order(acc, labeled) if (c := acc[t])]
+    texts = _order(acc, True) if labeled else sorted(acc)
+    return [(t, c) for t in texts if (c := acc[t])]
 
 
 def _nonzero(acc: dict[str, int]) -> dict[str, int]:
@@ -268,26 +269,15 @@ def _nonzero(acc: dict[str, int]) -> dict[str, int]:
     return acc
 
 
-def _sum_of_texts(flavor: str, acc, labeled: bool) -> TreeSum:
-    """The sum holding ``acc``, a map from serializations to nonzero
-    coefficients, itself: not copied, not sorted, no tree built.
-    ``labeled`` is the hint that a text may carry a label, read by the
-    caller from what it built the map from."""
+def _sum_of_texts(flavor: str, terms, labeled: bool) -> TreeSum:
+    """The sum holding ``terms`` themselves, not copied, not sorted, no tree
+    built: a map from serializations to nonzero coefficients, or their
+    pairs already in :func:`_ranked` order.  ``labeled`` is the hint that a
+    text may carry a label, read by the caller from what it built the
+    terms from."""
     s = _new(TreeSum)
     _set_flavor(s, flavor)
-    _set_map(s, acc)
-    _set_texts(s, None)
-    _set_hint(s, labeled)
-    return s
-
-
-def _sum_of_pairs(flavor: str, texts: tuple[tuple[str, int], ...], labeled: bool) -> TreeSum:
-    """The sum of (text, coefficient) pairs already in :func:`_ranked`
-    order, zeros dropped, held as they are; its map is made on first use."""
-    s = _new(TreeSum)
-    _set_flavor(s, flavor)
-    _set_map(s, None)
-    _set_texts(s, texts)
+    _set_terms(s, terms)
     _set_hint(s, labeled)
     return s
 
@@ -511,5 +501,5 @@ def bilinear_extend(name: str, a: TreeSum, b: TreeSum) -> TreeSum:
     flavor = product_flavor(name)
     if a.flavor != flavor or b.flavor != flavor:
         raise DomainError(f"product {name!r} needs two {flavor} sums")
-    acc = _KERNELS[name][1]({}, (a._map or a._mapping()).items(), (b._map or b._mapping()).items())
+    acc = _KERNELS[name][1]({}, _pairs(a), _pairs(b))
     return _sum_of_texts(flavor, _nonzero(acc), a._hint or b._hint)

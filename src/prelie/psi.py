@@ -55,7 +55,6 @@ from .products import (
     _has_label,
     _labeled,
     _ranked,
-    _sum_of_pairs,
     _sum_of_texts,
 )
 from .trees import (
@@ -564,7 +563,7 @@ def psi_inverse(sigma: PlanarTree) -> TreeSum:
     text = sigma._text
     pairs = _inverses.get(text) or _psi_inv(text)
     if len(text) == 2 * sigma.degree:
-        return _sum_of_pairs(PLANAR, pairs, False)
+        return _sum_of_texts(PLANAR, pairs, False)
     return _sum_of_texts(PLANAR, dict(pairs), True)
 
 
