@@ -527,8 +527,8 @@ def _psi_inv(text: str) -> tuple[tuple[str, int], ...]:
     term has the labels of ``text``.  An unlabeled text's pairs are in
     :func:`_ranked` order, a plain text sort.  A labeled text's pairs are
     left unranked: the recursion only adds them up, and their keyed sort
-    would cost more than it does, so :func:`psi_inverse` ranks only the sum
-    it returns.  Memoized in a plain dict, at one interpreter level per
+    would cost more than it does, so only the sum :func:`psi_inverse`
+    returns is ranked, when it is read in order.  Memoized in a plain dict, at one interpreter level per
     recursive call."""
     out = _inverses.get(text)
     if out is not None:
