@@ -26,7 +26,7 @@ import re
 from functools import lru_cache
 
 from .matrix import CoeffMatrix, _from_images
-from .products import PLANAR, TreeSum, _labeled, _sum_of_texts, product_flavor
+from .products import PLANAR, TreeSum, _butcher, _labeled, _sum_of_texts, product_flavor
 from .projection import Section, _psi_bar
 from .psi import _psi
 from .trees import (
@@ -178,8 +178,8 @@ def _magmatic_fold(expr: MonomialExpr, labeled: bool) -> tuple[PlanarTree, Tree]
     """The planar tree of ``expr`` with the product bound to the left
     Butcher product (the left operand becomes the leftmost branch at the
     right one's root), and its projection, the tree of ``expr`` with the
-    product bound to the Butcher product, built from the projections of
-    the operands' folds.  Memoized: the basis monomials of a degree share
+    product bound to the Butcher product, the Butcher product of the
+    projections of the operands' folds; no text is parsed.  Memoized: the basis monomials of a degree share
     their sub-monomials, and the same monomial is folded again for other
     products."""
     if type(expr) is Generator:
@@ -187,10 +187,9 @@ def _magmatic_fold(expr: MonomialExpr, labeled: bool) -> tuple[PlanarTree, Tree]
         return PlanarTree((), label), Tree((), label)
     left, left_tree = _magmatic_fold(expr.left, labeled)
     right, right_tree = _magmatic_fold(expr.right, labeled)
-    return (
-        PlanarTree((left,) + right.children, right.label),
-        Tree((left_tree,) + right_tree.children, right_tree.label),
-    )
+    planar = PlanarTree((left,) + right.children, right.label)
+    # a planar text once read as a Tree is a key of the Tree table
+    return planar, Tree._by_text.get(planar._text) or _butcher(left_tree, right_tree)
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,11 @@ def butcher(s: Tree, t: Tree) -> Tree:
     tree already built is read from the text-to-tree map."""
     if not isinstance(s, Tree) or not isinstance(t, Tree):
         raise DomainError("the Butcher product needs two non-planar trees")
+    return _butcher(s, t)
+
+
+def _butcher(s: Tree, t: Tree) -> Tree:
+    """:func:`butcher` of two trees known to be ``Tree``s."""
     tree = Tree._by_text.get(_joined(*_children(t._text), s._text))
     if tree is None:
         tree = Tree((s,) + t.children, t.label)
