@@ -179,9 +179,9 @@ def _magmatic_fold(expr: MonomialExpr, labeled: bool) -> tuple[PlanarTree, Tree]
     Butcher product (the left operand becomes the leftmost branch at the
     right one's root), and its projection, the tree of ``expr`` with the
     product bound to the Butcher product, the Butcher product of the
-    projections of the operands' folds; no text is parsed.  Memoized: the basis monomials of a degree share
-    their sub-monomials, and the same monomial is folded again for other
-    products."""
+    projections of the operands' folds; no text is parsed.  Memoized: the
+    basis monomials of a degree share their sub-monomials, and the same
+    monomial is folded again for other products."""
     if type(expr) is Generator:
         label = expr.name if labeled else None
         return PlanarTree((), label), Tree((), label)

@@ -10,10 +10,10 @@ coefficients, and a hint that a text may carry a label.  There is one
 tree per text, so the map is the sum; once its terms are read in order,
 their ranked (text, coefficient) pairs take the map's place.  Its trees
 are read from the text-to-tree map only when its ``terms`` are read, and
-never stored in the sum.  Every sum is collected one way: its terms go into one dict
-keyed by tree text, which the sum then holds as it is, unsorted.  A
-product of two sums is built in one pass: every term of every pair of
-operand texts goes into that dict.  ``+`` and ``-`` add one operand's
+never stored in the sum.  Every sum is collected one way: its terms go
+into one dict keyed by tree text, which the sum then holds as it is,
+unsorted.  A product of two sums is built in one pass: every term of
+every pair of operand texts goes into that dict.  ``+`` and ``-`` add one operand's
 map into a copy of the other's, ``scale`` builds a new map, and zeros
 left by cancelling terms are dropped.  ``psi``, ``psi_bar`` and
 ``evaluate`` hold their kernel's memoized image itself, a shared
@@ -26,9 +26,9 @@ Plain text order.  The order of a sum's terms is descending
 ``serial_key``; it matters only when they are read in order.  ``texts``,
 ``terms``, ``to_json`` and ``repr`` rank the map on their first read and
 keep the ranked pairs in its place; ``to_text`` of a sum not ranked yet
-prints it in one pass over its sorted map and keeps nothing.  ``serial_key`` maps
-``(`` above ``)``, so a map whose texts carry no label is ranked by plain
-``str`` order, ascending, with no key built: two distinct complete
+prints it in one pass over its sorted map and keeps nothing.
+``serial_key`` maps ``(`` above ``)``, so a map whose texts carry no
+label is ranked by plain ``str`` order, ascending, with no key built: two distinct complete
 unlabeled tree texts first differ where one has ``(`` and the other
 ``)`` (neither is a prefix of the other, as each ends where its root
 closes), and ``(`` < ``)`` as characters while its key is the greater.

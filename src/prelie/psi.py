@@ -528,8 +528,8 @@ def _psi_inv(text: str) -> tuple[tuple[str, int], ...]:
     :func:`_ranked` order, a plain text sort.  A labeled text's pairs are
     left unranked: the recursion only adds them up, and their keyed sort
     would cost more than it does, so only the sum :func:`psi_inverse`
-    returns is ranked, when it is read in order.  Memoized in a plain dict, at one interpreter level per
-    recursive call."""
+    returns is ranked, when it is read in order.  Memoized in a plain dict,
+    at one interpreter level per recursive call."""
     out = _inverses.get(text)
     if out is not None:
         return out

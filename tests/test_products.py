@@ -672,7 +672,8 @@ def test_arithmetic_on_kernel_images_leaves_the_memos_unchanged():
         cases += [(psi(tau), _psi, tau), (psi_bar(tau), _psi_bar, tau)]
     for m in (parse_monomial("[[g,g],[g,[g,g]]]"), parse_monomial("[a,[b,[a,b]]]")):
         planar = planar_lower_term(m)
-        cases += [(evaluate(m, "left-graft"), _psi, planar), (evaluate(m, "graft"), _psi_bar, planar)]
+        cases += [(evaluate(m, "left-graft"), _psi, planar),
+                  (evaluate(m, "graft"), _psi_bar, planar)]
     for x, kernel, tau in cases:
         memo = kernel(tau.serialize())
         before = dict(memo)
