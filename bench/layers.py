@@ -15,7 +15,10 @@ resident set (``VmHWM``, read at its end; set-up included), plus Python,
 ``nproc`` and the commits.  A layer runs RUNS pairs, or FAST_RUNS pairs
 when the first run of the parent (of this checkout without ``--parent``)
 takes under FAST_S seconds: such short layers read bimodally from run to
-run, so they need more pairs to tell a change from noise.  With
+run, so they need more pairs to tell a change from noise.  After that it
+runs one more pair at a time, up to MAX_RUNS pairs in all, while the
+parent's wall times spread more than MAX_SPREAD: a layer whose runs of
+one side spread by a third reads a 1% change as 6-10% in three pairs.  With
 ``--parent`` it also records, per layer, the change's median over the
 parent's and how many of the pairs the change won (ties count for neither
 side).  Without ``--out`` the file is ``BENCH.json`` at the root;
@@ -25,10 +28,11 @@ A layer's output is checked after it is timed: the degree-12 planar and
 non-planar bases hold 58786 and 4766 trees, none repeated; the entry
 sum of every psi and alpha matrix, and the coefficient total of psi over
 a whole degree, equal the A088716 term, and each matrix column sums to N(tau), the
-coefficient sum of psi(tau); the inverse satisfies
+coefficient sum of psi(tau), and every psi matrix is unipotent upper
+triangular; the inverse satisfies
 sum_tau psi^-1(sigma)_tau N(tau) = 1 for every sigma (the coefficient sum
 of psi(psi^-1(sigma)) = sigma) and composes back to the identity on a
-seeded sample; beta of the default section is unipotent, and each of its
+seeded sample (20 trees, 3 at degree 11); beta of the default section is unipotent, and each of its
 columns sums to N of the column's default-section text.  The two coefficient oracles agree on
 every pair of degree 7 and of degree 8 (the brute-force cap), with column
 sums N(tau); on seeded degree-10 pairs they agree with the coefficient in
@@ -73,6 +77,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUNS = 3  # pairs of runs per layer
 FAST_RUNS = 9  # pairs for a layer whose first run takes under FAST_S
 FAST_S = 0.1
+MAX_RUNS = 12  # pairs at most, added while the parent's runs spread widely
+MAX_SPREAD = 0.1
 TIMEOUT_S = 900.0  # per run; the parent's psi over degree 10 takes about 40 s
 
 
@@ -137,7 +143,17 @@ def _matrix_check(n: int):
 
 
 def _psi_matrix(n: int):
-    return (lambda P: None), (lambda P, _: P.psi_matrix(n)), _matrix_check(n)
+    """psi_matrix(n), cold: unipotent upper triangular, and the entry and
+    column sums of :func:`_matrix_check`."""
+    sums = _matrix_check(n)
+
+    def check(P, m):
+        if not m.is_unipotent_upper_triangular():
+            return False, "not unipotent upper triangular"
+        ok, detail = sums(P, m)
+        return ok, f"unipotent upper triangular; {detail}"
+
+    return (lambda P: None), (lambda P, _: P.psi_matrix(n)), check
 
 
 def _alpha_after_psi(n: int):
@@ -148,7 +164,12 @@ def _alpha_matrix(n: int):
     return (lambda P: None), (lambda P, _: P.alpha_matrix(n)), _matrix_check(n)
 
 
-def _psi_inverse(n: int):
+def _psi_inverse(n: int, composed: int = 20):
+    """psi_inverse of every degree-n planar tree, cold.  The check reads
+    texts, building no tree but the preimage terms it composes with psi,
+    on ``composed`` seeded trees: the psi images it computes are memoized,
+    so a large sample would set the layer's peak memory."""
+
     def setup(P):
         return P.enumerate_planar(n)
 
@@ -159,23 +180,22 @@ def _psi_inverse(n: int):
         sizes: dict = {}
         for sigma, preimage in inverses.items():
             weighted = 0
-            for rho, d in preimage.terms:
-                text = str(rho)
+            for text, d in preimage.texts:
                 if text not in sizes:
                     sizes[text] = _image_size(text)
                 weighted += d * sizes[text]
             if weighted != 1:
                 return False, f"sum of c N(tau) over psi_inverse({sigma}) is {weighted}"
-        sample = random.Random(n).sample(sorted(inverses, key=str), 20)
+        sample = random.Random(n).sample(sorted(inverses, key=str), 20)[:composed]
         for sigma in sample:
             image: dict = {}
             for rho, d in inverses[sigma].terms:
-                for t, c in P.psi(rho).terms:
+                for t, c in P.psi(rho).texts:
                     image[t] = image.get(t, 0) + c * d
-            if {t: c for t, c in image.items() if c} != {sigma: 1}:
+            if {t: c for t, c in image.items() if c} != {str(sigma): 1}:
                 return False, f"psi(psi_inverse({sigma})) != {sigma}"
         return True, ("sum of c N(tau) over each psi_inverse(sigma) is 1; "
-                      "psi(psi_inverse(sigma)) = sigma on 20 seeded trees")
+                      f"psi(psi_inverse(sigma)) = sigma on {composed} seeded trees")
 
     return setup, work, check
 
@@ -615,6 +635,7 @@ LAYERS = {
     "psi_all_10": _psi_layer(10),
     "psi_matrix_9": _psi_matrix(9),
     "psi_matrix_10": _psi_matrix(10),
+    "psi_matrix_11": _psi_matrix(11),
     # alpha no longer reads psi's images, so the warm psi_matrix(9) of the
     # set-up no longer feeds it; the name is kept for comparison with older
     # BENCH files
@@ -623,6 +644,8 @@ LAYERS = {
     "alpha_matrix_11": _alpha_matrix(11),
     "psi_inverse_all_9": _psi_inverse(9),
     "psi_inverse_all_10": _psi_inverse(10),
+    # three compositions: twenty would add 80 MiB of psi images to the peak
+    "psi_inverse_all_11": _psi_inverse(11, 3),
     "beta_matrix_default_section_9": _beta_default(9),
     "beta_matrix_default_section_11": _beta_default(11),
     "beta_matrix_default_section_13": _beta_default(13),
@@ -687,17 +710,29 @@ def run_once(src: str, name: str) -> dict:
     return json.loads(lines[-1])
 
 
+def spread(values: list[float]) -> float:
+    """(max - min) / median."""
+    return (max(values) - min(values)) / statistics.median(values)
+
+
 def summarize(runs: list[dict]) -> dict:
     ok = all(r["ok"] for r in runs)
     out = {"ok": ok, "check": runs[-1]["check"]}
     if ok:
         for key in ("wall_s", "vmhwm_mib"):
             values = [r[key] for r in runs]
-            median = statistics.median(values)
-            out[key] = round(median, 4)
-            out[f"{key}_spread"] = round((max(values) - min(values)) / median, 3)
+            out[key] = round(statistics.median(values), 4)
+            out[f"{key}_spread"] = round(spread(values), 3)
             out[f"{key}_runs"] = [round(v, 4) for v in values]
     return out
+
+
+def _spreads(runs: dict[str, list[dict]], base: str) -> bool:
+    """Whether every run of every side passed so far and the wall times of
+    the runs of side ``base`` spread more than MAX_SPREAD."""
+    if not all(r["ok"] for side in runs.values() for r in side):
+        return False
+    return spread([r["wall_s"] for r in runs[base]]) > MAX_SPREAD
 
 
 def over_parent(change: dict, parent: dict) -> dict:
@@ -756,11 +791,12 @@ def main(argv=None) -> int:
         src, commit = unpack(args.parent, workdir)
         sides["parent"] = (src, commit, False)
 
+    base = "parent" if "parent" in sides else "change"
     results = {side: {} for side in sides}
     for name in names:
         runs = {side: [] for side in sides}
         pairs, k = RUNS, 0
-        while k < pairs:
+        while k < pairs or k < MAX_RUNS and _spreads(runs, base):
             order = list(sides) if k % 2 == 0 else list(reversed(sides))
             for side in order:
                 r = run_once(sides[side][0], name)
@@ -768,7 +804,7 @@ def main(argv=None) -> int:
                 shown = f"{r['wall_s']:.3f} s, {r['vmhwm_mib']:.1f} MiB" if r["ok"] else "FAILED"
                 print(f"{name} {side} run {k + 1}: {shown} ({r['check']})", file=sys.stderr)
             if k == 0:
-                first = runs["parent" if "parent" in sides else "change"][0]
+                first = runs[base][0]
                 if first["ok"] and first["wall_s"] < FAST_S:
                     pairs = FAST_RUNS
             k += 1
@@ -781,6 +817,7 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
         "runs": RUNS,
         "fast_runs": f"{FAST_RUNS} a side for a layer whose first parent run took under {FAST_S} s",
+        "max_runs": f"then up to {MAX_RUNS} a side while the parent's wall times spread more than {MAX_SPREAD}",
         "wall_s": "layer only, set-up excluded; median of runs",
         "vmhwm_mib": "peak resident set of the whole process (VmHWM); median of runs",
         "spread": "(max - min) / median of a layer's runs on one side",

@@ -57,7 +57,12 @@ the grammar ``label? "(" tree* ")"`` grafting sigma leftmost at a vertex
 of tau means inserting sigma's text right after that vertex's ``(``: at
 the vertex's cut point.  The cut points of a text, each the (head, tail)
 pair it splits into there, are memoized per text, so each graft is built
-as one string, ``f"{head}{sigma}{tail}"``.  Pre-Lie
+as one string, ``f"{head}{sigma}{tail}"``.  A text that a left graft or
+a left Butcher product adds to a collecting dict for the first time is
+looked up in the package's text table, ``_texts``, and the table's
+string is the key kept: every sum and memo built by these kernels holds
+one string per distinct text, however many products built it.  The
+table is emptied with the memos (``_shared.cache_clear``).  Pre-Lie
 grafting keeps texts canonical (children in descending serialization
 order): s's text is inserted in sorted place among the children of the
 grafting vertex, and each vertex on the path up to the root takes its new
@@ -328,6 +333,20 @@ def _butcher(s: Tree, t: Tree) -> Tree:
 # grafting products (sums over vertices)
 
 
+# Every tree text the left-graft and left-Butcher kernels keep, mapped to
+# itself: the one string of that text that their sums and memos hold.
+_texts: dict[str, str] = {}
+
+
+def _shared(text: str) -> str:
+    """The string the text table holds for ``text``: the first one looked
+    up.  The kernels look up a text only when it first enters their dict."""
+    return _texts.setdefault(text, text)
+
+
+_shared.cache_clear = _texts.clear
+
+
 @lru_cache(maxsize=None)
 def _cuts(text: str) -> tuple[tuple[str, str], ...]:
     """The cut point of each vertex of a tree text, in preorder: the text
@@ -339,15 +358,20 @@ def _left_graft_texts(acc: dict, a, b) -> dict:
     """Add to ``acc`` every left graft of a term of ``a`` onto a term of
     ``b``, both iterables of (text, coefficient) pairs (``a`` read once
     per term of ``b``): the text of the ``a`` term put in at each cut
-    point of the ``b`` term, weighted by the product of the coefficients."""
-    get = acc.get
+    point of the ``b`` term, weighted by the product of the coefficients.
+    A text new to ``acc`` goes in as the text table's string."""
+    get, shared = acc.get, _texts.setdefault
     for sb, cb in b:
         cuts = _cuts(sb)
         for sa, ca in a:
             c = ca * cb
             for head, tail in cuts:
                 t = f"{head}{sa}{tail}"
-                acc[t] = get(t, 0) + c
+                old = get(t)
+                if old is None:
+                    acc[shared(t, t)] = c
+                else:
+                    acc[t] = old + c
     return acc
 
 
@@ -424,14 +448,19 @@ def _graft_sum_texts(acc: dict, a, b) -> dict:
 def _left_butcher_texts(acc: dict, a, b) -> dict:
     """Add to ``acc`` the left Butcher product of every term of ``a`` with
     every term of ``b``, both iterables of (text, coefficient) pairs: the
-    ``a`` text inserted right after the root's ``(`` of the ``b`` text."""
-    get = acc.get
+    ``a`` text inserted right after the root's ``(`` of the ``b`` text.
+    A text new to ``acc`` goes in as the text table's string."""
+    get, shared = acc.get, _texts.setdefault
     for sb, cb in b:
         p = sb.index("(") + 1
         head, tail = sb[:p], sb[p:]
         for sa, ca in a:
             t = head + sa + tail
-            acc[t] = get(t, 0) + ca * cb
+            old = get(t)
+            if old is None:
+                acc[shared(t, t)] = ca * cb
+            else:
+                acc[t] = old + ca * cb
     return acc
 
 

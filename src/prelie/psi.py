@@ -23,9 +23,10 @@ The isomorphism is computed on serializations: psi(b o-> t) is the left
 graft of psi(b) onto psi(t), and a left graft inserts one text right
 after a ``(`` of another, at a memoized cut point (see
 :mod:`prelie.products`).  Images are memoized per text as read-only maps
-from texts to coefficients.  The public sums hold those texts and build a
-tree only when their ``terms`` are read, and the matrices read the texts
-directly.
+from texts to coefficients, whose keys are the strings of the package's
+text table: one string per distinct tree, however many images hold it.
+The public sums hold those texts and build a tree only when their
+``terms`` are read, and the matrices read the texts directly.
 
 The inverse is its own text kernel, by the left-Butcher recursion: psi^-1
 carries left grafting back to the left Butcher product, and b grafted
@@ -38,6 +39,7 @@ where "b at v" is b grafted leftmost at the vertex v of t.  On texts,
 inserts x right after the root's ``(`` in y, and "b at v" puts b in at
 the cut point of v in t, one string per vertex v.  Every "b at v" has
 strictly higher potential energy than b o-> t, so the recursion ends.
+The preimages' texts are the text table's strings too.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .products import (
     _cuts,
     _has_label,
     _labeled,
-    _ranked,
+    _shared,
     _sum_of_texts,
 )
 from .trees import (
@@ -121,7 +123,7 @@ def _psi(text: str) -> MappingProxyType:
     _image_calls[1] += 1
     parts = _split(text)
     if parts is None:
-        out = MappingProxyType({text: 1})
+        out = MappingProxyType({_shared(text): 1})
     else:
         branch, trunk = parts
         out = MappingProxyType(_left_graft_texts({}, _psi(branch).items(), _psi(trunk).items()))
@@ -521,34 +523,46 @@ def psi_matrix(n: int, max_degree: int = ENUMERATION_CAP) -> CoeffMatrix:
 _inverses: dict[str, tuple[tuple[str, int], ...]] = {}
 
 
-def _psi_inv(text: str) -> tuple[tuple[str, int], ...]:
+def _psi_inv(text: str, end: int = 0) -> tuple[tuple[str, int], ...]:
     """The preimage of a tree text, as (text, coefficient) pairs without
-    zeros, by the left-Butcher recursion of the module docstring.  Every
-    term has the labels of ``text``.  An unlabeled text's pairs are in
-    :func:`_ranked` order, a plain text sort.  A labeled text's pairs are
-    left unranked: the recursion only adds them up, and their keyed sort
-    would cost more than it does, so only the sum :func:`psi_inverse`
-    returns is ranked, when it is read in order.  Memoized in a plain dict,
-    at one interpreter level per recursive call."""
+    zeros, by the left-Butcher recursion of the module docstring.  ``end``
+    is the index just past the root's first child, when the caller knows
+    it (0 when it does not).  Every term has the labels of ``text``.  An
+    unlabeled text's pairs are in :func:`_ranked` order, a plain text sort.
+    A labeled text's pairs are left unranked: the recursion only adds them
+    up, and their keyed sort would cost more than it does, so only the sum
+    :func:`psi_inverse` returns is ranked, when it is read in order.
+    Memoized in a plain dict, at one interpreter level per recursive call.
+
+    The branch end of each "b at v" is known here: it is the end of the
+    trunk's first child, ``first``, plus the length of b when v lies
+    inside that child.  So a "b at v" is not scanned for its split, and
+    the trunk is scanned once, at the first "b at v" not memoized."""
     out = _inverses.get(text)
     if out is not None:
         return out
-    parts = _split(text)
-    if parts is None:
-        out = ((text, 1),)
+    p = text.index("(") + 1
+    if text[p] == ")":
+        out = ((_shared(text), 1),)
     else:
-        branch, trunk = parts
+        end = end or _subtree_end(text, p)
+        branch, trunk = text[p:end], text[:p] + text[end:]
         acc = _left_butcher_texts({}, _psi_inv(branch), _psi_inv(trunk))
         get = acc.get
         known = _inverses.get  # most "b at v" are memoized: skip the call
+        n, first = end - p, 0  # first: the end of the trunk's first child
         for head, tail in _cuts(trunk)[1:]:  # b at v, for each vertex v but the root
             s = f"{head}{branch}{tail}"
-            for t, c in known(s) or _psi_inv(s):
+            pairs = known(s)
+            if pairs is None:
+                first = first or _subtree_end(trunk, p)
+                pairs = _psi_inv(s, first + n if len(head) <= first else first)
+            for t, c in pairs:
                 acc[t] = get(t, 0) - c
         if _has_label([text]):
             out = tuple([(t, c) for t, c in acc.items() if c])
-        else:
-            out = tuple(_ranked(acc, False))
+        else:  # ranked, zeros dropped before the sort
+            out = tuple([(t, acc[t]) for t in sorted([t for t, c in acc.items() if c])])
     _inverses[text] = out
     return out
 

@@ -624,10 +624,31 @@ def test_clearing_package_caches_empties_the_plain_dict_memos(capsys):
         "psi": lambda: psi_module.psi.cache_info().currsize,
         "_inverses": lambda: len(psi_module._inverses),
         "_grafts": lambda: len(products._grafts),
+        "_texts": lambda: len(products._texts),
     }
     assert all(size() for size in memos.values()), {name: size() for name, size in memos.items()}
     _clear_package_caches()
     assert {name: size() for name, size in memos.items()} == dict.fromkeys(memos, 0)
+
+
+def test_kernel_memos_hold_one_string_per_tree_text():
+    # Every text the psi images and the memoized preimages hold is the one
+    # string of the package's text table, whichever graft or product built it.
+    psi_module, products = sys.modules["prelie.psi"], sys.modules["prelie.products"]
+    _clear_package_caches()
+    prelie.psi_matrix(7)
+    for sigma in prelie.enumerate_planar(7):
+        prelie.psi_inverse(sigma)
+    labeled = prelie.parse_planar("a(b(a())a()b(()))")
+    prelie.psi(labeled), prelie.psi_inverse(labeled)
+    held = {
+        "_psi": [t for image in psi_module._images.values() for t in image],
+        "_inverses": [t for pairs in psi_module._inverses.values() for t, _ in pairs],
+    }
+    for name, texts in held.items():
+        assert len(texts) > len(set(texts)) > 197, name
+        assert len({id(t) for t in texts}) == len(set(texts)), name
+        assert all(products._texts[t] is t for t in texts), name
 
 
 def test_registry_paths_reach_their_operation(capsys):
