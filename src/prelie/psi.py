@@ -561,7 +561,7 @@ def _psi_inv(text: str, end: int = 0) -> tuple[tuple[str, int], ...]:
                 acc[t] = get(t, 0) - c
         if _has_label([text]):
             out = tuple([(t, c) for t, c in acc.items() if c])
-        else:  # ranked, zeros dropped before the sort
+        else:  # _ranked's order, zeros dropped before the sort, not after
             out = tuple([(t, acc[t]) for t in sorted([t for t, c in acc.items() if c])])
     _inverses[text] = out
     return out
