@@ -621,8 +621,13 @@ def _cli_oneshot(requests: int):
 
 def _run_cli(argv: list[str]) -> tuple[int, str]:
     """Exit code and stdout of one request in a fresh interpreter that
-    imports prelie from this process's PYTHONPATH."""
-    proc = subprocess.run([sys.executable, "-m", "prelie.cli", *argv],
+    imports prelie from this process's PYTHONPATH.  The interpreter may
+    write bytecode caches, as for an installed package, so a first request
+    writes them on either side and the timed ones compare code, not
+    compilation."""
+    env = dict(os.environ)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    proc = subprocess.run([sys.executable, "-m", "prelie.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=TIMEOUT_S)
     return proc.returncode, proc.stdout
 

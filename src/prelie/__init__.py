@@ -56,6 +56,7 @@ from .trees import (
     DomainError,
     PlanarTree,
     Tree,
+    clear_caches,
     enumerate_binary,
     enumerate_nonplanar,
     enumerate_planar,

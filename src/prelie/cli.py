@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import os
 import sys
-from functools import lru_cache
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -47,7 +46,7 @@ from .psi import (
     psi_matrix,
 )
 from .psi import psi as psi_map
-from .trees import DegreeCapError, DomainError
+from .trees import DegreeCapError, DomainError, _cached
 
 if TYPE_CHECKING:
     import argparse
@@ -513,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@lru_cache(maxsize=None)
+@_cached
 def _parser() -> argparse.ArgumentParser:
     """The argparse tree ``main`` reuses: built on the first line the table
     does not take, not at import."""

@@ -23,7 +23,6 @@ sum is kept per sub-monomial.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 
 from .matrix import CoeffMatrix, _from_images
 from .products import PLANAR, TreeSum, _butcher, _labeled, _sum_of_texts, product_flavor
@@ -36,6 +35,7 @@ from .trees import (
     PlanarTree,
     Tree,
     _LABEL_RE,
+    _cached,
     _fill,
     _Value,
     canonical_key,
@@ -43,7 +43,7 @@ from .trees import (
 )
 
 
-@lru_cache(maxsize=None)
+@_cached
 def _singleton(name: str) -> frozenset[str]:
     """One shared generator set per name, so that the product nodes of a
     one-generator monomial all hold the same set."""
@@ -173,7 +173,7 @@ def planar_lower_term(m: MonomialExpr) -> PlanarTree:
     return _magmatic_fold(m, len(m.generator_names()) > 1)[0]
 
 
-@lru_cache(maxsize=None)
+@_cached
 def _magmatic_fold(expr: MonomialExpr, labeled: bool) -> tuple[PlanarTree, Tree]:
     """The planar tree of ``expr`` with the product bound to the left
     Butcher product (the left operand becomes the leftmost branch at the
@@ -210,7 +210,7 @@ class GeneratorOrder(_Value):
         _fill(self, alphabet)
 
 
-@lru_cache(maxsize=None)
+@_cached
 def _ag_raw(n: int, alphabet: tuple[str, ...]) -> tuple[MonomialExpr, ...]:
     """Degree-n basis monomials: weakly decreasing words of lower-degree
     basis elements applied to a generator.
@@ -241,9 +241,6 @@ class MonomialBasis(_Value):
 
     def __init__(self, degree: int, monomials: tuple[MonomialExpr, ...]):
         _fill(self, degree, monomials)
-
-    def lower_terms(self) -> tuple[Tree, ...]:
-        return tuple(lower_energy_term(m) for m in self.monomials)
 
     def serialized(self) -> tuple[str, ...]:
         return tuple(m.serialize() for m in self.monomials)

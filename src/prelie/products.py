@@ -62,7 +62,7 @@ a left Butcher product adds to a collecting dict for the first time is
 looked up in the package's text table, ``_texts``, and the table's
 string is the key kept: every sum and memo built by these kernels holds
 one string per distinct text, however many products built it.  The
-table is emptied with the memos (``_shared.cache_clear``).  Pre-Lie
+table is one of the package's memos, emptied by ``clear_caches``.  Pre-Lie
 grafting keeps texts canonical (children in descending serialization
 order): s's text is inserted in sorted place among the children of the
 grafting vertex, and each vertex on the path up to the root takes its new
@@ -73,12 +73,13 @@ of t are memoized per pair of operand texts.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from functools import lru_cache
 from typing import Callable, Iterable
 
 from .trees import (
     _KEY_TABLE,
+    _cached,
     _child_texts,
+    _memo,
     DomainError,
     PlanarTree,
     Tree,
@@ -185,9 +186,6 @@ class TreeSum(_Value):
 
     def __hash__(self):
         return hash((self.flavor, frozenset(_pairs(self))))
-
-    def map_trees(self, f: Callable, flavor: str) -> "TreeSum":
-        return TreeSum.make(flavor, [(f(t), c) for t, c in self.terms])
 
     def to_text(self) -> str:
         terms = self._terms
@@ -335,7 +333,7 @@ def _butcher(s: Tree, t: Tree) -> Tree:
 
 # Every tree text the left-graft and left-Butcher kernels keep, mapped to
 # itself: the one string of that text that their sums and memos hold.
-_texts: dict[str, str] = {}
+_texts: dict[str, str] = _memo()
 
 
 def _shared(text: str) -> str:
@@ -344,10 +342,7 @@ def _shared(text: str) -> str:
     return _texts.setdefault(text, text)
 
 
-_shared.cache_clear = _texts.clear
-
-
-@lru_cache(maxsize=None)
+@_cached
 def _cuts(text: str) -> tuple[tuple[str, str], ...]:
     """The cut point of each vertex of a tree text, in preorder: the text
     split just after the vertex's ``(``, as its (head, tail) pair."""
@@ -375,7 +370,7 @@ def _left_graft_texts(acc: dict, a, b) -> dict:
     return acc
 
 
-@lru_cache(maxsize=None)
+@_cached
 def _children(text: str) -> tuple[str, tuple[str, ...], tuple[bytes, ...]]:
     """The label of a canonical tree text, its children's texts left to
     right (descending serialization order) and their keys in ascending
@@ -401,7 +396,7 @@ def _joined(label: str, kids: tuple[str, ...], keys: tuple[bytes, ...], x: str) 
     return f"{label}({''.join(kids[:i])}{x}{''.join(kids[i:])})"
 
 
-_grafts: dict[str, dict[str, tuple[str, ...]]] = {}
+_grafts: dict[str, dict[str, tuple[str, ...]]] = _memo()
 
 
 def _graft_texts(memo: dict, s: str, t: str) -> tuple[str, ...]:
@@ -424,9 +419,6 @@ def _graft_texts(memo: dict, s: str, t: str) -> tuple[str, ...]:
         out.extend([_joined(label, rest, rest_keys, g) for g in grafts])
     out = memo[t] = tuple(out)
     return out
-
-
-_graft_texts.cache_clear = _grafts.clear
 
 
 def _graft_sum_texts(acc: dict, a, b) -> dict:

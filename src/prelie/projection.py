@@ -20,7 +20,6 @@ reads the planar image of psi: its work is at non-planar size.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 from types import MappingProxyType
 
@@ -41,6 +40,7 @@ from .trees import (
     DomainError,
     PlanarTree,
     Tree,
+    _cached,
     _planar_of_text,
     _tree_of_text,
     enumerate_nonplanar,
@@ -55,7 +55,7 @@ def forget_planarity(sigma: PlanarTree) -> Tree:
     return _tree_of_text(sigma._text)
 
 
-@lru_cache(maxsize=None)
+@_cached
 def planar_embeddings(s: Tree) -> tuple[PlanarTree, ...]:
     """All distinct planar trees projecting onto s (the fiber of s), in
     descending serialization order.  The distinct child orders are built
@@ -75,7 +75,7 @@ def planar_embeddings(s: Tree) -> tuple[PlanarTree, ...]:
     return tuple(sorted(out, key=lambda t: serial_key(t.serialize()), reverse=True))
 
 
-@lru_cache(maxsize=None)
+@_cached
 def _psi_bar(text: str) -> MappingProxyType:
     """The projected image of a planar tree text, as a read-only map from
     canonical texts to coefficients, by the recursion of the module

@@ -17,7 +17,7 @@ and a tau's parts (``_parts``) for the recursion, a domain's masks
 (``_planar_domains``, ``_tree_domains``) and a tau's total-order listing
 (``_total_orders``) for the count.  The builders ``_splits``,
 ``_domain_table`` and ``_total_order_table`` memoize nothing themselves;
-their ``cache_clear`` empties the dicts they fill.
+the dicts they fill are memos of the package, emptied by ``clear_caches``.
 
 The isomorphism is computed on serializations: psi(b o-> t) is the left
 graft of psi(b) onto psi(t), and a left graft inserts one text right
@@ -44,7 +44,6 @@ The preimages' texts are the text table's strings too.
 
 from __future__ import annotations
 
-from functools import _CacheInfo, lru_cache
 from types import MappingProxyType
 
 from .matrix import CoeffMatrix, _from_images
@@ -65,12 +64,15 @@ from .trees import (
     DegreeCapError,
     DomainError,
     PlanarTree,
+    _cached,
+    _counted,
+    _memo,
     _subtree_end,
     enumerate_planar,
 )
 
 
-@lru_cache(maxsize=None)
+@_cached
 def decompose(sigma: PlanarTree) -> tuple[PlanarTree, PlanarTree]:
     """Unique splitting sigma = branch o-> trunk off the leftmost root branch."""
     if not sigma.children:
@@ -90,26 +92,7 @@ def _split(text: str) -> tuple[str, str] | None:
     return text[p + 1 : end], text[: p + 1] + text[end:]
 
 
-def _count_memo(fn, memo: dict, calls: list, size=len, also: tuple[dict, ...] = ()) -> None:
-    """Give ``fn``, memoized in the plain dict ``memo`` with its hits and
-    misses counted in ``calls``, the ``cache_info`` and ``cache_clear`` of
-    an ``lru_cache`` (the perfbench tracer reads ``cache_info``), with
-    ``size(memo)`` entries held.  ``cache_info`` returns the type an
-    ``lru_cache`` does, which costs no class built at import.  The clear
-    also empties the dicts in ``also``, which hold parts of ``memo``."""
-
-    def cache_clear() -> None:
-        memo.clear()
-        for table in also:
-            table.clear()
-        calls[:] = [0, 0]
-
-    fn.cache_info = lambda: _CacheInfo(calls[0], calls[1], None, size(memo))
-    fn.cache_clear = cache_clear
-
-
-_images: dict[str, MappingProxyType] = {}
-_image_calls = [0, 0]  # hits, misses
+_images: dict[str, MappingProxyType] = _memo()
 
 
 def _psi(text: str) -> MappingProxyType:
@@ -131,7 +114,7 @@ def _psi(text: str) -> MappingProxyType:
     return out
 
 
-_count_memo(_psi, _images, _image_calls)
+_image_calls = _counted(_psi, _images.__len__)  # hits, misses
 
 
 def psi(tau: PlanarTree) -> TreeSum:
@@ -141,7 +124,7 @@ def psi(tau: PlanarTree) -> TreeSum:
 
 
 # psi memoizes through its kernel, so the kernel's counts are its counts.
-psi.cache_info, psi.cache_clear = _psi.cache_info, _psi.cache_clear
+psi.cache_info = _psi.cache_info
 
 
 def _wrong_class(cls, *trees) -> DomainError:
@@ -153,7 +136,7 @@ def _wrong_class(cls, *trees) -> DomainError:
 
 
 # sigma -> branch degree d -> _splits(sigma, d), each built on its first read
-_split_tables: dict[PlanarTree, dict[int, tuple]] = {}
+_split_tables: dict[PlanarTree, dict[int, tuple]] = _memo()
 
 
 def _splits(sigma: PlanarTree, d: int) -> tuple[tuple[PlanarTree, PlanarTree], ...]:
@@ -178,15 +161,12 @@ def _splits(sigma: PlanarTree, d: int) -> tuple[tuple[PlanarTree, PlanarTree], .
     return tuple(out)
 
 
-_splits.cache_clear = _split_tables.clear
-
 # tau -> sigma -> c(sigma, tau); a tau's dict is added once tau is known to
 # be a PlanarTree, so a refused call leaves none
-_coeffs: dict[PlanarTree, dict[PlanarTree, int]] = {}
-_coeff_calls = [0, 0]  # hits, misses
+_coeffs: dict[PlanarTree, dict[PlanarTree, int]] = _memo()
 # tau -> (tau1, tau2, memo of tau1, memo of tau2), for tau = tau1 o-> tau2,
 # built on the first miss of tau
-_parts: dict[PlanarTree, tuple[PlanarTree, PlanarTree, dict, dict]] = {}
+_parts: dict[PlanarTree, tuple[PlanarTree, PlanarTree, dict, dict]] = _memo()
 
 
 def coeff_c_recursive(sigma: PlanarTree, tau: PlanarTree) -> int:
@@ -259,12 +239,10 @@ def coeff_c_recursive(sigma: PlanarTree, tau: PlanarTree) -> int:
     return total
 
 
-_count_memo(
-    coeff_c_recursive, _coeffs, _coeff_calls, lambda memo: sum(map(len, memo.values())), (_parts,)
-)
+_coeff_calls = _counted(coeff_c_recursive, lambda: sum(map(len, _coeffs.values())))  # hits, misses
 
 
-@lru_cache(maxsize=None)
+@_cached
 def _count_fields(n: int) -> tuple[tuple[int, ...], int]:
     """The packing of the descendant counts of a degree-n tree into one
     integer: field m, ``n.bit_length() + 1`` bits wide, holds the number of
@@ -284,10 +262,10 @@ def _count_fields(n: int) -> tuple[tuple[int, ...], int]:
 # domain -> _domain_table(domain), one dict per domain class: the sigmas of
 # coeff_c_bijections and the s of count_tilde_b; each entry is built the
 # first time the tree is a domain of that count
-_planar_domains: dict[PlanarTree, tuple] = {}
-_tree_domains: dict = {}
+_planar_domains: dict[PlanarTree, tuple] = _memo()
+_tree_domains: dict = _memo()
 # tau -> _total_order_table(tau), built the first time tau is counted onto
-_total_orders: dict[PlanarTree, tuple] = {}
+_total_orders: dict[PlanarTree, tuple] = _memo()
 
 
 def _domain_table(tree) -> tuple:
@@ -359,14 +337,6 @@ def _domain_table(tree) -> tuple:
     return tuple(unlock), tuple(descendants), masks, counts, autos
 
 
-def _clear_domains() -> None:
-    _planar_domains.clear()
-    _tree_domains.clear()
-
-
-_domain_table.cache_clear = _clear_domains
-
-
 def _total_order_table(tau: PlanarTree) -> tuple[tuple[int, ...], tuple, int, int]:
     """For each vertex in the total-order listing of tau: the position of
     its parent in that listing (-1 for the root, which comes first), and
@@ -388,9 +358,6 @@ def _total_order_table(tau: PlanarTree) -> tuple[tuple[int, ...], tuple, int, in
     units, guards = _count_fields(len(keys))
     counts = sum([units[m] for _, m in keys])
     return tuple(parents), tuple(keys), counts, guards
-
-
-_total_order_table.cache_clear = _total_orders.clear
 
 
 def _count_bijections(domain, tau: PlanarTree, cap: int, tables: dict, cls: type) -> int:
@@ -520,7 +487,7 @@ def psi_matrix(n: int, max_degree: int = ENUMERATION_CAP) -> CoeffMatrix:
     return _from_images(n, basis, basis, (_psi(text).items() for text in basis))
 
 
-_inverses: dict[str, tuple[tuple[str, int], ...]] = {}
+_inverses: dict[str, tuple[tuple[str, int], ...]] = _memo()
 
 
 def _psi_inv(text: str, end: int = 0) -> tuple[tuple[str, int], ...]:
@@ -567,9 +534,6 @@ def _psi_inv(text: str, end: int = 0) -> tuple[tuple[str, int], ...]:
     return out
 
 
-_psi_inv.cache_clear = _inverses.clear
-
-
 def psi_inverse(sigma: PlanarTree) -> TreeSum:
     """Preimage of a planar tree: the sum holding its kernel preimage, the
     memoized pairs themselves when the tree has no label (they are
@@ -581,7 +545,7 @@ def psi_inverse(sigma: PlanarTree) -> TreeSum:
     return _sum_of_texts(PLANAR, dict(pairs), True)
 
 
-@lru_cache(maxsize=None)
+@_cached
 def n_statistic(sigma: PlanarTree) -> int:
     """Number of trees, with multiplicity, in the image of sigma."""
     if not sigma.children:

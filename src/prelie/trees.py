@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from functools import lru_cache
+from functools import _CacheInfo, lru_cache
 from operator import attrgetter
 
 ENUMERATION_CAP = 12  # Catalan(11) = 58786 planar trees at degree 12
@@ -43,6 +43,49 @@ class DegreeCapError(DomainError):
 
 class FrozenInstanceError(AttributeError):
     """An attempt to assign or delete a field of an immutable value."""
+
+
+# ---------------------------------------------------------------------------
+# memos: every one is made by one of these three helpers, which registers
+# how clear_caches() empties it in place, so a memo imported by name stays
+# the one in use
+
+_clears: list = []  # per memo, the call that empties it
+
+
+def _memo() -> dict:
+    """A new plain-dict memo, emptied by :func:`clear_caches`."""
+    memo = {}
+    _clears.append(memo.clear)
+    return memo
+
+
+def _cached(fn):
+    """Decorator: ``fn`` memoized by an unbounded ``lru_cache``, emptied by
+    :func:`clear_caches`."""
+    fn = lru_cache(maxsize=None)(fn)
+    _clears.append(fn.cache_clear)
+    return fn
+
+
+def _counted(fn, size) -> list[int]:
+    """The [hits, misses] counts of ``fn``, a function memoized in plain
+    dicts that adds to them itself, holding ``size()`` entries.  Gives
+    ``fn`` the ``cache_info`` of an ``lru_cache``, in its type (the
+    perfbench tracer reads it); :func:`clear_caches` zeroes the counts in
+    place."""
+    calls = [0, 0]
+    fn.cache_info = lambda: _CacheInfo(calls[0], calls[1], None, size())
+    _clears.append(lambda: calls.__setitem__(slice(None), (0, 0)))
+    return calls
+
+
+def clear_caches() -> None:
+    """Empty every memo of the package and zero the counts that
+    ``cache_info`` reports.  The text tables of the tree classes stay:
+    trees compare by identity, so a text must keep its one tree."""
+    for clear in _clears:
+        clear()
 
 
 class _Frozen:
@@ -386,7 +429,7 @@ def _check_degree(n: int, max_degree: int):
         raise DegreeCapError(f"degree {n} exceeds cap {max_degree}")
 
 
-@lru_cache(maxsize=None)
+@_cached
 def _basis(cls: type, n: int) -> tuple:
     """The degree-n trees of class ``cls``, sorted.  A tree of degree n > 1
     is a product of lower-degree trees, b joining t's root as a new branch:
@@ -441,7 +484,7 @@ def _nonplanar_count(n: int) -> int:
     return a[n]
 
 
-@lru_cache(maxsize=None)
+@_cached
 def _binary_raw(n: int) -> tuple[BinaryTree, ...]:
     if n == 1:
         return (LEAF,)

@@ -1,6 +1,8 @@
+import importlib
 import inspect
 import json
 import os
+import pkgutil
 import random
 import shlex
 import subprocess
@@ -594,13 +596,8 @@ def test_registry_paths_name_real_subcommands():
 
 
 def _clear_package_caches():
-    """Empty every memo of the package: each memoized function, whether an
-    ``lru_cache`` or a plain-dict memo, has a ``cache_clear``."""
-    for name, module in list(sys.modules.items()):
-        if name == "prelie" or name.startswith("prelie."):
-            for obj in vars(module).values():
-                if hasattr(obj, "cache_clear"):
-                    obj.cache_clear()
+    """Empty every memo of the package."""
+    prelie.clear_caches()
 
 
 def test_clearing_package_caches_empties_the_plain_dict_memos(capsys):
@@ -629,6 +626,49 @@ def test_clearing_package_caches_empties_the_plain_dict_memos(capsys):
     assert all(size() for size in memos.values()), {name: size() for name, size in memos.items()}
     _clear_package_caches()
     assert {name: size() for name, size in memos.items()} == dict.fromkeys(memos, 0)
+
+
+def test_clear_caches_reaches_every_memo_of_the_package(capsys):
+    # A memo made outside the registry of prelie.trees keeps what these
+    # commands put in it: after clear_caches(), every module-level dict and
+    # every memoized function of the package must be back to its size.
+    modules = [
+        importlib.import_module(f"prelie.{info.name}")
+        for info in pkgutil.iter_modules(prelie.__path__)
+    ]
+
+    def sizes():
+        out = {}
+        for module in modules:
+            for name, obj in vars(module).items():
+                if name.startswith("__"):
+                    continue
+                if isinstance(obj, dict):
+                    out[module.__name__, name] = len(obj)
+                elif hasattr(obj, "cache_info"):
+                    out[module.__name__, name] = obj.cache_info().currsize
+        return out
+
+    prelie.clear_caches()
+    before = sizes()
+    requests = (
+        ["compute", "psi", "--tree", "(()(()))"],
+        ["compute", "psi-inverse", "--tree", "(()(()))"],
+        ["compute", "coeff", "--sigma", "(()(()))", "--tau", "(()()())", "--method", "both"],
+        ["compute", "alpha", "--s", "(()(()))", "--tau", "((()()))", "--method", "both"],
+        ["compute", "product", "--product", "graft", "--left", "(())", "--right", "(()())"],
+        ["compute", "beta", "--degree", "4"],
+        ["compute", "expand", "--ag", "--degree", "4"],
+        ["verify", "tree-grounded", "--max-degree", "4"],
+    )
+    for argv in requests:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert sizes() != before
+    prelie.clear_caches()
+    assert sizes() == before
+    for fn in (prelie.psi, prelie.coeff_c_recursive, prelie.projection.planar_embeddings):
+        assert fn.cache_info() == (0, 0, None, 0), fn.__name__
 
 
 def test_kernel_memos_hold_one_string_per_tree_text():

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+import prelie
 from prelie import (
     DegreeCapError,
     DomainError,
@@ -129,7 +130,7 @@ def test_memoized_entry_points_report_hits_and_misses():
         assert middle.currsize > before.currsize, name
         assert after.hits > middle.hits and after.misses == middle.misses, name
         assert after.currsize == middle.currsize, name
-        fn.cache_clear()
+        prelie.clear_caches()
         assert fn.cache_info() == (0, 0, None, 0), name
 
 
@@ -140,8 +141,7 @@ def test_oracle_pairs_through_degree_6_keep_the_memo_counts():
     # counts do not depend on the order of the pairs.
     from prelie.projection import planar_embeddings
 
-    coeff_c_recursive.cache_clear()
-    planar_embeddings.cache_clear()
+    prelie.clear_caches()
     for n in range(1, 7):
         planar, nonplanar = enumerate_planar(n), enumerate_nonplanar(n)
         for sigma, tau in product(planar, planar):
@@ -239,7 +239,7 @@ def test_refused_coefficient_calls_leave_no_memo_behind():
     # tau dict to the memo, nor the dicts of a tau's parts
     from prelie.psi import _coeffs
 
-    coeff_c_recursive.cache_clear()
+    prelie.clear_caches()
     s, star = parse_tree("(()())"), parse_planar("(()())")
     refused = [lambda: alpha(s, parse_tree(t)) for t in ("(()())", "((()))", "(()())")]
     refused += [
