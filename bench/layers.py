@@ -1,4 +1,4 @@
-"""Per-layer wall time and peak memory of prelie at degrees 7 to 13.
+"""Per-layer wall time and peak memory of prelie at degrees 7 to 14.
 
     python3 bench/layers.py [--parent REF] [--workdir DIR] [--out BENCH.json]
                             [--layers NAME,NAME,...]
@@ -50,10 +50,11 @@ each graft(s, t) has coefficient sum |t|.  The
 0, each psi answer sums to N(tau), each product answer to the size of its
 right operand, and every ``--method both`` answer prints ``match``; the
 50 fresh-process requests of ``cli_oneshot_50`` exit 0 with the same
-psi and product sums.  ``alpha_matrix_11`` (1842 x 16796) and
-``beta_matrix_default_section_13`` (12486 x 12486) are above the dense cell
-budget: only their columns are built, and a source tree whose builders
-refuse such a matrix up front fails both.  A failed check fails the run and the script exits 1.  Only the standard
+psi and product sums.  ``alpha_matrix_11`` (1842 x 16796),
+``beta_matrix_default_section_13`` (12486 x 12486) and
+``beta_matrix_default_section_14`` (32973 x 32973) are above the dense
+cell budget: only their columns are built and read, and a source tree
+whose builders refuse such a matrix up front fails all three.  A failed check fails the run and the script exits 1.  Only the standard
 library is used.
 """
 
@@ -654,6 +655,7 @@ LAYERS = {
     "beta_matrix_default_section_9": _beta_default(9),
     "beta_matrix_default_section_11": _beta_default(11),
     "beta_matrix_default_section_13": _beta_default(13),
+    "beta_matrix_default_section_14": _beta_default(14),
     "oracle_all_7": _oracle_all(7),
     "oracle_all_8": _oracle_all(8),
     "oracle_sample_10": _oracle_sample(10, 1000),
@@ -700,7 +702,11 @@ def child(name: str) -> int:
 
 
 def run_once(src: str, name: str) -> dict:
+    """One run of a layer in a fresh process importing prelie from
+    ``src``.  The child may write bytecode caches, as ``_run_cli`` lets
+    its requests do, so that no side compiles the package in every run."""
     env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0")
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     try:
         proc = subprocess.run(
             [sys.executable, os.path.abspath(__file__), "--child", name],

@@ -1,7 +1,9 @@
 """Exact integer coefficient matrices over tree bases, held as the columns
-the kernels compute, so a matrix costs its nonzeros.  The dense grid is
-built only to be read or printed (CSV and JSON a band of rows at a time),
-and only those views refuse a grid above the cell budget."""
+the kernels compute: their memoized read-only images, shared and never
+copied, so a matrix costs no more than its memos, and ``clear_caches()``
+leaves it intact.  The dense grid is built only to be read or printed
+(CSV and JSON a band of rows at a time), and only those views refuse a
+grid above the cell budget."""
 
 from __future__ import annotations
 
@@ -17,7 +19,8 @@ class CoeffMatrix(_Value):
 
     For the planar base change the matrix is square, upper triangular and
     unipotent in the canonical (descending potential energy) basis order;
-    the planar-to-non-planar matrix is rectangular.
+    the planar-to-non-planar matrix is rectangular.  A builder's columns
+    are read-only maps; ``repr``, ``pickle`` and ``copy`` read them as dicts.
     """
 
     __slots__ = _fields = ("degree", "row_basis", "col_basis", "columns")
@@ -33,6 +36,10 @@ class CoeffMatrix(_Value):
 
     def __hash__(self):
         return hash((self.degree, self.row_basis, self.col_basis))
+
+    def __reduce__(self):
+        columns = tuple(map(dict, self.columns))
+        return CoeffMatrix, (self.degree, self.row_basis, self.col_basis, columns)
 
     def entry(self, row: str, col: str) -> int:
         return self.column(col)[self.row_basis.index(row)]
@@ -195,12 +202,17 @@ def _check_dense(degree: int, rows: int, cols: int) -> None:
 
 
 def _from_images(degree: int, row_basis: tuple, col_basis: tuple, images) -> CoeffMatrix:
-    """Matrix with one column per text of ``col_basis``: the nonzero
-    coefficients of the matching image in the iterable ``images``, each an
-    iterable of (text, coefficient) pairs, at the texts of ``row_basis``.
-    A text outside the row basis, which only a faulty kernel produces, is
-    dropped, so that the column-sum and column checks of ``verify`` report
-    the fault as a failed check rather than a traceback."""
+    """Matrix with one column per text of ``col_basis``: the matching map
+    of the iterable ``images``, from texts to coefficients.  A map whose
+    texts are all in ``row_basis`` and whose coefficients are nonzero is
+    the column itself, not copied.  Only a faulty kernel makes another: it
+    is copied without its zeros and the texts outside the row basis, so
+    that the column-sum and column checks of ``verify`` report the fault
+    as a failed check rather than a traceback."""
     rows = frozenset(row_basis)
-    columns = tuple([{t: c for t, c in image if c and t in rows} for image in images])
+    columns = tuple([
+        image if rows.issuperset(image) and 0 not in image.values()
+        else {t: c for t, c in image.items() if c and t in rows}
+        for image in images
+    ])
     return CoeffMatrix(degree, row_basis, col_basis, columns)

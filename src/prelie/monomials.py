@@ -282,7 +282,7 @@ def expand_basis(basis: MonomialBasis, max_degree: int = ENUMERATION_CAP) -> Coe
         if len(m.generator_names()) != 1:
             raise DomainError("expansion matrices are single-generator only")
     cols = tuple([m.serialize() for m in basis.monomials])
-    images = (_psi_bar(planar_lower_term(m)._text).items() for m in basis.monomials)
+    images = (_psi_bar(planar_lower_term(m)._text) for m in basis.monomials)
     return _from_images(n, rows, cols, images)
 
 

@@ -57,12 +57,13 @@ the grammar ``label? "(" tree* ")"`` grafting sigma leftmost at a vertex
 of tau means inserting sigma's text right after that vertex's ``(``: at
 the vertex's cut point.  The cut points of a text, each the (head, tail)
 pair it splits into there, are memoized per text, so each graft is built
-as one string, ``f"{head}{sigma}{tail}"``.  A text that a left graft or
-a left Butcher product adds to a collecting dict for the first time is
-looked up in the package's text table, ``_texts``, and the table's
-string is the key kept: every sum and memo built by these kernels holds
-one string per distinct text, however many products built it.  The
-table is one of the package's memos, emptied by ``clear_caches``.  Pre-Lie
+as one string, ``f"{head}{sigma}{tail}"``.  Building the memoized images
+of :mod:`prelie.psi`, a text that a left graft or a left Butcher product
+first adds to its dict is looked up in the package's text table,
+``_texts``, and the table's string is the key kept: every image and
+preimage holds one string per distinct text.  The table is one of the
+package's memos, emptied by ``clear_caches``; a public product leaves
+nothing in it.  Pre-Lie
 grafting keeps texts canonical (children in descending serialization
 order): s's text is inserted in sorted place among the children of the
 grafting vertex, and each vertex on the path up to the root takes its new
@@ -331,8 +332,8 @@ def _butcher(s: Tree, t: Tree) -> Tree:
 # grafting products (sums over vertices)
 
 
-# Every tree text the left-graft and left-Butcher kernels keep, mapped to
-# itself: the one string of that text that their sums and memos hold.
+# Every tree text the memoized images and preimages of psi hold, mapped to
+# itself: the one string of that text that they hold.
 _texts: dict[str, str] = _memo()
 
 
@@ -349,13 +350,14 @@ def _cuts(text: str) -> tuple[tuple[str, str], ...]:
     return tuple([(text[: i + 1], text[i + 1 :]) for i, ch in enumerate(text) if ch == "("])
 
 
-def _left_graft_texts(acc: dict, a, b) -> dict:
+def _left_graft_texts(acc: dict, a, b, table: dict | None = None) -> dict:
     """Add to ``acc`` every left graft of a term of ``a`` onto a term of
     ``b``, both iterables of (text, coefficient) pairs (``a`` read once
     per term of ``b``): the text of the ``a`` term put in at each cut
     point of the ``b`` term, weighted by the product of the coefficients.
-    A text new to ``acc`` goes in as the text table's string."""
-    get, shared = acc.get, _texts.setdefault
+    A text new to ``acc`` goes in as the string that ``table`` (the text
+    table, for a memo) holds for it; by default a throwaway dict's."""
+    get, shared = acc.get, ({} if table is None else table).setdefault
     for sb, cb in b:
         cuts = _cuts(sb)
         for sa, ca in a:
@@ -437,12 +439,13 @@ def _graft_sum_texts(acc: dict, a, b) -> dict:
     return acc
 
 
-def _left_butcher_texts(acc: dict, a, b) -> dict:
+def _left_butcher_texts(acc: dict, a, b, table: dict | None = None) -> dict:
     """Add to ``acc`` the left Butcher product of every term of ``a`` with
     every term of ``b``, both iterables of (text, coefficient) pairs: the
     ``a`` text inserted right after the root's ``(`` of the ``b`` text.
-    A text new to ``acc`` goes in as the text table's string."""
-    get, shared = acc.get, _texts.setdefault
+    A text new to ``acc`` goes in as the string ``table`` holds for it, as
+    for :func:`_left_graft_texts`."""
+    get, shared = acc.get, ({} if table is None else table).setdefault
     for sb, cb in b:
         p = sb.index("(") + 1
         head, tail = sb[:p], sb[p:]

@@ -136,7 +136,7 @@ def alpha_matrix(n: int, max_degree: int = ENUMERATION_CAP) -> CoeffMatrix:
     planar columns, both in canonical order."""
     rows = tuple([t._text for t in enumerate_nonplanar(n, max_degree)])
     cols = tuple([tau._text for tau in enumerate_planar(n, max_degree)])
-    return _from_images(n, rows, cols, (_psi_bar(text).items() for text in cols))
+    return _from_images(n, rows, cols, map(_psi_bar, cols))
 
 
 # ---------------------------------------------------------------------------
@@ -233,4 +233,4 @@ def beta_matrix(section: Section, n: int, max_degree: int = ENUMERATION_CAP) -> 
         if not section.covers(t):
             raise DomainError(f"section does not cover degree {n}")
     texts = tuple([t._text for t in basis])
-    return _from_images(n, texts, texts, (_psi_bar(section(t)._text).items() for t in basis))
+    return _from_images(n, texts, texts, (_psi_bar(section(t)._text) for t in basis))

@@ -57,6 +57,7 @@ from .products import (
     _labeled,
     _shared,
     _sum_of_texts,
+    _texts,
 )
 from .trees import (
     BRUTE_FORCE_CAP,
@@ -109,7 +110,8 @@ def _psi(text: str) -> MappingProxyType:
         out = MappingProxyType({_shared(text): 1})
     else:
         branch, trunk = parts
-        out = MappingProxyType(_left_graft_texts({}, _psi(branch).items(), _psi(trunk).items()))
+        acc = _left_graft_texts({}, _psi(branch).items(), _psi(trunk).items(), _texts)
+        out = MappingProxyType(acc)
     _images[text] = out
     return out
 
@@ -482,9 +484,9 @@ def coeff_c_bijections(
 
 def psi_matrix(n: int, max_degree: int = ENUMERATION_CAP) -> CoeffMatrix:
     """Per-degree matrix of the isomorphism over the canonical planar basis,
-    each column read from the text kernel."""
+    each column the text kernel's memoized image itself."""
     basis = tuple([tau._text for tau in enumerate_planar(n, max_degree)])
-    return _from_images(n, basis, basis, (_psi(text).items() for text in basis))
+    return _from_images(n, basis, basis, map(_psi, basis))
 
 
 _inverses: dict[str, tuple[tuple[str, int], ...]] = _memo()
@@ -514,7 +516,7 @@ def _psi_inv(text: str, end: int = 0) -> tuple[tuple[str, int], ...]:
     else:
         end = end or _subtree_end(text, p)
         branch, trunk = text[p:end], text[:p] + text[end:]
-        acc = _left_butcher_texts({}, _psi_inv(branch), _psi_inv(trunk))
+        acc = _left_butcher_texts({}, _psi_inv(branch), _psi_inv(trunk), _texts)
         get = acc.get
         known = _inverses.get  # most "b at v" are memoized: skip the call
         n, first = end - p, 0  # first: the end of the trunk's first child

@@ -92,9 +92,10 @@ class _Frozen:
     """Immutable slotted object whose constructor takes its fields, named
     in ``_fields``, in that order.  Assigning or deleting any attribute
     raises :class:`FrozenInstanceError`; constructors write their slots
-    with :func:`_fill` or through the slot descriptors.  ``repr`` shows the
-    fields as a dataclass does, and ``pickle`` and ``copy`` rebuild the
-    value by calling its class on them."""
+    with :func:`_fill` or through the slot descriptors.  ``pickle`` and
+    ``copy`` rebuild the value by calling its class on the fields that
+    ``__reduce__`` gives, and ``repr`` shows those fields as a dataclass
+    does."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -109,7 +110,7 @@ class _Frozen:
         return type(self), tuple([getattr(self, f) for f in self._fields])
 
     def __repr__(self):
-        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        fields = ", ".join([f"{f}={v!r}" for f, v in zip(self._fields, self.__reduce__()[1])])
         return f"{type(self).__qualname__}({fields})"
 
 

@@ -691,6 +691,25 @@ def test_kernel_memos_hold_one_string_per_tree_text():
         assert all(products._texts[t] is t for t in texts), name
 
 
+def test_public_left_products_leave_no_text_in_the_table():
+    # Only the memoized images and preimages of psi keep their texts in the
+    # table: a public left-graft or left-Butcher product, built and dropped,
+    # leaves it as it was.
+    products = sys.modules["prelie.products"]
+    _clear_package_caches()
+    x, y = prelie.parse_planar("((()())())"), prelie.parse_planar("(()(())())")
+    a, b = prelie.psi(x), prelie.psi(y)
+    prelie.psi_inverse(x)
+    held = len(products._texts)
+    assert held > 0
+    graft, butcher = (prelie.bilinear_extend(name, a, b) for name in ("left-graft", "left-butcher"))
+    assert graft.coefficient_sum() == 5 * butcher.coefficient_sum() > 0
+    assert prelie.left_graft(x, y).coefficient_sum() == 5
+    del graft, butcher
+    assert len(products._texts) == held
+
+
+
 def test_registry_paths_reach_their_operation(capsys):
     for name, path in OP_REGISTRY.items():
         code_object = inspect.unwrap(getattr(prelie, name)).__code__

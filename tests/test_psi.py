@@ -1,6 +1,9 @@
+import copy
+import pickle
 import random
 import sys
 from itertools import product
+from types import MappingProxyType
 
 import pytest
 
@@ -651,6 +654,57 @@ def test_psi_matrix_unipotent_integer_inverse():
         assert m.determinant() == 1
         # the cached inverse columns are integer by construction; the
         # composition check above exercises them
+
+
+# ---------------------------------------------------------------------------
+# matrices hold the kernels' memoized images
+
+
+def test_matrix_columns_are_the_memoized_images():
+    kernel = sys.modules["prelie.psi"]._psi
+    projected = sys.modules["prelie.projection"]._psi_bar
+    for n in range(1, 7):
+        m = psi_matrix(n)
+        assert all(c is kernel(t) for t, c in zip(m.col_basis, m.columns))
+        a = prelie.alpha_matrix(n)
+        assert all(c is projected(t) for t, c in zip(a.col_basis, a.columns))
+        section = prelie.default_section(n)
+        b = prelie.beta_matrix(section, n)
+        assert all(c is projected(section(t)._text) for t, c in zip(enumerate_nonplanar(n), b.columns))
+        basis = prelie.ag_basis(n)
+        e = prelie.expand_basis(basis)
+        lower = [prelie.monomials.planar_lower_term(m)._text for m in basis.monomials]
+        assert all(c is projected(t) for t, c in zip(lower, e.columns))
+        for built in (m, a, b, e):
+            with pytest.raises(TypeError):
+                built.columns[0][built.row_basis[0]] = 2
+
+
+def test_from_images_copies_only_a_faulty_image():
+    rows = ("(()())", "((()))")
+    good = MappingProxyType({"(()())": 1, "((()))": 2})
+    outside = MappingProxyType({"(()())": 1, "(())": 5})
+    zero = MappingProxyType({"(()())": 0, "((()))": 3})
+    m = matrix._from_images(3, rows, rows * 2, [good, outside, zero, good])
+    assert m.columns[0] is good and m.columns[3] is good
+    assert type(m.columns[1]) is dict and m.columns[1] == {"(()())": 1}
+    assert type(m.columns[2]) is dict and m.columns[2] == {"((()))": 3}
+
+
+def test_a_built_matrix_pickles_and_copies_as_a_value():
+    for m in (psi_matrix(5), prelie.alpha_matrix(4), prelie.beta_matrix(prelie.default_section(5), 5)):
+        plain = matrix.CoeffMatrix(m.degree, m.row_basis, m.col_basis, tuple(map(dict, m.columns)))
+        assert "mappingproxy" not in repr(m) and repr(m) == repr(plain)
+        for again in (
+            pickle.loads(pickle.dumps(m)),
+            copy.copy(m),
+            copy.deepcopy(m),
+        ):
+            assert again == m and hash(again) == hash(m) and repr(again) == repr(m)
+    # clearing the memos leaves a built matrix intact
+    m = psi_matrix(5)
+    prelie.clear_caches()
+    assert m.entry_sum() == 85 and m.is_unipotent_upper_triangular()
 
 
 # ---------------------------------------------------------------------------
